@@ -280,25 +280,86 @@ def _flat(space: EchelonedSpace, order: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+def _first_cell(colours: Sequence[int]) -> list[int]:
+    """Points of the least colour held by two or more, ascending; empty when
+    the dense colouring is discrete."""
+    m = len(colours)
+    counts = [0] * m
+    for c in colours:
+        counts[c] += 1
+    for c, k in enumerate(counts):
+        if k > 1:
+            return [v for v in range(m) if colours[v] == c]
+    return []
+
+
+def _leaf_order(colours: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(colours)), key=colours.__getitem__))
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _canon_search(
     space: EchelonedSpace, colours: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(flat, order) of the first leaf, in depth-first order, whose flattened
+    table is least in the individualization-refinement tree.
+
+    A node individualizes each point of its first non-singleton cell in
+    turn.  Two leaves with equal tables give an automorphism; a child is
+    skipped when the automorphisms found so far that fix the node's path
+    generate one mapping an explored sibling onto it, since its subtree is
+    that sibling's image and holds no table the sibling's lacks (McKay & Piperno, J. Symb. Comput. 60, 2014).
+    The first least leaf is therefore never skipped and the result is the
+    one the unpruned tree gives.
+    """
     colours = _refine(space, colours)
-    m = space.m
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        cells.setdefault(c, []).append(v)
-    split = [c for c in sorted(cells) if len(cells[c]) > 1]
-    if not split:
-        order = tuple(sorted(range(m), key=lambda v: colours[v]))
+    cell = _first_cell(colours)
+    if not cell:
+        order = _leaf_order(colours)
         return _flat(space, order), order
-    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    for v in cells[split[0]]:
-        child = list(colours)
-        child[v] = m  # fresh colour above all, individualizes v
-        cand = _canon_search(space, tuple(child))
-        if best is None or cand[0] < best[0]:
-            best = cand
+    m = space.m
+    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # first least leaf so far
+    automorphisms: list[tuple[int, ...]] = []
+
+    def visit(colours: tuple[int, ...], cell: list[int], path: tuple[int, ...]) -> None:
+        nonlocal best
+        parent = list(range(m))  # orbits of the automorphisms fixing path
+        merged = 0
+        explored: list[int] = []
+        for v in cell:
+            for g in automorphisms[merged:]:
+                if all(g[p] == p for p in path):
+                    for x in range(m):
+                        parent[_find(parent, x)] = _find(parent, g[x])
+            merged = len(automorphisms)
+            root = _find(parent, v)
+            if any(_find(parent, u) == root for u in explored):
+                continue
+            explored.append(v)
+            child = list(colours)
+            child[v] = m  # fresh colour above all, individualizes v
+            refined = _refine(space, child)
+            sub = _first_cell(refined)
+            if sub:
+                visit(refined, sub, path + (v,))
+                continue
+            order = _leaf_order(refined)
+            flat = _flat(space, order)
+            if best is None or flat < best[0]:
+                best = flat, order
+            elif flat == best[0]:
+                g = [0] * m
+                for a, b in zip(best[1], order):
+                    g[a] = b
+                automorphisms.append(tuple(g))
+
+    visit(colours, cell, ())
     return best  # type: ignore[return-value]
 
 
@@ -307,7 +368,10 @@ def canonical_form(space: EchelonedSpace) -> CanonicalForm:
 
     Colour refinement on the rank-labelled complete graph, with
     individualization backtracking when refinement leaves ties; among the
-    discrete branches the lexicographically least flattened table wins.
+    discrete branches the lexicographically least flattened table wins, and
+    ``order`` is the first such branch in depth-first order.  The search
+    prunes siblings that an automorphism found so far maps onto an explored
+    one, so symmetric spaces such as uniform ones stay fast.
     """
     flat, order = _canon_search(space, tuple([0] * space.m))
     table = [[0] * space.m for _ in range(space.m)]

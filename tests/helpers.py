@@ -67,3 +67,28 @@ def random_embedding_chain(stream: SplitMix64Stream, sizes):
         spaces.append(bigger)
         maps.append(emb)
     return spaces, maps
+
+
+def reference_canon_search(space, colours):
+    """Unpruned individualization-refinement search, kept as the reference
+    that canonical_form must reproduce: (flat, order) of the first least
+    leaf in depth-first order."""
+    from echelon.space import _flat, _refine
+
+    colours = _refine(space, colours)
+    m = space.m
+    cells = {}
+    for v, c in enumerate(colours):
+        cells.setdefault(c, []).append(v)
+    split = [c for c in sorted(cells) if len(cells[c]) > 1]
+    if not split:
+        order = tuple(sorted(range(m), key=lambda v: colours[v]))
+        return _flat(space, order), order
+    best = None
+    for v in cells[split[0]]:
+        child = list(colours)
+        child[v] = m  # fresh colour above all, individualizes v
+        cand = reference_canon_search(space, tuple(child))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best

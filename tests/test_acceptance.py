@@ -152,7 +152,8 @@ def test_criterion_4_katetov():
         kx, ky, kz = katetov_space(x), katetov_space(y), katetov_space(z)
         comp = tuple(p2[v] for v in p1)
         lhs = katetov_map(kx, kz, comp)
-        rhs = tuple(katetov_map(ky, kz, p2)[v] for v in katetov_map(kx, ky, p1))
+        outer = katetov_map(ky, kz, p2)
+        rhs = tuple(outer[v] for v in katetov_map(kx, ky, p1))
         if lhs != rhs:
             report(4, False, "functor composition law failed")
     elapsed = time.monotonic() - t0

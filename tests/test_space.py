@@ -4,7 +4,9 @@ forms against brute-force isomorphism."""
 
 import itertools
 import math
+import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from echelon import (
     is_homomorphism,
 )
 from echelon.errors import CapExceeded, ValidationError
+from echelon.prng import SplitMix64Stream
+from helpers import random_space, reference_canon_search
 
 # --- independent oracles ---
 
@@ -330,3 +334,112 @@ def test_rank_classes_partition_pairs():
     classes = sp.rank_classes()
     assert tuple(classes[1]) == ((0, 1),)
     assert tuple(classes[2]) == ((0, 2), (1, 2))
+
+
+# --- pruned canonical search against the unpruned reference ---
+
+
+def uniform(m):
+    return from_rank_table([[0 if i == j else 1 for j in range(m)] for i in range(m)])
+
+
+def graph_space(g):
+    """Rank 1 on the edges of a graph on 0..m-1, rank 2 on the non-edges."""
+    m = g.number_of_nodes()
+    return from_weights(
+        m, {(i, j): 1 if g.has_edge(i, j) else 2 for i, j in itertools.combinations(range(m), 2)}
+    )
+
+
+def shuffled(stream, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        k = stream.randrange(i + 1)
+        items[i], items[k] = items[k], items[i]
+    return items
+
+
+def random_relabelling(stream, sp):
+    return from_rank_table(permute_table(sp.table, shuffled(stream, range(sp.m))))
+
+
+def assert_matches_reference(sp):
+    cf = canonical_form(sp)
+    flat, order = reference_canon_search(sp, tuple([0] * sp.m))
+    assert tuple(cf.space.rank(a, b) for a, b in cf.space.pairs()) == flat, sp.table
+    assert cf.order == order, sp.table
+
+
+def test_canonical_form_matches_reference_all_m4():
+    count = 0
+    for sp in enumerate_spaces(4):
+        assert_matches_reference(sp)
+        count += 1
+    assert count == 4683
+
+
+def test_canonical_form_matches_reference_beyond_desk_scale():
+    stream = SplitMix64Stream(2024)
+    spaces = [random_space(stream, m) for m in (5, 6, 7) for _ in range(30)]
+    spaces += [uniform(m) for m in (5, 6, 7)] + [graph_space(nx.petersen_graph())]
+    # regular graphs that are not vertex-transitive: refinement ties points
+    # of different orbits, so the search must compare unrelated branches
+    spaces += [
+        graph_space(nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(k))) for k in (4, 5)
+    ]
+    spaces.append(graph_space(nx.frucht_graph()))
+    for sp in spaces:
+        assert_matches_reference(sp)
+        assert_matches_reference(random_relabelling(stream, sp))
+
+
+# --- isomorphism against networkx as an independent oracle ---
+
+
+def rank_graph(sp):
+    g = nx.complete_graph(sp.m)
+    for i, j in sp.pairs():
+        g.edges[i, j]["rank"] = sp.rank(i, j)
+    return g
+
+
+def random_space_with(stream, m, n):
+    """Ranks 1..n on the pairs of m points, each rank attained."""
+    pairs = list(itertools.combinations(range(m), 2))
+    extra = [stream.randrange(n) + 1 for _ in range(len(pairs) - n)]
+    ranks = shuffled(stream, list(range(1, n + 1)) + extra)
+    table = [[0] * m for _ in range(m)]
+    for (i, j), r in zip(pairs, ranks):
+        table[i][j] = table[j][i] = r
+    return EchelonedSpace(m, n, tuple(tuple(row) for row in table))
+
+
+def test_isomorphism_agrees_with_networkx():
+    stream = SplitMix64Stream(77)
+    same_rank = nx.algorithms.isomorphism.numerical_edge_match("rank", 0)
+    agreed = {True: 0, False: 0}
+    for m in (5, 6, 7, 8):
+        for case in range(24):
+            x = random_space(stream, m)
+            if case % 2 == 0:
+                y = random_relabelling(stream, x)
+            else:
+                y = random_space_with(stream, m, x.n)
+            expected = nx.is_isomorphic(rank_graph(x), rank_graph(y), edge_match=same_rank)
+            witness = are_isomorphic(x, y)
+            assert (witness is not None) == expected, (x.table, y.table)
+            assert (canonical_form(x).space == canonical_form(y).space) == expected
+            if witness is not None:
+                assert is_embedding(x, y, witness)
+            agreed[expected] += 1
+    assert agreed[True] >= 48 and agreed[False] > 0
+
+
+def test_are_isomorphic_uniform_m10_is_fast():
+    x = uniform(10)
+    y = random_relabelling(SplitMix64Stream(10), x)
+    t0 = time.perf_counter()
+    witness = are_isomorphic(x, y)
+    elapsed = time.perf_counter() - t0
+    assert witness is not None and is_embedding(x, y, witness)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
