@@ -19,13 +19,16 @@ from typing import Optional, Sequence
 from . import jsonio
 from .amalgam import AmalgamResult, amalgamate, jep
 from .colgraph import GeometricColouring, random_coloured_graph
-from .errors import EchelonError, ValidationError
+from .errors import CapExceeded, EchelonError, ValidationError
 from .jsonio import FORMAT, fraction_from_str, fraction_to_str
 from .katetov import katetov_map, katetov_space, one_point_extensions, realize_extension
 from .limit import back_and_forth, limit_new
 from .metrize import from_metric, metrize_dull
 from .ramsey import OrderedEchelonedSpace, arrow_check, copy_set, witness_search
 from .space import are_isomorphic, enumerate_spaces, from_weights
+
+# Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
+LIMIT_POINTS_CAP = 1024
 
 
 class _UsageError(Exception):
@@ -244,6 +247,10 @@ def _cmd_extend(args) -> dict:
 
 
 def _cmd_limit_sample(args) -> dict:
+    if args.n > LIMIT_POINTS_CAP:
+        raise CapExceeded(
+            "limit/points-cap", f"--n {args.n} exceeds the cap of {LIMIT_POINTS_CAP} points"
+        )
     model = limit_new(args.mode, args.seed, args.p)
     space = model.sample_prefix(args.n)
     doc = jsonio.space_to_json(space)

@@ -13,8 +13,9 @@ echeloned space.  Two interchangeable modes:
 * deterministic: labels are constructed.  Auto-growth alternates a fresh
   point (labels above everything, so the first two points share label 1)
   with a density step that splits the smallest yet-unsplit gap between
-  adjacent labels, driven through a pending-demand queue; witnesses are
-  built directly, choosing fresh in-gap labels by Stern-Brocot selection.
+  adjacent labels (always the bottom one), driven through a pending-demand
+  queue; witnesses are built directly, choosing fresh in-gap labels by
+  Stern-Brocot selection.
 
 A witness demand fixes, per base point, either an exact label or an open
 interval.  Interval entries carry a tier: equal bounds and equal tier mean
@@ -25,6 +26,7 @@ new point brings several fresh label classes into the same gap.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,7 +232,13 @@ class RandomLimitModel(LimitModel):
 
 
 class DeterministicLimitModel(LimitModel):
-    """Constructed labels: every demand is realized by appending a point."""
+    """Constructed labels: every demand is realized by appending a point.
+
+    The distinct labels are indexed incrementally: a sorted list plus a
+    membership set, updated as each pair label is written (fresh labels are
+    appended at the top, in-gap and exact labels are inserted by bisection).
+    Nothing is rebuilt per point, so growth to n points costs O(n^2) label
+    writes."""
 
     mode = "deterministic"
 
@@ -238,12 +246,21 @@ class DeterministicLimitModel(LimitModel):
         super().__init__()
         self.seed = seed  # recorded; the construction is canonical
         self._labels: dict[tuple[int, int], Fraction] = {}
+        self._sorted: list[Fraction] = []
+        self._label_set: set[Fraction] = set()
         self.pending: deque[Demand] = deque()
         self._schedule_step = 0
-        self._split_done: set[tuple[Fraction, Fraction]] = set()
 
     def _label(self, u: int, v: int) -> Fraction:
         return self._labels[(u, v) if u < v else (v, u)]
+
+    def existing_labels(self) -> list[Fraction]:
+        return list(self._sorted)
+
+    def _add_label(self, label: Fraction) -> None:
+        if label not in self._label_set:
+            self._label_set.add(label)
+            insort(self._sorted, label)
 
     def _extend(self) -> None:
         if not self.pending:
@@ -252,14 +269,14 @@ class DeterministicLimitModel(LimitModel):
 
     def _next_scheduled(self) -> Demand:
         """Dovetail: odd steps add a fresh point, even steps split the
-        smallest unsplit gap between adjacent labels."""
+        smallest unsplit gap between adjacent labels.
+
+        That is always the bottom gap: a scheduled split is constructed at
+        once and labels are never removed, so no gap between adjacent labels
+        has been split before."""
         self._schedule_step += 1
-        if self._schedule_step % 2 == 0:
-            labels = self.existing_labels()
-            for lo, hi in zip(labels, labels[1:]):
-                if (lo, hi) not in self._split_done:
-                    self._split_done.add((lo, hi))
-                    return Demand(((0, OpenInterval(lo, hi)),))
+        if self._schedule_step % 2 == 0 and len(self._sorted) > 1:
+            return Demand(((0, OpenInterval(self._sorted[0], self._sorted[1])),))
         return Demand(())
 
     def ensure_witness(self, demand: Demand) -> int:
@@ -267,11 +284,10 @@ class DeterministicLimitModel(LimitModel):
 
     def _construct(self, demand: Demand) -> int:
         entries = _validate_demand(demand, self.size)
-        existing = set()
-        for lab in self._labels.values():
-            existing.add(lab)
-        chosen: dict[int, Fraction] = {}
         # One fresh label per (bounds, tier), tiers ascending within bounds.
+        # Each is indexed as soon as it is chosen, so later choices in this
+        # call avoid it; exact labels are indexed after every in-gap choice,
+        # which they never displace.
         interval_keys: dict[tuple, list[int]] = {}
         for point, entry in entries:
             if isinstance(entry, OpenInterval):
@@ -280,23 +296,27 @@ class DeterministicLimitModel(LimitModel):
         for (lo, hi), tiers in interval_keys.items():
             cur_lo = lo
             for tier in sorted(set(tiers)):
-                lab = rational_between(cur_lo, hi, existing | set(interval_labels.values()))
+                lab = rational_between(cur_lo, hi, self._label_set)
+                self._add_label(lab)
                 interval_labels[(lo, hi, tier)] = lab
                 cur_lo = lab
+        chosen: dict[int, Fraction] = {}
         for point, entry in entries:
             if isinstance(entry, ExactLabel):
                 chosen[point] = entry.value
+                self._add_label(entry.value)
             else:
                 chosen[point] = interval_labels[(entry.lo, entry.hi, entry.tier)]
         z = self.size
         self.size += 1
-        ceiling = max(existing | set(chosen.values()), default=Fraction(0))
-        next_fresh = ceiling + 1
+        next_fresh = (self._sorted[-1] if self._sorted else Fraction(0)) + 1
         for v in range(z):
             if v in chosen:
                 self._labels[(v, z)] = chosen[v]
             else:
                 self._labels[(v, z)] = next_fresh
+                self._label_set.add(next_fresh)
+                self._sorted.append(next_fresh)
                 next_fresh += 1
         return z
 
@@ -308,22 +328,6 @@ def limit_new(mode: str, seed: int, p: object = Fraction(1, 2)) -> LimitModel:
     if mode == "deterministic":
         return DeterministicLimitModel(seed)
     raise ValidationError("limit/mode", f"unknown mode {mode!r}")
-
-
-def limit_points(model: LimitModel, n: int) -> tuple[int, ...]:
-    return model.limit_points(n)
-
-
-def limit_rank(model: LimitModel, u: int, v: int) -> Fraction:
-    return model.rank_label(u, v)
-
-
-def sample_prefix(model: LimitModel, n: int) -> EchelonedSpace:
-    return model.sample_prefix(n)
-
-
-def ensure_witness(model: LimitModel, demand: Demand) -> int:
-    return model.ensure_witness(demand)
 
 
 @dataclass(frozen=True)

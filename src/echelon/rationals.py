@@ -14,7 +14,7 @@ Two pieces of machinery, both exact:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Container, Optional
 
 
 def nth_rational(i: int) -> Fraction:
@@ -51,36 +51,45 @@ def rational_index(q: Fraction) -> int:
 
 
 def simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
-    """Simplest rational q with lo < q < hi (hi=None meaning no upper bound)."""
-    if hi is not None and lo >= hi:
+    """Simplest positive rational q with lo < q < hi (hi=None meaning no
+    upper bound): the first mediant of the Stern-Brocot walk from 0/1 .. 1/0
+    that lands inside.  Each run of same-direction steps is taken at once by
+    floor division, so the walk costs one step per continued-fraction term."""
+    if hi is not None and (lo >= hi or hi <= 0):
         raise ValueError("empty interval")
-    # Walk the Stern-Brocot tree from 0/1 .. 1/0 until we land inside.
+    # No upper bound walks like hi = 1/0.  Every mediant is positive, so a
+    # negative lo never moves the walk right.
+    p, q = lo.numerator, lo.denominator
+    s, t = (1, 0) if hi is None else (hi.numerator, hi.denominator)
     ln, ld = 0, 1
     rn, rd = 1, 0
     while True:
         mn, md = ln + rn, ld + rd
-        mid = Fraction(mn, md)
-        if mid <= lo:
-            ln, ld = mn, md
-        elif hi is not None and mid >= hi:
-            rn, rd = mn, md
+        if mn * q <= p * md:
+            # Right while the left end stays <= lo; rn/rd > lo keeps k >= 1.
+            k = (p * ld - q * ln) // (q * rn - p * rd)
+            ln, ld = ln + k * rn, ld + k * rd
+        elif mn * t >= s * md:
+            # Left while the right end stays >= hi; ln/ld < hi keeps k >= 1.
+            k = (t * rn - s * rd) // (s * ld - t * ln)
+            rn, rd = rn + k * ln, rd + k * ld
         else:
-            return mid
+            return Fraction(mn, md)
 
 
 def rational_between(
-    lo: Fraction, hi: Optional[Fraction], forbidden: Iterable[Fraction] = ()
+    lo: Fraction, hi: Optional[Fraction], forbidden: Container[Fraction] = ()
 ) -> Fraction:
-    """A rational strictly inside (lo, hi) avoiding ``forbidden``.
+    """A rational strictly inside (lo, hi) not in ``forbidden``.
 
     Deterministic: repeatedly takes the simplest rational in the remaining
     sub-interval above the last collision.  Terminates because the forbidden
-    set is finite and every retry strictly raises the lower bound.
+    collection is finite and every retry strictly raises the lower bound.
+    ``forbidden`` is only probed with ``in``, never copied.
     """
-    avoid = set(forbidden)
     cur_lo = lo
     while True:
         q = simplest_between(cur_lo, hi)
-        if q not in avoid:
+        if q not in forbidden:
             return q
         cur_lo = q

@@ -3,9 +3,13 @@
 Everything draws from SplitMix64Stream so a seed pins the whole case."""
 
 import itertools
+from collections import deque
+from fractions import Fraction
 
 from echelon import EchelonedSpace, from_rank_table, from_weights
+from echelon.limit import Demand, ExactLabel, LimitModel, OpenInterval, _validate_demand
 from echelon.prng import SplitMix64Stream
+from echelon.rationals import rational_between
 
 
 def permute_table(table, perm):
@@ -92,3 +96,92 @@ def reference_canon_search(space, colours):
         if best is None or cand[0] < best[0]:
             best = cand
     return best
+
+
+def reference_simplest_between(lo, hi):
+    """One-mediant-per-step Stern-Brocot walk, kept as the reference that
+    simplest_between must reproduce (callers keep hi > 0, where it ends)."""
+    if hi is not None and lo >= hi:
+        raise ValueError("empty interval")
+    ln, ld = 0, 1
+    rn, rd = 1, 0
+    while True:
+        mn, md = ln + rn, ld + rd
+        mid = Fraction(mn, md)
+        if mid <= lo:
+            ln, ld = mn, md
+        elif hi is not None and mid >= hi:
+            rn, rd = mn, md
+        else:
+            return mid
+
+
+class ReferenceDeterministicLimitModel(LimitModel):
+    """The deterministic model with its labels rebuilt from every pair
+    on each step, kept as the reference that DeterministicLimitModel's
+    incremental label index must reproduce exactly."""
+
+    mode = "deterministic"
+
+    def __init__(self, seed: int = 0):
+        super().__init__()
+        self.seed = seed
+        self._labels = {}
+        self.pending = deque()
+        self._schedule_step = 0
+        self._split_done = set()
+
+    def _label(self, u, v):
+        return self._labels[(u, v) if u < v else (v, u)]
+
+    def _extend(self):
+        if not self.pending:
+            self.pending.append(self._next_scheduled())
+        self._construct(self.pending.popleft())
+
+    def _next_scheduled(self):
+        self._schedule_step += 1
+        if self._schedule_step % 2 == 0:
+            labels = self.existing_labels()
+            for lo, hi in zip(labels, labels[1:]):
+                if (lo, hi) not in self._split_done:
+                    self._split_done.add((lo, hi))
+                    return Demand(((0, OpenInterval(lo, hi)),))
+        return Demand(())
+
+    def ensure_witness(self, demand):
+        return self._construct(demand)
+
+    def _construct(self, demand):
+        entries = _validate_demand(demand, self.size)
+        existing = set()
+        for lab in self._labels.values():
+            existing.add(lab)
+        chosen = {}
+        interval_keys = {}
+        for point, entry in entries:
+            if isinstance(entry, OpenInterval):
+                interval_keys.setdefault((entry.lo, entry.hi), []).append(entry.tier)
+        interval_labels = {}
+        for (lo, hi), tiers in interval_keys.items():
+            cur_lo = lo
+            for tier in sorted(set(tiers)):
+                lab = rational_between(cur_lo, hi, existing | set(interval_labels.values()))
+                interval_labels[(lo, hi, tier)] = lab
+                cur_lo = lab
+        for point, entry in entries:
+            if isinstance(entry, ExactLabel):
+                chosen[point] = entry.value
+            else:
+                chosen[point] = interval_labels[(entry.lo, entry.hi, entry.tier)]
+        z = self.size
+        self.size += 1
+        ceiling = max(existing | set(chosen.values()), default=Fraction(0))
+        next_fresh = ceiling + 1
+        for v in range(z):
+            if v in chosen:
+                self._labels[(v, z)] = chosen[v]
+            else:
+                self._labels[(v, z)] = next_fresh
+                next_fresh += 1
+        return z

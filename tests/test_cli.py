@@ -15,7 +15,8 @@ from echelon import (
     katetov_space,
     one_point_extensions,
 )
-from echelon.cli import main
+from echelon import cli
+from echelon.cli import LIMIT_POINTS_CAP, main
 from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
@@ -173,6 +174,18 @@ def test_limit_sample_bytes_are_reproducible(invoke):
         ["limit", "sample", "--mode", "random", "--seed", "10", "--n", "6"]
     )
     assert out3 != out1
+
+
+@pytest.mark.parametrize("n", [LIMIT_POINTS_CAP + 1, 10**18])
+@pytest.mark.parametrize("mode", ["random", "deterministic"])
+def test_limit_sample_points_cap(invoke, monkeypatch, mode, n):
+    def no_model(*args):
+        raise AssertionError("a model was built past the cap")
+
+    monkeypatch.setattr(cli, "limit_new", no_model)
+    code, out, err = invoke(["limit", "sample", "--mode", mode, "--n", str(n)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "limit/points-cap"
 
 
 def test_limit_bnf_certificate(invoke):

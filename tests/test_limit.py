@@ -5,6 +5,10 @@ Random mode must replay the seeded colouring exactly; deterministic mode
 must honour witness demands by construction.  Back-and-forth is tested
 against both, including the self-pairing that forces the identity."""
 
+import contextlib
+import hashlib
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,20 +20,22 @@ from echelon import (
     OpenInterval,
     RandomLimitModel,
     back_and_forth,
-    ensure_witness,
     is_dull,
     limit_new,
-    limit_points,
-    limit_rank,
     metrize_dull,
     nth_rational,
     rational_between,
     rational_index,
-    sample_prefix,
     simplest_between,
 )
 from echelon import prng
 from echelon.errors import CapExceeded, DemandError, ValidationError
+from echelon.prng import SplitMix64Stream
+from helpers import ReferenceDeterministicLimitModel, reference_simplest_between
+
+# SHA-256 of the first 64 points' labels, "p/q" joined by commas over pairs
+# (u, v), u < v, in lexicographic order; the same value the benchmark pins.
+DET_LABELS_N64 = "fb7b36ad94fe37dc89c4b4f284ffe60d59402cc90076d06f5f70e90a1870f1bd"
 
 # --- rational enumeration ---
 
@@ -71,6 +77,55 @@ def test_simplest_between():
             assert not (lo < Fraction(num, den) < hi)
 
 
+def test_simplest_between_matches_the_stern_brocot_walk():
+    farey = sorted({Fraction(a, b) for b in range(1, 6) for a in range(-6, 16)})
+    checked = 0
+    for lo in farey:
+        for hi in farey + [None]:
+            if hi is not None and (hi <= lo or hi <= 0):
+                continue
+            assert simplest_between(lo, hi) == reference_simplest_between(lo, hi), (lo, hi)
+            checked += 1
+    assert checked > 1000
+    stream = SplitMix64Stream(2024)
+    for _ in range(300):
+        lo = Fraction(stream.randrange(10**5), stream.randrange(10**3) + 1)
+        hi = lo + Fraction(stream.randrange(10**4) + 1, stream.randrange(10**6) + 1)
+        assert simplest_between(lo, hi) == reference_simplest_between(lo, hi), (lo, hi)
+        small = Fraction(stream.randrange(300), stream.randrange(50) + 1)
+        assert simplest_between(small, None) == reference_simplest_between(small, None)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Turn a step-per-mediant walk into a failure instead of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_simplest_between_large_and_empty_intervals():
+    with _deadline(2.0):
+        assert simplest_between(Fraction(10**12), None) == 10**12 + 1
+        assert simplest_between(Fraction(0), Fraction(1, 10**12)) == Fraction(1, 10**12 + 1)
+        assert simplest_between(Fraction(-5), Fraction(1, 10**12)) == Fraction(1, 10**12 + 1)
+        det = DeterministicLimitModel()
+        det.limit_points(2)
+        z = det.ensure_witness(Demand(((0, OpenInterval(Fraction(10**12), None)),)))
+        assert det.rank_label(z, 0) == 10**12 + 1
+        for lo, hi in ((Fraction(-1), Fraction(0)), (Fraction(-3), Fraction(-1)), (Fraction(1), Fraction(1))):
+            with pytest.raises(ValueError, match="empty interval"):
+                simplest_between(lo, hi)
+
+
 def test_rational_between_avoids_forbidden():
     lo, hi = Fraction(0), Fraction(1)
     taken = {simplest_between(lo, hi)}
@@ -107,7 +162,7 @@ def test_labels_stable_under_growth():
 def test_prefix_is_a_valid_space_and_dull_after_metrization():
     for mode, seed in (("deterministic", 0), ("random", 5)):
         model = limit_new(mode, seed)
-        sp = sample_prefix(model, 9)
+        sp = model.sample_prefix(9)
         assert sp.m == 9
         assert is_dull(metrize_dull(sp))
 
@@ -153,6 +208,87 @@ def test_density_between_adjacent_labels():
     top = det.existing_labels()[-1]
     z = det.ensure_witness(Demand(((0, OpenInterval(top, None)),)))
     assert det.rank_label(z, 0) > top
+
+
+def test_deterministic_growth_matches_the_reference():
+    det, ref = DeterministicLimitModel(), ReferenceDeterministicLimitModel()
+    for n in range(1, 129):
+        assert det.limit_points(n) == ref.limit_points(n)
+        assert det.existing_labels() == ref.existing_labels()
+        assert [det.rank_label(v, n - 1) for v in range(n)] == [
+            ref.rank_label(v, n - 1) for v in range(n)
+        ]
+
+
+def _random_demand(stream, model):
+    """Up to four entries: exact labels (existing, new, or the simplest
+    rational of a bound pair), bounded intervals with tiers 0-2 over two
+    shared bound pairs, and intervals unbounded above."""
+    labels = model.existing_labels()
+    bounds = [Fraction(0)] + labels
+    pairs = []
+    for _ in range(2):
+        i = stream.randrange(len(bounds))
+        j = i + 1 + stream.randrange(min(3, len(bounds) - i))
+        pairs.append((bounds[i], bounds[j] if j < len(bounds) else None))
+    points = list(range(model.size))
+    entries = []
+    for _ in range(min(stream.randrange(4) + 1, model.size)):
+        point = points.pop(stream.randrange(len(points)))
+        kind = stream.randrange(4)
+        if kind == 0:
+            pick = stream.randrange(3)
+            if pick == 0 and labels:
+                value = labels[stream.randrange(len(labels))]
+            elif pick == 1:  # where an interval entry's label would land
+                lo, hi = pairs[stream.randrange(2)]
+                value = simplest_between(lo, hi)
+            else:
+                value = Fraction(stream.randrange(40) + 1, stream.randrange(5) + 1)
+            entries.append((point, ExactLabel(value)))
+        elif kind == 3:
+            entries.append((point, OpenInterval(bounds[stream.randrange(len(bounds))], None, stream.randrange(3))))
+        else:
+            lo, hi = pairs[kind - 1]
+            entries.append((point, OpenInterval(lo, hi, stream.randrange(3))))
+    return Demand(tuple(entries))
+
+
+def test_deterministic_demands_match_the_reference():
+    for seed in range(60):
+        stream = SplitMix64Stream(seed)
+        det, ref = DeterministicLimitModel(), ReferenceDeterministicLimitModel()
+        det.limit_points(2)
+        ref.limit_points(2)
+        for _ in range(14):
+            if stream.randrange(3) == 0:
+                n = det.size + stream.randrange(3) + 1
+                det.limit_points(n)
+                ref.limit_points(n)
+            else:
+                demand = _random_demand(stream, det)
+                assert det.ensure_witness(demand) == ref.ensure_witness(demand)
+            assert det.existing_labels() == ref.existing_labels()
+        assert det.size == ref.size
+        for u in range(det.size):
+            for v in range(u + 1, det.size):
+                assert det.rank_label(u, v) == ref.rank_label(u, v), (seed, u, v)
+
+
+def test_deterministic_labels_n64_digest():
+    det = DeterministicLimitModel()
+    det.limit_points(64)
+    text = ",".join(
+        f"{q.numerator}/{q.denominator}"
+        for q in (det.rank_label(u, v) for u in range(64) for v in range(u + 1, 64))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == DET_LABELS_N64
+
+
+def test_deterministic_growth_scale_gate():
+    start = time.perf_counter()
+    DeterministicLimitModel().limit_points(256)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_demand_validation():
@@ -216,12 +352,12 @@ def test_mode_dispatch():
     with pytest.raises(ValidationError):
         limit_new("other", 0)
     with pytest.raises(ValidationError):
-        limit_rank(limit_new("random", 0), 0, 1)  # nothing materialized yet
+        limit_new("random", 0).rank_label(0, 1)  # nothing materialized yet
 
 
-def test_limit_points_helper():
+def test_limit_points_returns_the_ids():
     model = limit_new("random", 2)
-    assert limit_points(model, 5) == (0, 1, 2, 3, 4)
+    assert model.limit_points(5) == (0, 1, 2, 3, 4)
     assert model.size >= 5
 
 
