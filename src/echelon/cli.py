@@ -20,15 +20,17 @@ from . import jsonio
 from .amalgam import AmalgamResult, amalgamate, jep
 from .colgraph import GeometricColouring, random_coloured_graph
 from .errors import CapExceeded, EchelonError, ValidationError
-from .jsonio import FORMAT, fraction_from_str, fraction_to_str
+from .jsonio import FORMAT, fraction_to_str
 from .katetov import katetov_map, katetov_space, one_point_extensions, realize_extension
 from .limit import back_and_forth, limit_new
 from .metrize import from_metric, metrize_dull
-from .ramsey import OrderedEchelonedSpace, arrow_check, copy_set, witness_search
+from .ramsey import arrow_check, copy_set, witness_search
 from .space import are_isomorphic, enumerate_spaces, from_weights
 
 # Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
 LIMIT_POINTS_CAP = 1024
+# Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
+GRAPH_VERTICES_CAP = 2048
 
 
 class _UsageError(Exception):
@@ -41,8 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_doc(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(text)
+    """Parse a JSON input; bytes that are not UTF-8 and nesting too deep to decode are malformed JSON."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValidationError("json/parse", str(exc)) from None
 
 
 def _read_space(path: str):
@@ -54,19 +60,12 @@ def _read_ordered(path: str):
 
 
 def _parse_map(value: str) -> tuple[int, ...]:
-    """A point map, either inline ("0,2,1") or a JSON file holding a list."""
+    """A point map, either inline ("0,2,1") or a JSON file (a list or a map document)."""
     try:
         return tuple(int(t) for t in value.split(","))
     except ValueError:
         pass
-    doc = _read_doc(value)
-    if isinstance(doc, dict) and doc.get("kind") == "map":
-        doc = doc.get("map")
-    if isinstance(doc, list) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in doc
-    ):
-        return tuple(doc)
-    raise ValidationError("json/schema", f"expected a point map in {value!r}")
+    return jsonio.map_from_json(_read_doc(value))[1]
 
 
 def _fraction_arg(value: str) -> Fraction:
@@ -106,77 +105,11 @@ def _label_rows(label_of, count: int) -> list[list[str]]:
 
 
 def _cmd_validate(args) -> dict:
-    return _normalize_document(_read_doc(args.input))
-
-
-def _normalize_document(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise ValidationError("json/schema", "document must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "space":
-        if "order" in doc:
-            ordered = jsonio.ordered_space_from_json(doc)
-            return jsonio.space_to_json(ordered.space, order=ordered.order)
-        return jsonio.space_to_json(jsonio.space_from_json(doc))
-    if kind == "metric":
-        return jsonio.metric_to_json(jsonio.metric_from_json(doc))
-    if kind == "graph":
-        return jsonio.graph_to_json(jsonio.graph_from_json(doc))
-    if kind == "weights":
-        m, weights = _weights_from_json(doc)
-        return {
-            "format": FORMAT,
-            "kind": "weights",
-            "points": m,
-            "w": [
-                [fraction_to_str(weights[(j, i)]) for j in range(i)]
-                for i in range(1, m)
-            ],
-        }
-    if kind == "space-list":
-        spaces = doc.get("spaces")
-        if not isinstance(spaces, list):
-            raise ValidationError("json/schema", "space-list needs a spaces array")
-        return {
-            "format": FORMAT,
-            "kind": "space-list",
-            "spaces": [_normalize_document(member) for member in spaces],
-        }
-    if kind in ("amalgam", "katetov", "bnf"):
-        out = dict(doc)
-        out["format"] = FORMAT
-        for key in ("space", "base", "left_space", "right_space"):
-            if key in out and out[key] is not None:
-                out[key] = _normalize_document(out[key])
-        return out
-    if kind == "report":
-        out = dict(doc)
-        out["format"] = FORMAT
-        return out
-    raise ValidationError("json/schema", f"unknown kind {kind!r}")
-
-
-def _weights_from_json(doc) -> tuple[int, dict]:
-    kind = doc.get("kind")
-    if kind not in ("weights", "metric"):
-        raise ValidationError("json/schema", f"expected weights or metric, got {kind!r}")
-    m = doc.get("points")
-    if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
-        raise ValidationError("json/schema", "points must be a positive integer")
-    rows = doc.get("w" if kind == "weights" else "d")
-    if not (isinstance(rows, list) and len(rows) == m - 1):
-        raise ValidationError("json/schema", f"need {m - 1} weight rows")
-    weights = {}
-    for i, row in enumerate(rows, start=1):
-        if not (isinstance(row, list) and len(row) == i):
-            raise ValidationError("json/schema", f"weight row {i} needs {i} entries")
-        for j, cell in enumerate(row):
-            weights[(j, i)] = fraction_from_str(cell)
-    return m, weights
+    return jsonio.validate(_read_doc(args.input))
 
 
 def _cmd_echelon(args) -> dict:
-    m, weights = _weights_from_json(_read_doc(args.input))
+    m, weights = jsonio.weights_from_json(_read_doc(args.input))
     return jsonio.space_to_json(from_weights(m, weights))
 
 
@@ -219,11 +152,9 @@ def _cmd_katetov(args) -> dict:
     if kx.m <= args.materialize_cap:
         doc["space"] = jsonio.space_to_json(kx.materialize(cap=args.materialize_cap))
     if args.map is not None:
-        map_doc = _read_doc(args.map)
-        if not (isinstance(map_doc, dict) and map_doc.get("kind") == "map"):
-            raise ValidationError("json/schema", "--map expects a document of kind 'map'")
-        target = jsonio.space_from_json(map_doc.get("target"))
-        phi = tuple(map_doc.get("map", ()))
+        target, phi = jsonio.map_from_json(_read_doc(args.map))
+        if target is None:
+            raise ValidationError("json/schema", "--map expects a map document with a target space")
         ky = katetov_space(target, cap=args.cap)
         doc["map"] = {
             "target": jsonio.space_to_json(target),
@@ -239,11 +170,7 @@ def _cmd_extend(args) -> dict:
     extensions = list(one_point_extensions(_read_space(args.input), cap=args.cap))
     if args.count:
         return {"format": FORMAT, "kind": "report", "count": len(extensions)}
-    return {
-        "format": FORMAT,
-        "kind": "space-list",
-        "spaces": [jsonio.space_to_json(sp) for sp in extensions],
-    }
+    return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in extensions])
 
 
 def _cmd_limit_sample(args) -> dict:
@@ -314,11 +241,7 @@ def _cmd_enumerate(args) -> dict:
     spaces = enumerate_spaces(args.m, up_to_iso=args.up_to_iso)
     if args.count:
         return {"format": FORMAT, "kind": "report", "count": sum(1 for _ in spaces)}
-    return {
-        "format": FORMAT,
-        "kind": "space-list",
-        "spaces": [jsonio.space_to_json(sp) for sp in spaces],
-    }
+    return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in spaces])
 
 
 def _cmd_iso(args) -> dict:
@@ -332,6 +255,10 @@ def _cmd_iso(args) -> dict:
 
 
 def _cmd_graph(args) -> dict:
+    if args.n > GRAPH_VERTICES_CAP:
+        raise CapExceeded(
+            "graph/vertices-cap", f"--n {args.n} exceeds the cap of {GRAPH_VERTICES_CAP} vertices"
+        )
     colouring = GeometricColouring(args.p, args.seed)
     return jsonio.graph_to_json(random_coloured_graph(args.n, colouring))
 
@@ -472,12 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         doc = args.handler(args)
-    except json.JSONDecodeError as exc:
-        _diagnostic("json/parse", str(exc))
-        return 65
     except EchelonError as exc:
         _diagnostic(exc.code, exc.message)
-        return 2
+        return 65 if exc.code == "json/parse" else 2
     except OSError as exc:
         _diagnostic("io/read", str(exc))
         return 2
@@ -487,9 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -1,23 +1,33 @@
-"""JSON documents for spaces, metrics, and coloured graphs.
+"""JSON documents: one registry maps each kind to its loader and dumper.
 
 Every document carries the format tag ``echelon/1`` and a ``kind``.
 Ranks and colours travel as integers, rationals as "p/q" strings, so no
-value ever passes through floating point.  Loading is strict about
-structure and about a wrong format tag, silent about a missing one, and
-ignores unknown keys.
+value ever passes through floating point.
+
+``_KINDS`` covers ``space`` (ordered when it has an ``order`` key),
+``metric``, ``graph``, ``weights`` and the composite kinds: ``space-list``
+and the pass-through ``amalgam``, ``katetov``, ``bnf`` and ``report``,
+which keep every key and normalize the documents embedded under
+``space``, ``base``, ``left_space`` and ``right_space`` (not in a report).
+``load_document`` is the one dispatcher on ``kind``, and ``validate`` is
+load-then-dump through the same table.  Every document, embedded ones
+included, passes one header check first: it must be a JSON object, and a
+format tag other than ``echelon/1`` is rejected for every kind (a missing
+one is accepted).  Loaders ignore unknown keys.  ``map`` documents have a
+loader but no registry entry, so ``validate`` rejects them.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
 from .errors import ValidationError
 from .metrize import Metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
-from .space import EchelonedSpace, from_rank_table
+from .space import EchelonedSpace, PointMap, from_rank_table
 
 FORMAT = "echelon/1"
 
@@ -33,7 +43,7 @@ def fraction_from_str(s: Any) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError):
             pass
-    elif isinstance(s, int) and not isinstance(s, bool):
+    elif _is_int(s):
         return Fraction(s)
     raise ValidationError("json/rational", f"expected a 'p/q' string, got {s!r}")
 
@@ -43,125 +53,197 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError("json/schema", message)
 
 
-def _check_header(doc: Any, kind: str) -> None:
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _header(doc: Any, kinds) -> str:
+    """Check that a document is an object, with our format tag if any and a kind among ``kinds``."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     tag = doc.get("format")
     if tag is not None and tag != FORMAT:
         raise ValidationError("json/format", f"unsupported format tag {tag!r}")
-    _require(doc.get("kind") == kind, f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    kind = doc.get("kind")
+    _require(isinstance(kind, str) and kind in kinds, f"expected kind {'/'.join(kinds)}, got {kind!r}")
+    return kind
 
 
-def _int_grid(rows: Any, m: int, what: str) -> list[list[int]]:
-    _require(isinstance(rows, list) and len(rows) == m - 1, f"{what} needs {m - 1} rows")
-    out = []
+def _document(kind: str, **fields) -> dict:
+    return {"format": FORMAT, "kind": kind, **fields}
+
+
+def _fraction_rows(table: Sequence[Sequence[Fraction]]) -> list[list[str]]:
+    return [[fraction_to_str(table[i][j]) for j in range(i)] for i in range(1, len(table))]
+
+
+def _integer(x: Any) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValidationError("json/schema", f"expected an integer entry, got {x!r}")
+
+
+def _table(doc: dict, size: str, key: str, cell: Callable[[Any], Any], zero: Any) -> list[list]:
+    """The symmetric table a document stores as a strict lower triangle:
+    row i of ``doc[key]`` lists the entries against points 0..i-1."""
+    m = doc.get(size)
+    _require(_is_int(m) and m >= 1, f"{size} must be a positive integer")
+    rows = doc.get(key)
+    _require(isinstance(rows, list) and len(rows) == m - 1, f"{key} needs {m - 1} rows")
+    table = [[zero] * m for _ in range(m)]
     for i, row in enumerate(rows, start=1):
-        _require(isinstance(row, list) and len(row) == i, f"{what} row {i} needs {i} entries")
-        for x in row:
-            _require(isinstance(x, int) and not isinstance(x, bool), f"{what} entries must be integers")
-        out.append(list(row))
-    return out
+        _require(isinstance(row, list) and len(row) == i, f"{key} row {i} needs {i} entries")
+        for j, x in enumerate(row):
+            table[i][j] = table[j][i] = cell(x)
+    return table
 
 
-def space_to_json(space: EchelonedSpace, order: Optional[tuple[int, ...]] = None) -> dict:
-    doc = {
-        "format": FORMAT,
-        "kind": "space",
-        "points": space.m,
-        "ranks": space.n,
-        "eta": [[space.rank(i, j) for j in range(i)] for i in range(1, space.m)],
-    }
-    if order is not None:
-        doc["order"] = list(order)
-    return doc
-
-
-def space_from_json(doc: Any) -> EchelonedSpace:
-    _check_header(doc, "space")
-    m = doc.get("points")
-    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1, "points must be a positive integer")
-    rows = _int_grid(doc.get("eta"), m, "eta")
-    table = [[0] * m for _ in range(m)]
-    for i in range(1, m):
-        for j in range(i):
-            table[i][j] = table[j][i] = rows[i - 1][j]
-    space = from_rank_table(tuple(tuple(r) for r in table))
+def _space(doc: dict) -> EchelonedSpace:
+    space = from_rank_table(tuple(tuple(r) for r in _table(doc, "points", "eta", _integer, 0)))
     declared = doc.get("ranks")
     if declared is not None:
         _require(declared == space.n, f"declared ranks {declared} but table has {space.n}")
     return space
 
 
-def ordered_space_from_json(doc: Any) -> OrderedEchelonedSpace:
-    space = space_from_json(doc)
-    order = doc.get("order")
-    if order is None:
-        order = list(range(space.m))
-    _require(
-        isinstance(order, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in order),
-        "order must be a list of integers",
-    )
+def _ordered_space(doc: dict) -> OrderedEchelonedSpace:
+    space = _space(doc)
+    order = list(range(space.m)) if doc.get("order") is None else doc["order"]
+    _require(isinstance(order, list) and all(_is_int(x) for x in order), "order must be a list of integers")
     return OrderedEchelonedSpace(space, tuple(order))
+
+
+def _load_space(doc: dict):
+    return _ordered_space(doc) if "order" in doc else _space(doc)
+
+
+def space_to_json(space: EchelonedSpace, order: Optional[tuple[int, ...]] = None) -> dict:
+    eta = [[space.rank(i, j) for j in range(i)] for i in range(1, space.m)]
+    doc = _document("space", points=space.m, ranks=space.n, eta=eta)
+    if order is not None:
+        doc["order"] = list(order)
+    return doc
+
+
+def _dump_space(space) -> dict:
+    if isinstance(space, OrderedEchelonedSpace):
+        return space_to_json(space.space, order=space.order)
+    return space_to_json(space)
+
+
+def _metric(doc: dict) -> Metric:
+    return validate_metric(_weights(doc, "d"))
 
 
 def metric_to_json(d: Metric) -> dict:
     d = validate_metric(d)
-    m = len(d)
-    return {
-        "format": FORMAT,
-        "kind": "metric",
-        "points": m,
-        "d": [[fraction_to_str(d[i][j]) for j in range(i)] for i in range(1, m)],
-    }
+    return _document("metric", points=len(d), d=_fraction_rows(d))
 
 
-def metric_from_json(doc: Any) -> Metric:
-    _check_header(doc, "metric")
-    m = doc.get("points")
-    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1, "points must be a positive integer")
-    rows = doc.get("d")
-    _require(isinstance(rows, list) and len(rows) == m - 1, f"d needs {m - 1} rows")
-    grid = [[Fraction(0)] * m for _ in range(m)]
-    for i, row in enumerate(rows, start=1):
-        _require(isinstance(row, list) and len(row) == i, f"d row {i} needs {i} entries")
-        for j, cell in enumerate(row):
-            grid[i][j] = grid[j][i] = fraction_from_str(cell)
-    return validate_metric(grid)
+def _graph(doc: dict) -> ColouredGraph:
+    chi = _table(doc, "v", "chi", _integer, 0)
+    return ColouredGraph(len(chi), tuple(chi[i][j] for i in range(1, len(chi)) for j in range(i)))
 
 
 def graph_to_json(g: ColouredGraph) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "graph",
-        "v": g.v,
-        "colours": list(g.colours),
-        "chi": [[g.colour(i, j) for j in range(i)] for i in range(1, g.v)],
-    }
+    chi = [[g.colour(i, j) for j in range(i)] for i in range(1, g.v)]
+    return _document("graph", v=g.v, colours=list(g.colours), chi=chi)
 
 
-def graph_from_json(doc: Any) -> ColouredGraph:
-    _check_header(doc, "graph")
-    v = doc.get("v")
-    _require(isinstance(v, int) and not isinstance(v, bool) and v >= 1, "v must be a positive integer")
-    rows = _int_grid(doc.get("chi"), v, "chi")
-    flat = []
-    for i in range(1, v):
-        flat.extend(rows[i - 1])
-    return ColouredGraph(v, tuple(flat))
+def _weights(doc: dict, key: str = "w") -> list[list[Fraction]]:
+    return _table(doc, "points", key, fraction_from_str, Fraction(0))
+
+
+def weights_to_json(w: Sequence[Sequence[Fraction]]) -> dict:
+    return _document("weights", points=len(w), w=_fraction_rows(w))
+
+
+def _space_list(doc: dict) -> list[dict]:
+    spaces = doc.get("spaces")
+    _require(isinstance(spaces, list), "space-list needs a spaces array")
+    return [validate(member) for member in spaces]
+
+
+def space_list_to_json(members: list[dict]) -> dict:
+    return _document("space-list", spaces=members)
+
+
+def _composite(doc: dict) -> dict:
+    embedded = ("space", "base", "left_space", "right_space")
+    return {k: validate(v) if k in embedded and v is not None else v for k, v in doc.items()}
+
+
+def _tagged(doc: dict) -> dict:
+    return {**doc, "format": FORMAT}
+
+
+_KINDS: dict[str, tuple[Callable[[dict], Any], Callable[[Any], dict]]] = {
+    "space": (_load_space, _dump_space),
+    "metric": (_metric, metric_to_json),
+    "graph": (_graph, graph_to_json),
+    "weights": (_weights, weights_to_json),
+    "space-list": (_space_list, space_list_to_json),
+    "amalgam": (_composite, _tagged),
+    "katetov": (_composite, _tagged),
+    "bnf": (_composite, _tagged),
+    "report": (dict, _tagged),
+}
+
+
+def _load(doc: Any, kinds=_KINDS) -> tuple[str, Any]:
+    kind = _header(doc, kinds)
+    try:
+        return kind, _KINDS[kind][0](doc)
+    except RecursionError:  # composites embed documents, so loading recurses
+        raise ValidationError("json/depth", "documents are nested too deeply") from None
 
 
 def load_document(doc: Any):
-    """Dispatch a parsed document to its loader by kind."""
-    _require(isinstance(doc, dict), "document must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "space":
-        if "order" in doc:
-            return ordered_space_from_json(doc)
-        return space_from_json(doc)
-    if kind == "metric":
-        return metric_from_json(doc)
-    if kind == "graph":
-        return graph_from_json(doc)
-    raise ValidationError("json/schema", f"unknown kind {kind!r}")
+    """Load a parsed document of any registered kind."""
+    return _load(doc)[1]
+
+
+def validate(doc: Any) -> dict:
+    """Load a document and dump it again: the normalized document."""
+    kind, value = _load(doc)
+    return _KINDS[kind][1](value)
+
+
+def space_from_json(doc: Any) -> EchelonedSpace:
+    """A space document as an unordered space; any ``order`` is ignored."""
+    _header(doc, ("space",))
+    return _space(doc)
+
+
+def ordered_space_from_json(doc: Any) -> OrderedEchelonedSpace:
+    """A space document as an ordered space; no ``order`` means the identity."""
+    _header(doc, ("space",))
+    return _ordered_space(doc)
+
+
+def metric_from_json(doc: Any) -> Metric:
+    return _load(doc, ("metric",))[1]
+
+
+def graph_from_json(doc: Any) -> ColouredGraph:
+    return _load(doc, ("graph",))[1]
+
+
+def weights_from_json(doc: Any) -> tuple[int, dict]:
+    """Pair weights of a ``weights`` document, or the distances of a valid ``metric`` document."""
+    w = _load(doc, ("weights", "metric"))[1]
+    return len(w), {(j, i): w[i][j] for i in range(1, len(w)) for j in range(i)}
+
+
+def map_from_json(doc: Any) -> tuple[Optional[EchelonedSpace], PointMap]:
+    """A bare list of point ids, or a ``map`` document with an optional ``target`` space."""
+    target = None
+    if not isinstance(doc, list):
+        _header(doc, ("map",))
+        if doc.get("target") is not None:
+            target = space_from_json(doc["target"])
+        doc = doc.get("map")
+    _require(isinstance(doc, list) and all(_is_int(x) for x in doc), "map must be a list of point ids")
+    return target, tuple(doc)
 
 
 def dumps(doc: dict) -> str:

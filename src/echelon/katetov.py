@@ -24,6 +24,7 @@ embedding of X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, MorphismError
@@ -69,12 +70,13 @@ class KatetovChain:
         return len(self.labels)
 
     def position(self, label: Label) -> int:
-        return self._index()[label]
+        return self._positions[label]
 
     def label_at(self, pos: int) -> Label:
         return self.labels[pos]
 
-    def _index(self) -> dict[Label, int]:
+    @cached_property
+    def _positions(self) -> dict[Label, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
@@ -100,7 +102,7 @@ class KatetovSpace:
         self.width = len(self.chain) - 1  # nonbottom labels
         self.m = base.m + self.width**base.m
         self.n = len(self.chain) - 1  # ranks coincide with chain positions
-        self._pos = self.chain._index()
+        self._pos = self.chain._positions
 
     def function_count(self) -> int:
         return self.width**self.base.m
@@ -231,10 +233,11 @@ def realize_extension(space: EchelonedSpace, extension: EchelonedSpace, cap: int
     # Gap and slot index for every rank the new point introduces.
     fresh = [d for d in range(1, extension.n + 1) if d not in image]
     placement: dict[int, Label] = {}
+    taken: dict[int, int] = {}  # slots used so far per gap; fresh is ascending
     for d in fresh:
         gap = sum(1 for i in range(1, space.n + 1) if e_hat[i] < d)
-        k = 1 + sum(1 for d2 in fresh if d2 < d and _gap_of(d2, e_hat, space.n) == gap)
-        placement[d] = slot(k, gap)
+        taken[gap] = taken.get(gap, 0) + 1
+        placement[d] = slot(taken[gap], gap)
     for i in range(1, space.n + 1):
         placement[e_hat[i]] = rank_label(i)
 
@@ -246,10 +249,6 @@ def realize_extension(space: EchelonedSpace, extension: EchelonedSpace, cap: int
     g = tuple(range(space.m)) + (kx.function_point(values),)
     assert embedding_rank_map(extension, kx, g) is not None
     return Realization(kx, g)
-
-
-def _gap_of(d: int, e_hat: Sequence[int], n: int) -> int:
-    return sum(1 for i in range(1, n + 1) if e_hat[i] < d)
 
 
 def one_point_extensions(space: EchelonedSpace, cap: int = 4):

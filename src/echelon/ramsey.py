@@ -176,20 +176,17 @@ class OrderedEdgeColouredGraph:
     def __post_init__(self):
         if sorted(self.order) != list(range(self.v)):
             raise ValidationError("ordered/shape", "order must list every vertex exactly once")
-        seen = set()
-        for (i, j), _ in self.edges:
+        colours = {}
+        for (i, j), c in self.edges:
             if not (0 <= i < j < self.v):
                 raise ValidationError("graph/shape", f"bad edge ({i},{j})")
-            if (i, j) in seen:
+            if (i, j) in colours:
                 raise ValidationError("graph/shape", f"edge ({i},{j}) listed twice")
-            seen.add((i, j))
+            colours[(i, j)] = c
+        object.__setattr__(self, "_colours", colours)
 
     def colour(self, i: int, j: int):
-        key = (i, j) if i < j else (j, i)
-        for pair, c in self.edges:
-            if pair == key:
-                return c
-        return None
+        return self._colours.get((i, j) if i < j else (j, i))
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.v * (self.v - 1) // 2

@@ -5,6 +5,9 @@ monkeypatched for the "-" path."""
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,7 @@ from echelon import (
     one_point_extensions,
 )
 from echelon import cli
-from echelon.cli import LIMIT_POINTS_CAP, main
+from echelon.cli import GRAPH_VERTICES_CAP, LIMIT_POINTS_CAP, main
 from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
@@ -354,3 +357,206 @@ def test_exit_code_missing_file(invoke, tmp_path):
 def test_help_exits_zero(invoke):
     code, out, _ = invoke(["--help"])
     assert code == 0
+
+
+# --- validate: what the benchmark corpus does not exercise ---
+
+
+def validated(invoke, doc):
+    code, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+    assert code == 0 and err == "", err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "kind, embedded",
+    [
+        ("amalgam", {"space": None, "base": "plain"}),
+        ("katetov", {"base": "plain", "space": None}),
+        ("bnf", {"left_space": "plain", "right_space": "plain"}),
+    ],
+)
+def test_validate_passes_composites_through(invoke, kind, embedded):
+    plain = space_to_json(FIX)
+    untagged = dict(plain, note="kept")
+    del untagged["format"]
+    doc = {"kind": kind, "extra": {"nested": [1, None, "1/2"]}, "g1": [0, 2]}
+    for key, what in embedded.items():
+        doc[key] = None if what is None else untagged
+    out = validated(invoke, doc)
+    expected = dict(doc, format=FORMAT)
+    for key, what in embedded.items():
+        expected[key] = None if what is None else plain
+    assert out == expected
+
+
+def test_validate_passes_a_report_through(invoke):
+    doc = {"kind": "report", "count": 3, "space": 5, "anything": [{"a": None}]}
+    assert validated(invoke, doc) == dict(doc, format=FORMAT)
+
+
+def test_validate_normalizes_a_mixed_space_list(invoke):
+    ordered = space_to_json(FIX, order=(2, 0, 1))
+    metric = {"kind": "metric", "points": 2, "d": [["3/6"]]}
+    graph = {"format": FORMAT, "kind": "graph", "v": 2, "colours": [], "chi": [[4]]}
+    weights = {"kind": "weights", "points": 2, "w": [["4/2"]]}
+    report = {"kind": "report", "found": False}
+    inner = {"kind": "space-list", "spaces": [point_doc()]}
+    doc = {"kind": "space-list", "spaces": [ordered, metric, graph, weights, report, inner]}
+    out = validated(invoke, doc)
+    assert out == {
+        "format": FORMAT,
+        "kind": "space-list",
+        "spaces": [
+            ordered,
+            {"format": FORMAT, "kind": "metric", "points": 2, "d": [["1/2"]]},
+            {"format": FORMAT, "kind": "graph", "v": 2, "colours": [4], "chi": [[4]]},
+            {"format": FORMAT, "kind": "weights", "points": 2, "w": [["2/1"]]},
+            {"format": FORMAT, "kind": "report", "found": False},
+            {"format": FORMAT, "kind": "space-list", "spaces": [point_doc()]},
+        ],
+    }
+
+
+def test_validate_null_order_is_the_identity(invoke):
+    doc = dict(space_to_json(FIX), order=None)
+    assert validated(invoke, doc) == space_to_json(FIX, order=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": FORMAT, "kind": "mystery"},
+        {"format": FORMAT, "kind": ["space"]},
+        {"format": FORMAT},
+        [space_to_json(FIX)],
+        "space",
+        {"format": FORMAT, "kind": "space-list", "spaces": {"0": point_doc()}},
+        {"format": FORMAT, "kind": "space-list"},
+        {"format": FORMAT, "kind": "amalgam", "space": [1]},
+    ],
+)
+def test_validate_rejects_malformed_documents(invoke, doc):
+    code, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/schema"
+
+
+def nested(depth, **tag):
+    doc = dict(tag, kind="report")
+    for level in range(depth):
+        doc = dict(tag, kind="amalgam", space=doc) if level % 2 else dict(tag, kind="space-list", spaces=[doc])
+    return doc
+
+
+def test_validate_passes_nested_composites_through(invoke):
+    assert validated(invoke, nested(40)) == nested(40, format=FORMAT)
+
+
+def test_validate_refuses_documents_nested_too_deeply(invoke):
+    deep = {"kind": "report"}
+    for _ in range(400):  # parses, but loading recurses several frames per level
+        deep = {"kind": "amalgam", "space": deep}
+    code, out, err = invoke(["validate", "-"], stdin=json.dumps(deep))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/depth"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "weights", "points": 2, "w": [["1/2"]]},
+        {"kind": "space-list", "spaces": []},
+        {"kind": "report", "count": 1},
+        {"kind": "amalgam", "space": None},
+        {"kind": "katetov", "base": None},
+        {"kind": "bnf", "left_space": None},
+        {"kind": "space-list", "spaces": [{"kind": "report", "format": "other/1"}]},
+    ],
+)
+def test_validate_rejects_a_wrong_format_tag_for_every_kind(invoke, doc):
+    doc = dict(doc)
+    doc.setdefault("format", "other/1")
+    code, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/format"
+
+
+def test_echelon_reads_metrics_as_metrics(invoke, tmp_path):
+    metric = {"format": FORMAT, "kind": "metric", "points": 3, "d": [["3/2"], ["7/4", "7/4"]]}
+    path = write_doc(tmp_path, "metric.json", metric)
+    code, out, err = invoke(["echelon", path])
+    assert code == 0 and err == ""
+    assert invoke(["from-metric", path])[1] == out
+    broken = dict(metric, d=[["1/1"], ["5/1", "1/1"]])  # d(0,2) > d(0,1) + d(1,2)
+    code, out, err = invoke(["echelon", write_doc(tmp_path, "broken.json", broken)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "metric/triangle"
+    code, _, err = invoke(["echelon", write_doc(tmp_path, "s.json", space_to_json(FIX))])
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "json/schema"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"kind": "space", "note": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-100000"],
+)
+def test_exit_code_malformed_bytes(invoke, tmp_path, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    code, out, err = invoke(["validate", str(path)])
+    assert code == 65 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/parse"
+
+
+def test_katetov_map_must_be_a_point_list(invoke, tmp_path):
+    base = write_doc(tmp_path, "base.json", space_to_json(EDGE))
+    bad = {"format": FORMAT, "kind": "map", "target": space_to_json(FIX), "map": 5}
+    code, out, err = invoke(["katetov", "--space", base, "--map", write_doc(tmp_path, "m.json", bad)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/schema"
+    untargeted = {"format": FORMAT, "kind": "map", "map": [0, 1]}
+    code, _, err = invoke(["katetov", "--space", base, "--map", write_doc(tmp_path, "u.json", untargeted)])
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "json/schema"
+
+
+def test_amalgamate_reads_map_files(invoke, tmp_path):
+    a = write_doc(tmp_path, "a.json", space_to_json(EDGE))
+    b = write_doc(tmp_path, "b.json", space_to_json(FIX))
+    f1 = write_doc(tmp_path, "f1.json", {"format": FORMAT, "kind": "map", "map": [0, 1]})
+    f2 = tmp_path / "f2.json"
+    f2.write_text("[1, 2]")
+    inline = invoke(["amalgamate", "--a", a, "--b1", b, "--b2", b, "--f1", "0,1", "--f2", "1,2"])
+    files = invoke(["amalgamate", "--a", a, "--b1", b, "--b2", b, "--f1", f1, "--f2", str(f2)])
+    assert files == inline and inline[0] == 0
+    code, _, err = invoke(["amalgamate", "--a", a, "--b1", b, "--b2", b, "--f1", b, "--f2", "1,2"])
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "json/schema"
+
+
+@pytest.mark.parametrize("n", [GRAPH_VERTICES_CAP + 1, 10**18])
+def test_graph_vertices_cap(invoke, monkeypatch, n):
+    def no_graph(*args):
+        raise AssertionError("a graph was built past the cap")
+
+    monkeypatch.setattr(cli, "random_coloured_graph", no_graph)
+    code, out, err = invoke(["graph", "--n", str(n)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "graph/vertices-cap"
+
+
+def test_benchmark_selfcheck_pins_the_cli_bytes():
+    """The self-check's corrupted-digest case passes only when every other
+    pinned CLI stdout matches, the ``validate`` round-trips included."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/selfcheck.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("selfcheck: ok\n")

@@ -21,11 +21,14 @@ from echelon.jsonio import (
     graph_from_json,
     graph_to_json,
     load_document,
+    map_from_json,
     metric_from_json,
     metric_to_json,
     ordered_space_from_json,
     space_from_json,
     space_to_json,
+    validate,
+    weights_from_json,
 )
 from echelon.prng import SplitMix64Stream
 
@@ -145,3 +148,89 @@ def test_one_point_space_document():
     doc = space_to_json(pt)
     assert doc["eta"] == []
     assert space_from_json(doc) == pt
+
+
+def one_of_each_kind():
+    ordered = space_to_json(FIX, order=(1, 2, 0))
+    return [
+        space_to_json(FIX),
+        ordered,
+        metric_to_json(metrize_dull(FIX)),
+        graph_to_json(ColouredGraph(3, (2, 1, 1))),
+        {"kind": "weights", "points": 3, "w": [["2"], ["4/2", "8/2"]]},
+        {"kind": "space-list", "spaces": [ordered, {"kind": "report"}]},
+        {"kind": "amalgam", "space": ordered, "g1": [0, 1], "g2": [1, 2]},
+        {"kind": "katetov", "base": space_to_json(FIX), "space": None, "lambda": [0, 1, 2]},
+        {"kind": "bnf", "left_space": space_to_json(FIX), "right_space": space_to_json(FIX)},
+        {"kind": "report", "count": 2, "space": "not loaded"},
+    ]
+
+
+def test_validate_is_load_then_dump_for_every_kind():
+    for doc in one_of_each_kind():
+        out = validate(doc)
+        assert out["format"] == FORMAT and out["kind"] == doc["kind"]
+        assert validate(json.loads(dumps(out))) == out
+    assert validate(space_to_json(FIX, order=(1, 2, 0)))["order"] == [1, 2, 0]
+
+
+def test_every_kind_checks_the_format_tag():
+    for doc in one_of_each_kind():
+        with pytest.raises(ValidationError) as e:
+            validate(dict(doc, format="echelon/2"))
+        assert e.value.code == "json/format"
+
+
+def test_load_document_composites():
+    members = load_document({"kind": "space-list", "spaces": [space_to_json(FIX), {"kind": "report"}]})
+    assert members == [space_to_json(FIX), {"format": FORMAT, "kind": "report"}]
+    loaded = load_document({"kind": "amalgam", "space": space_to_json(FIX), "extra": 1})
+    assert loaded == {"kind": "amalgam", "space": space_to_json(FIX), "extra": 1}
+
+
+def test_typed_loaders_check_the_kind():
+    metric = metric_to_json(metrize_dull(FIX))
+    for load in (space_from_json, ordered_space_from_json, graph_from_json):
+        with pytest.raises(ValidationError) as e:
+            load(metric)
+        assert e.value.code == "json/schema"
+    with pytest.raises(ValidationError):
+        metric_from_json(space_to_json(FIX))
+    with pytest.raises(ValidationError):
+        metric_from_json("metric")
+
+
+def test_weights_from_json_reads_weights_and_metrics():
+    weights = {"kind": "weights", "points": 3, "w": [["2"], ["4", "4/1"]]}
+    m, w = weights_from_json(weights)
+    assert m == 3 and w == {(0, 1): 2, (0, 2): 4, (1, 2): 4}
+    assert from_weights(m, w) == FIX
+    m, w = weights_from_json(metric_to_json(metrize_dull(FIX)))
+    assert from_weights(m, w) == FIX
+    assert weights_from_json({"kind": "weights", "points": 1, "w": []}) == (1, {})
+    broken = {"kind": "metric", "points": 3, "d": [["1"], ["5", "1"]]}
+    with pytest.raises(MetricError) as e:
+        weights_from_json(broken)
+    assert e.value.code == "metric/triangle"
+    with pytest.raises(ValidationError):
+        weights_from_json(space_to_json(FIX))
+
+
+def test_map_from_json():
+    assert map_from_json([2, 0, 1]) == (None, (2, 0, 1))
+    doc = {"format": FORMAT, "kind": "map", "target": space_to_json(FIX), "map": [0, 2]}
+    assert map_from_json(doc) == (FIX, (0, 2))
+    assert map_from_json({"kind": "map", "map": []}) == (None, ())
+    for bad, code in (
+        (dict(doc, map=5), "json/schema"),
+        (dict(doc, map=[0, True]), "json/schema"),
+        (dict(doc, kind="space"), "json/schema"),
+        (dict(doc, format="other/1"), "json/format"),
+        (dict(doc, target={"kind": "metric"}), "json/schema"),
+        ("0,1", "json/schema"),
+    ):
+        with pytest.raises(ValidationError) as e:
+            map_from_json(bad)
+        assert e.value.code == code
+    with pytest.raises(ValidationError):
+        validate(doc)  # maps have a loader but are not a registered kind
