@@ -43,11 +43,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_doc(path: str):
-    """Parse a JSON input; bytes that are not UTF-8 and nesting too deep to decode are malformed JSON."""
+    """Parse a JSON input; bytes that are not UTF-8 and input the decoder
+    refuses (nesting too deep, integers too long) are malformed JSON.
+
+    The encode check refuses the lone surrogates that a non-UTF-8 locale's
+    stdin decoding leaves in place of undecodable bytes."""
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        text.encode("utf-8")
         return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeError are ValueErrors
         raise ValidationError("json/parse", str(exc)) from None
 
 
@@ -73,6 +78,16 @@ def _fraction_arg(value: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {value!r}")
+
+
+def _seed_arg(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    if not 0 <= seed < 1 << 64:  # seeds are 64-bit words; others would alias
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
+    return seed
 
 
 def _label_str(label: tuple) -> str:
@@ -138,7 +153,7 @@ def _cmd_jep(args) -> dict:
 
 def _cmd_katetov(args) -> dict:
     base = _read_space(args.space)
-    kx = katetov_space(base, cap=args.cap)
+    kx = katetov_space(base)
     doc = {
         "format": FORMAT,
         "kind": "katetov",
@@ -155,19 +170,19 @@ def _cmd_katetov(args) -> dict:
         target, phi = jsonio.map_from_json(_read_doc(args.map))
         if target is None:
             raise ValidationError("json/schema", "--map expects a map document with a target space")
-        ky = katetov_space(target, cap=args.cap)
+        ky = katetov_space(target)
         doc["map"] = {
             "target": jsonio.space_to_json(target),
             "values": list(katetov_map(kx, ky, phi)),
         }
     if args.extend is not None:
-        realization = realize_extension(base, _read_space(args.extend), cap=args.cap)
+        realization = realize_extension(base, _read_space(args.extend))
         doc["extension"] = {"g": list(realization.g)}
     return doc
 
 
 def _cmd_extend(args) -> dict:
-    extensions = list(one_point_extensions(_read_space(args.input), cap=args.cap))
+    extensions = list(one_point_extensions(_read_space(args.input)))
     if args.count:
         return {"format": FORMAT, "kind": "report", "count": len(extensions)}
     return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in extensions])
@@ -192,8 +207,6 @@ def _cmd_limit_bnf(args) -> dict:
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)
-    k = len(cert.left)
-    pair_count = k * (k - 1) // 2
     return {
         "format": FORMAT,
         "kind": "bnf",
@@ -202,8 +215,8 @@ def _cmd_limit_bnf(args) -> dict:
         "right": list(cert.right),
         "left_space": jsonio.space_to_json(cert.left_space),
         "right_space": jsonio.space_to_json(cert.right_space),
-        "left_labels": [fraction_to_str(q) for q in cert.left_labels[:pair_count]],
-        "right_labels": [fraction_to_str(q) for q in cert.right_labels[:pair_count]],
+        "left_labels": [fraction_to_str(q) for q in cert.left_labels],
+        "right_labels": [fraction_to_str(q) for q in cert.right_labels],
     }
 
 
@@ -266,13 +279,14 @@ def _cmd_graph(args) -> dict:
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the output document here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument(
         "--format",
         dest="format_tag",
         default=FORMAT,
         help=f"expected document format tag (default {FORMAT})",
     )
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_arg, default=0, help="PRNG seed in [0, 2^64) (default 0)")
 
     parser = _Parser(prog="echelon", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -310,7 +324,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--map", help="map document {kind: map, target, map} for the functor action")
     p.add_argument("--extend", help="one-point extension to realize inside K(X)")
-    p.add_argument("--cap", type=int, default=3, help="largest base size accepted (default 3)")
     p.add_argument(
         "--materialize-cap",
         type=int,
@@ -321,22 +334,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extend", parents=[common], help="enumerate one-point extensions")
     p.add_argument("input")
-    p.add_argument("--cap", type=int, default=4, help="extension size cap (default 4)")
     p.add_argument("--count", action="store_true", help="emit only the count")
     p.set_defaults(handler=_cmd_extend)
 
     p = sub.add_parser("limit", parents=[], help="generative models of the limit space")
     limit_sub = p.add_subparsers(dest="limit_command", required=True)
 
-    q = limit_sub.add_parser("sample", parents=[common], help="echelon the first n points")
+    q = limit_sub.add_parser("sample", parents=[common, seeded], help="echelon the first n points")
     q.add_argument("--mode", choices=("random", "deterministic"), required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help="colour rate (default 1/2)")
     q.set_defaults(handler=_cmd_limit_sample)
 
     q = limit_sub.add_parser("bnf", parents=[common], help="back-and-forth certificate")
-    q.add_argument("--seed1", type=int, required=True)
-    q.add_argument("--seed2", type=int, required=True)
+    q.add_argument("--seed1", type=_seed_arg, required=True)
+    q.add_argument("--seed2", type=_seed_arg, required=True)
     q.add_argument("--depth", type=int, required=True)
     q.add_argument("--mode1", choices=("random", "deterministic"), default="random")
     q.add_argument("--mode2", choices=("random", "deterministic"), default="deterministic")
@@ -354,7 +366,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--budget", type=int, default=1 << 20)
     q.set_defaults(handler=_cmd_ramsey_check)
 
-    q = ramsey_sub.add_parser("search", parents=[common], help="hunt for a witness C")
+    q = ramsey_sub.add_parser("search", parents=[common, seeded], help="hunt for a witness C")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
@@ -374,7 +386,7 @@ def _build_parser() -> _Parser:
     p.add_argument("b")
     p.set_defaults(handler=_cmd_iso)
 
-    p = sub.add_parser("graph", parents=[common], help="seeded geometric edge colouring")
+    p = sub.add_parser("graph", parents=[common, seeded], help="seeded geometric edge colouring")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2))
     p.set_defaults(handler=_cmd_graph)

@@ -22,6 +22,13 @@ interval.  Interval entries carry a tier: equal bounds and equal tier mean
 equal labels, equal bounds and increasing tier mean strictly increasing
 labels.  That is exactly the expressiveness back-and-forth needs when one
 new point brings several fresh label classes into the same gap.
+
+Back-and-forth keeps its state per side, indexed 0 (first model) and 1
+(second): the matched points, the covered set and a cursor on the least
+uncovered point, which only moves forward because covered sets only grow.
+One step body serves both sides.  The label bijection between the two
+sides is one dict per direction, extended by the k new pairs after each
+witness, so a demand reads the correspondence instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -342,38 +349,17 @@ class BackAndForthCertificate:
     right_labels: tuple[Fraction, ...] = field(default=(), compare=False)
 
 
-def _first_unmatched(limit: int, matched: set[int]) -> Optional[int]:
-    for i in range(limit):
-        if i not in matched:
-            return i
-    return None
-
-
 def _build_demand(
     source: LimitModel,
-    target: LimitModel,
+    src_to_tgt: dict[Fraction, Fraction],
     src_matched: Sequence[int],
     tgt_matched: Sequence[int],
     u: int,
 ) -> Demand:
     """Transport u's label classes along the current correspondence."""
-    k = len(src_matched)
-    src_to_tgt: dict[Fraction, Fraction] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = source.rank_label(src_matched[i], src_matched[j])
-            b = target.rank_label(tgt_matched[i], tgt_matched[j])
-            if a in src_to_tgt and src_to_tgt[a] != b:
-                raise EchelonError("limit/certificate", "correspondence lost label classes")
-            src_to_tgt[a] = b
     known = sorted(src_to_tgt)
-    new_labels = sorted(
-        {
-            source.rank_label(u, v)
-            for v in src_matched
-            if source.rank_label(u, v) not in src_to_tgt
-        }
-    )
+    labels = [source.rank_label(u, v) for v in src_matched]
+    new_labels = sorted({lab for lab in labels if lab not in src_to_tgt})
     gap_tiers: dict[Fraction, tuple[Fraction, Optional[Fraction], int]] = {}
     gap_counts: dict[tuple, int] = {}
     for lab in new_labels:
@@ -388,13 +374,11 @@ def _build_demand(
         gap_counts[(lo, hi)] = tier + 1
         gap_tiers[lab] = (lo, hi, tier)
     entries: list[tuple[int, Entry]] = []
-    for pos, v in enumerate(src_matched):
-        lab = source.rank_label(u, v)
+    for target_point, lab in zip(tgt_matched, labels):
         if lab in src_to_tgt:
-            entries.append((tgt_matched[pos], ExactLabel(src_to_tgt[lab])))
+            entries.append((target_point, ExactLabel(src_to_tgt[lab])))
         else:
-            lo, hi, tier = gap_tiers[lab]
-            entries.append((tgt_matched[pos], OpenInterval(lo, hi, tier)))
+            entries.append((target_point, OpenInterval(*gap_tiers[lab])))
     return Demand(tuple(entries))
 
 
@@ -404,85 +388,57 @@ def back_and_forth(
     """Grow a partial isomorphism covering the first ``depth`` points of
     both models, alternating witness demands between the two sides.
 
-    A side whose next uncovered point is already materialized goes first on
-    its turn; a side whose uncovered points only exist by demand waits for
-    the other side's witnesses to cover them and is force-grown only when
-    both sides would otherwise stall.  The finished correspondence is
-    re-verified as an embedding in both directions before returning.
+    Each side keeps a cursor on its least uncovered point.  A side whose
+    cursor point is already materialized goes first on its turn; a side
+    whose uncovered points only exist by demand waits for the other side's
+    witnesses to cover them and is force-grown only when both sides would
+    otherwise stall.  The label bijection is kept as one dict per direction
+    and extended by the new pairs after each witness.  The finished
+    correspondence is re-verified as an embedding in both directions before
+    returning.
     """
     if depth < 1:
         raise ValidationError("limit/depth", "depth must be at least 1")
-    left: list[int] = []
-    right: list[int] = []
-    matched1: set[int] = set()
-    matched2: set[int] = set()
+    models = (first, second)
+    matched: tuple[list[int], list[int]] = ([], [])
+    covered: tuple[set[int], set[int]] = (set(), set())
+    cursor = [0, 0]
+    maps: tuple[dict[Fraction, Fraction], dict[Fraction, Fraction]] = ({}, {})
     turn = 0
-    while True:
-        any1 = _first_unmatched(depth, matched1)
-        any2 = _first_unmatched(depth, matched2)
-        if any1 is None and any2 is None:
-            break
-        ready1 = _first_unmatched(min(depth, first.size), matched1)
-        ready2 = _first_unmatched(min(depth, second.size), matched2)
-        if turn % 2 == 0:
-            order = ((1, ready1, any1), (2, ready2, any2))
-        else:
-            order = ((2, ready2, any2), (1, ready1, any1))
-        pick: Optional[tuple[int, int]] = None
-        for side, ready, _ in order:
-            if ready is not None:
-                pick = (side, ready)
-                break
-        if pick is None:
-            for side, _, pending in order:
-                if pending is not None:
-                    model = first if side == 1 else second
-                    model.limit_points(pending + 1)
-                    pick = (side, pending)
-                    break
-        assert pick is not None
-        side, u = pick
-        if side == 1:
-            first.limit_points(u + 1)
-            demand = _build_demand(first, second, left, right, u)
-            z = second.ensure_witness(demand)
-            left.append(u)
-            right.append(z)
-            matched1.add(u)
-            if z < depth:
-                matched2.add(z)
-        else:
-            second.limit_points(u + 1)
-            demand = _build_demand(second, first, right, left, u)
-            z = first.ensure_witness(demand)
-            right.append(u)
-            left.append(z)
-            matched2.add(u)
-            if z < depth:
-                matched1.add(z)
+    while min(cursor) < depth:
+        order = (turn % 2, 1 - turn % 2)
+        ready = [s for s in order if cursor[s] < min(depth, models[s].size)]
+        side = ready[0] if ready else next(s for s in order if cursor[s] < depth)
+        other = 1 - side
+        u = cursor[side]
+        models[side].limit_points(u + 1)
+        demand = _build_demand(models[side], maps[side], matched[side], matched[other], u)
+        z = models[other].ensure_witness(demand)
+        for s, point in ((side, u), (other, z)):
+            matched[s].append(point)
+            covered[s].add(point)
+            while cursor[s] in covered[s]:
+                cursor[s] += 1
+        new_left, new_right = matched[0][-1], matched[1][-1]
+        for v_left, v_right in zip(matched[0][:-1], matched[1][:-1]):
+            a = first.rank_label(v_left, new_left)
+            b = second.rank_label(v_right, new_right)
+            if maps[0].setdefault(a, b) != b or maps[1].setdefault(b, a) != a:
+                raise EchelonError("limit/certificate", "correspondence lost label classes")
         turn += 1
 
-    k = len(left)
-    weights1 = {
-        (i, j): first.rank_label(left[i], left[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
-    weights2 = {
-        (i, j): second.rank_label(right[i], right[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
-    space1 = from_weights(k, weights1)
-    space2 = from_weights(k, weights2)
+    k = len(matched[0])
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    labels = [
+        tuple(model.rank_label(points[i], points[j]) for i, j in pairs)
+        for model, points in zip(models, matched)
+    ]
+    spaces = [from_weights(k, dict(zip(pairs, side_labels))) for side_labels in labels]
     ident = tuple(range(k))
-    if not (is_embedding(space1, space2, ident) and is_embedding(space2, space1, ident)):
+    if not (
+        is_embedding(spaces[0], spaces[1], ident) and is_embedding(spaces[1], spaces[0], ident)
+    ):
         raise EchelonError("limit/certificate", "back-and-forth produced a non-isomorphism")
     return BackAndForthCertificate(
-        tuple(left),
-        tuple(right),
-        space1,
-        space2,
-        tuple(weights1[(i, j)] for i in range(k) for j in range(i + 1, k)),
-        tuple(weights2[(i, j)] for i in range(k) for j in range(i + 1, k)),
+        tuple(matched[0]), tuple(matched[1]), spaces[0], spaces[1], labels[0], labels[1]
     )

@@ -6,8 +6,16 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from echelon import EchelonedSpace, from_rank_table, from_weights
-from echelon.limit import Demand, ExactLabel, LimitModel, OpenInterval, _validate_demand
+from echelon import EchelonedSpace, from_rank_table, from_weights, is_embedding
+from echelon.errors import EchelonError, ValidationError
+from echelon.limit import (
+    BackAndForthCertificate,
+    Demand,
+    ExactLabel,
+    LimitModel,
+    OpenInterval,
+    _validate_demand,
+)
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import rational_between
 
@@ -185,3 +193,136 @@ class ReferenceDeterministicLimitModel(LimitModel):
                 self._labels[(v, z)] = next_fresh
                 next_fresh += 1
         return z
+
+
+def _first_unmatched(limit, matched):
+    for i in range(limit):
+        if i not in matched:
+            return i
+    return None
+
+
+def _reference_build_demand(source, target, src_matched, tgt_matched, u):
+    """Transport u's label classes along the current correspondence."""
+    k = len(src_matched)
+    src_to_tgt = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            a = source.rank_label(src_matched[i], src_matched[j])
+            b = target.rank_label(tgt_matched[i], tgt_matched[j])
+            if a in src_to_tgt and src_to_tgt[a] != b:
+                raise EchelonError("limit/certificate", "correspondence lost label classes")
+            src_to_tgt[a] = b
+    known = sorted(src_to_tgt)
+    new_labels = sorted(
+        {
+            source.rank_label(u, v)
+            for v in src_matched
+            if source.rank_label(u, v) not in src_to_tgt
+        }
+    )
+    gap_tiers = {}
+    gap_counts = {}
+    for lab in new_labels:
+        lo = Fraction(0)
+        hi = None
+        for known_lab in known:
+            if known_lab < lab:
+                lo = max(lo, src_to_tgt[known_lab])
+            elif hi is None or src_to_tgt[known_lab] < hi:
+                hi = src_to_tgt[known_lab]
+        tier = gap_counts.get((lo, hi), 0)
+        gap_counts[(lo, hi)] = tier + 1
+        gap_tiers[lab] = (lo, hi, tier)
+    entries = []
+    for pos, v in enumerate(src_matched):
+        lab = source.rank_label(u, v)
+        if lab in src_to_tgt:
+            entries.append((tgt_matched[pos], ExactLabel(src_to_tgt[lab])))
+        else:
+            lo, hi, tier = gap_tiers[lab]
+            entries.append((tgt_matched[pos], OpenInterval(lo, hi, tier)))
+    return Demand(tuple(entries))
+
+
+def reference_back_and_forth(first, second, depth):
+    """The back-and-forth with each side's step written out, the next
+    uncovered point found by scanning and the label correspondence rebuilt
+    from every matched pair on each step, kept as the reference that
+    back_and_forth must reproduce exactly."""
+    if depth < 1:
+        raise ValidationError("limit/depth", "depth must be at least 1")
+    left = []
+    right = []
+    matched1 = set()
+    matched2 = set()
+    turn = 0
+    while True:
+        any1 = _first_unmatched(depth, matched1)
+        any2 = _first_unmatched(depth, matched2)
+        if any1 is None and any2 is None:
+            break
+        ready1 = _first_unmatched(min(depth, first.size), matched1)
+        ready2 = _first_unmatched(min(depth, second.size), matched2)
+        if turn % 2 == 0:
+            order = ((1, ready1, any1), (2, ready2, any2))
+        else:
+            order = ((2, ready2, any2), (1, ready1, any1))
+        pick = None
+        for side, ready, _ in order:
+            if ready is not None:
+                pick = (side, ready)
+                break
+        if pick is None:
+            for side, _, pending in order:
+                if pending is not None:
+                    model = first if side == 1 else second
+                    model.limit_points(pending + 1)
+                    pick = (side, pending)
+                    break
+        assert pick is not None
+        side, u = pick
+        if side == 1:
+            first.limit_points(u + 1)
+            demand = _reference_build_demand(first, second, left, right, u)
+            z = second.ensure_witness(demand)
+            left.append(u)
+            right.append(z)
+            matched1.add(u)
+            if z < depth:
+                matched2.add(z)
+        else:
+            second.limit_points(u + 1)
+            demand = _reference_build_demand(second, first, right, left, u)
+            z = first.ensure_witness(demand)
+            right.append(u)
+            left.append(z)
+            matched2.add(u)
+            if z < depth:
+                matched1.add(z)
+        turn += 1
+
+    k = len(left)
+    weights1 = {
+        (i, j): first.rank_label(left[i], left[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    weights2 = {
+        (i, j): second.rank_label(right[i], right[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    space1 = from_weights(k, weights1)
+    space2 = from_weights(k, weights2)
+    ident = tuple(range(k))
+    if not (is_embedding(space1, space2, ident) and is_embedding(space2, space1, ident)):
+        raise EchelonError("limit/certificate", "back-and-forth produced a non-isomorphism")
+    return BackAndForthCertificate(
+        tuple(left),
+        tuple(right),
+        space1,
+        space2,
+        tuple(weights1[(i, j)] for i in range(k) for j in range(i + 1, k)),
+        tuple(weights2[(i, j)] for i in range(k) for j in range(i + 1, k)),
+    )

@@ -499,8 +499,12 @@ def test_echelon_reads_metrics_as_metrics(invoke, tmp_path):
 
 @pytest.mark.parametrize(
     "raw",
-    [b'{"kind": "space", "note": "\xff\xfe"}', b"[" * 100_000 + b"]" * 100_000],
-    ids=["not-utf8", "nested-100000"],
+    [
+        b'{"kind": "space", "note": "\xff\xfe"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"kind": "report", "x": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "nested-100000", "int-5000-digits"],
 )
 def test_exit_code_malformed_bytes(invoke, tmp_path, raw):
     path = tmp_path / "raw.json"
@@ -560,3 +564,56 @@ def test_benchmark_selfcheck_pins_the_cli_bytes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith("selfcheck: ok\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "-", "--seed", "5"],
+        ["limit", "bnf", "--seed1", "3", "--seed2", "0", "--depth", "2", "--seed", "77"],
+        ["enumerate", "--m", "2", "--count", "--seed", "5"],
+        ["graph", "--n", "4", "--seed", "-1"],
+        ["graph", "--n", "4", "--seed", str(2**64)],
+        ["limit", "bnf", "--seed1", "-1", "--seed2", "0", "--depth", "2"],
+        ["limit", "bnf", "--seed1", "0", "--seed2", str(2**64), "--depth", "2"],
+    ],
+    ids=["validate", "limit-bnf", "enumerate", "graph-negative", "graph-2^64", "seed1", "seed2"],
+)
+def test_seed_is_refused_where_unread_or_out_of_range(invoke, argv):
+    code, out, err = invoke(argv, stdin=dumps(space_to_json(FIX)))
+    assert code == 64 and out == ""
+    assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_seed_accepts_the_largest_64_bit_word(invoke):
+    code, out, _ = invoke(["graph", "--n", "4", "--seed", str(2**64 - 1)])
+    assert code == 0
+    assert json.loads(out)["kind"] == "graph"
+
+
+def test_katetov_and_extend_caps_are_fixed(invoke, tmp_path):
+    uniform4 = space_to_json(from_weights(4, {(i, j): 1 for i in range(4) for j in range(i + 1, 4)}))
+    four = write_doc(tmp_path, "four.json", uniform4)
+    code, out, err = invoke(["katetov", "--space", four])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "katetov/cap"
+    code, out, err = invoke(["extend", four, "--count"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "enumerate/cap"
+    point = write_doc(tmp_path, "point.json", point_doc())
+    for argv in (["katetov", "--space", point, "--cap", "5"], ["extend", point, "--cap", "6"]):
+        code, out, err = invoke(argv)
+        assert code == 64 and out == ""
+        assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_stdin_lone_surrogate_is_malformed(invoke):
+    """A non-UTF-8 locale decodes undecodable stdin bytes to lone surrogates;
+    they are refused like undecodable bytes in a file, while the JSON escape
+    of the same code point is still valid JSON."""
+    code, out, err = invoke(["validate", "-"], stdin='{"kind": "report", "x": "\udcff"}')
+    assert code == 65 and out == ""
+    assert json.loads(err)["error"]["code"] == "json/parse"
+    code, out, _ = invoke(["validate", "-"], stdin='{"kind": "report", "x": "\\udcff"}')
+    assert code == 0
+    assert json.loads(out)["x"] == "\udcff"

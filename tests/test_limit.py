@@ -29,9 +29,14 @@ from echelon import (
     simplest_between,
 )
 from echelon import prng
-from echelon.errors import CapExceeded, DemandError, ValidationError
+from echelon.errors import CapExceeded, DemandError, EchelonError, ValidationError
+from echelon.limit import LimitModel
 from echelon.prng import SplitMix64Stream
-from helpers import ReferenceDeterministicLimitModel, reference_simplest_between
+from helpers import (
+    ReferenceDeterministicLimitModel,
+    reference_back_and_forth,
+    reference_simplest_between,
+)
 
 # SHA-256 of the first 64 points' labels, "p/q" joined by commas over pairs
 # (u, v), u < v, in lexicographic order; the same value the benchmark pins.
@@ -389,3 +394,85 @@ def test_deterministic_self_pairing():
 def test_back_and_forth_depth_validation():
     with pytest.raises(ValidationError):
         back_and_forth(RandomLimitModel(0), RandomLimitModel(1), 0)
+
+
+def _certificate_or_code(back_and_forth_impl, modes, seed, depth):
+    models = [
+        RandomLimitModel(seed + 100 * side, cap=4096)
+        if mode == "random"
+        else DeterministicLimitModel(seed + 100 * side)
+        for side, mode in enumerate(modes)
+    ]
+    try:
+        cert = back_and_forth_impl(*models, depth)
+    except EchelonError as exc:
+        return exc.code
+    return (
+        cert.left,
+        cert.right,
+        cert.left_space,
+        cert.right_space,
+        cert.left_labels,
+        cert.right_labels,
+    )
+
+
+@pytest.mark.parametrize("first", ["random", "deterministic"])
+@pytest.mark.parametrize("second", ["random", "deterministic"])
+def test_back_and_forth_matches_the_reference(first, second):
+    """Every decision of the cursor-and-bijection back-and-forth is pinned
+    against the scan-and-rebuild original: matched points, both spaces and
+    both label tuples, or the error code where either side raises (the
+    random models' witness cap is lowered so that cap errors are compared
+    as well)."""
+    for seed in range(6):
+        for depth in range(1, 9):
+            got = _certificate_or_code(back_and_forth, (first, second), seed, depth)
+            want = _certificate_or_code(reference_back_and_forth, (first, second), seed, depth)
+            assert got == want, (seed, depth)
+
+
+class _DemandIgnoringModel(LimitModel):
+    """Answers every demand with a fresh point and labels the pair u < v
+    by a fixed function of (u, v), so no demand is really met."""
+
+    mode = "ignoring"
+    seed = 0
+
+    def __init__(self, label):
+        super().__init__()
+        self.label = label
+
+    def _label(self, u, v):
+        return self.label(min(u, v), max(u, v))
+
+    def _extend(self):
+        self.size += 1
+
+    def ensure_witness(self, demand):
+        self._extend()
+        return self.size - 1
+
+
+def _pair_index(u, v):
+    return v * (v - 1) // 2 + u + 1
+
+
+@pytest.mark.parametrize("impl", [back_and_forth, reference_back_and_forth])
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        # one label against several: the label classes stop being a bijection
+        lambda: (DeterministicLimitModel(), _DemandIgnoringModel(lambda u, v: Fraction(1))),
+        # distinct labels in opposite orders: a bijection, but not an isomorphism
+        lambda: (
+            _DemandIgnoringModel(lambda u, v: Fraction(_pair_index(u, v))),
+            _DemandIgnoringModel(lambda u, v: Fraction(1, _pair_index(u, v))),
+        ),
+    ],
+    ids=["classes-merge", "order-reversed"],
+)
+def test_back_and_forth_refuses_a_broken_correspondence(impl, make_pair):
+    with pytest.raises(EchelonError) as info:
+        impl(*make_pair(), 4)
+    assert info.value.code == "limit/certificate"
