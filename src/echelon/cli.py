@@ -29,6 +29,9 @@ from .space import are_isomorphic, enumerate_spaces, from_weights
 
 # Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
 LIMIT_POINTS_CAP = 1024
+# Largest `limit bnf --depth`: back-and-forth between two deterministic
+# models costs about depth^4 and takes about 1 s at this depth.
+LIMIT_DEPTH_CAP = 40
 # Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
 GRAPH_VERTICES_CAP = 2048
 
@@ -204,6 +207,10 @@ def _cmd_limit_sample(args) -> dict:
 
 
 def _cmd_limit_bnf(args) -> dict:
+    if args.depth > LIMIT_DEPTH_CAP:
+        raise CapExceeded(
+            "limit/depth-cap", f"--depth {args.depth} exceeds the cap of {LIMIT_DEPTH_CAP}"
+        )
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)

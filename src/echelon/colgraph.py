@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import prng
-from .errors import DemandError, ValidationError
+from .errors import CapExceeded, DemandError, ValidationError
 from .space import EchelonedSpace, from_weights
 
 
@@ -188,6 +188,12 @@ class WitnessFailure(NamedTuple):
     total: Fraction  # probability all n candidates fail
 
 
+# Largest bit length the exact answer of witness_failure_probability may
+# reach: (1-p)^exp_q p^exp_p and its n-th power grow with the exponents, n
+# and the size of p, so each of them is bounded by this too.
+WITNESS_BITS_CAP = 1 << 20
+
+
 def witness_failure_probability(
     p: object, indices: Sequence[int], sizes: Sequence[int], n: int
 ) -> WitnessFailure:
@@ -195,7 +201,10 @@ def witness_failure_probability(
     law: a fresh candidate serves colour index i to a whole set of size s
     with probability (1-p)^((i-1)s) p^s, independently across the sets,
     and n candidates all fail with the complementary probability to the
-    n-th power."""
+    n-th power.  Raises CapExceeded before any power is taken when the
+    exact answer could pass ``WITNESS_BITS_CAP`` bits."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValidationError("prob/range", "candidate count must be a non-negative integer")
     pf = as_probability(p)
     if len(indices) != len(sizes):
         raise DemandError("demand/shape", "one size per colour index required")
@@ -208,10 +217,15 @@ def witness_failure_probability(
             raise DemandError("demand/shape", "set sizes must be non-negative integers")
         exp_q += (c - 1) * size
         exp_p += size
+    # neither 1-p nor p has a numerator or denominator longer than p's
+    bits = ((exp_q + exp_p) * pf.denominator.bit_length() + 1) * max(n, 1)
+    if bits > WITNESS_BITS_CAP:
+        raise CapExceeded(
+            "prob/cap",
+            f"exact probabilities could reach {bits} bits, past the cap of {WITNESS_BITS_CAP}",
+        )
     success = (1 - pf) ** exp_q * pf**exp_p
     per_vertex = 1 - success
-    if n < 0:
-        raise ValidationError("prob/range", "candidate count must be non-negative")
     return WitnessFailure(per_vertex, per_vertex**n)
 
 

@@ -2,12 +2,14 @@
 
 Everything draws from SplitMix64Stream so a seed pins the whole case."""
 
+import contextlib
 import itertools
+import signal
 from collections import deque
 from fractions import Fraction
 
 from echelon import EchelonedSpace, from_rank_table, from_weights, is_embedding
-from echelon.errors import EchelonError, ValidationError
+from echelon.errors import EchelonError, MetricError, MorphismError, ValidationError
 from echelon.limit import (
     BackAndForthCertificate,
     Demand,
@@ -18,6 +20,22 @@ from echelon.limit import (
 )
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import rational_between
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a runaway computation into a failure instead of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def permute_table(table, perm):
@@ -325,4 +343,82 @@ def reference_back_and_forth(first, second, depth):
         space2,
         tuple(weights1[(i, j)] for i in range(k) for j in range(i + 1, k)),
         tuple(weights2[(i, j)] for i in range(k) for j in range(i + 1, k)),
+    )
+
+
+def _reference_as_fraction(value, where):
+    if isinstance(value, bool) or isinstance(value, float):
+        raise MetricError("metric/shape", f"{where}: exact rational required, got {value!r}")
+    if isinstance(value, (int, str, Fraction)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise MetricError("metric/shape", f"{where}: unparsable rational {value!r}") from None
+    raise MetricError("metric/shape", f"{where}: exact rational required, got {type(value).__name__}")
+
+
+def reference_validate_metric(d):
+    """The metric check with the full m^3 Fraction triangle loop, kept as
+    the reference that validate_metric must reproduce, errors included."""
+    m = len(d)
+    if m < 1 or any(len(row) != m for row in d):
+        raise MetricError("metric/shape", "distance table must be square and non-empty")
+    t = tuple(
+        tuple(_reference_as_fraction(v, f"entry ({i},{j})") for j, v in enumerate(row))
+        for i, row in enumerate(d)
+    )
+    for i in range(m):
+        if t[i][i] != 0:
+            raise MetricError("metric/diagonal", f"d({i},{i}) must be 0")
+        for j in range(i + 1, m):
+            if t[i][j] != t[j][i]:
+                raise MetricError("metric/symmetry", f"d({i},{j}) != d({j},{i})")
+            if t[i][j] <= 0:
+                raise MetricError("metric/positivity", f"d({i},{j}) must be positive")
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if t[i][k] > t[i][j] + t[j][k]:
+                    raise MetricError(
+                        "metric/triangle",
+                        f"d({i},{k}) > d({i},{j}) + d({j},{k})",
+                    )
+    return t
+
+
+def reference_from_metric(d):
+    t = reference_validate_metric(d)
+    m = len(t)
+    weights = {(i, j): t[i][j] for i in range(m) for j in range(i + 1, m)}
+    return from_weights(m, weights)
+
+
+def reference_metrize_dull(space):
+    m, n = space.m, space.n
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                out[i][j] = 1 + Fraction(space.rank(i, j), n + 1)
+    return tuple(tuple(row) for row in out)
+
+
+def reference_is_dull(d):
+    t = reference_validate_metric(d)
+    m = len(t)
+    values = [t[i][j] for i in range(m) for j in range(i + 1, m)]
+    if not values:
+        return True
+    return max(values) <= 2 * min(values)
+
+
+def reference_is_one_lipschitz(d_source, d_target, h):
+    s = reference_validate_metric(d_source)
+    t = reference_validate_metric(d_target)
+    h = tuple(h)
+    if len(h) != len(s) or any(not (0 <= y < len(t)) for y in h):
+        raise MorphismError("morphism/map", "point map does not fit the two metrics")
+    m = len(s)
+    return all(
+        t[h[i]][h[j]] <= s[i][j] for i in range(m) for j in range(i + 1, m)
     )

@@ -5,6 +5,8 @@ from the interleaving rule); the square properties are then checked on
 seeded random triples."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echelon import (
     amalgamate,
@@ -16,7 +18,7 @@ from echelon import (
 from echelon.errors import MorphismError, ValidationError
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_amalgam_triple, random_space
+from helpers import random_amalgam_triple, random_space, random_superspace
 
 
 def test_chain_amalgam_no_gaps():
@@ -97,6 +99,45 @@ def test_square_properties_on_seeded_triples():
         # strong amalgamation: the legs overlap exactly on the shared image
         overlap = set(g1) & set(g2)
         assert overlap == {g1[f1[a]] for a in range(shared.m)}, trial
+
+
+@st.composite
+def amalgam_triples(draw):
+    """(A, B1, B2, f1, f2) on at most 7 points a side, built from a seed."""
+    a_size = draw(st.integers(min_value=1, max_value=7))
+    sizes = [draw(st.integers(min_value=a_size, max_value=7)) for _ in range(2)]
+    stream = SplitMix64Stream(draw(st.integers(min_value=0, max_value=2**64 - 1)))
+    shared = random_space(stream, a_size)
+    b1, f1 = random_superspace(stream, shared, sizes[0])
+    b2, f2 = random_superspace(stream, shared, sizes[1])
+    return shared, b1, b2, f1, f2
+
+
+def _pullback(space, g):
+    """The space that ``space`` induces on the points g[0], g[1], ..."""
+    k = len(g)
+    return from_weights(k, {(i, j): space.rank(g[i], g[j]) for i in range(k) for j in range(i + 1, k)})
+
+
+@given(amalgam_triples())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_amalgam_restricts_to_both_sides(triple):
+    shared, b1, b2, f1, f2 = triple
+    result = amalgamate(shared, b1, b2, f1, f2)
+    for side, g in ((b1, result.g1), (b2, result.g2)):
+        assert len(set(g)) == len(g)
+        assert _pullback(result.space, g) == side
+
+
+@given(amalgam_triples())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_amalgam_images_overlap_exactly_on_the_shared_image(triple):
+    shared, b1, b2, f1, f2 = triple
+    result = amalgamate(shared, b1, b2, f1, f2)
+    g1, g2 = result.g1, result.g2
+    assert set(g1) & set(g2) == {g1[f1[a]] for a in range(shared.m)}
+    assert set(g1) & set(g2) == {g2[f2[a]] for a in range(shared.m)}
+    assert set(g1) | set(g2) == set(range(result.space.m))
 
 
 def test_jep_overlaps_in_one_point():

@@ -19,7 +19,7 @@ from echelon import (
     one_point_extensions,
 )
 from echelon import cli
-from echelon.cli import GRAPH_VERTICES_CAP, LIMIT_POINTS_CAP, main
+from echelon.cli import GRAPH_VERTICES_CAP, LIMIT_DEPTH_CAP, LIMIT_POINTS_CAP, main
 from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
@@ -189,6 +189,19 @@ def test_limit_sample_points_cap(invoke, monkeypatch, mode, n):
     code, out, err = invoke(["limit", "sample", "--mode", mode, "--n", str(n)])
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "limit/points-cap"
+
+
+@pytest.mark.parametrize("depth", [LIMIT_DEPTH_CAP + 1, 10**18])
+@pytest.mark.parametrize("modes", [("deterministic", "deterministic"), ("random", "random")])
+def test_limit_bnf_depth_cap(invoke, monkeypatch, modes, depth):
+    def no_model(*args):
+        raise AssertionError("a model was built past the cap")
+
+    monkeypatch.setattr(cli, "limit_new", no_model)
+    argv = ["limit", "bnf", "--seed1", "0", "--seed2", "100", "--depth", str(depth)]
+    code, out, err = invoke(argv + ["--mode1", modes[0], "--mode2", modes[1]])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "limit/depth-cap"
 
 
 def test_limit_bnf_certificate(invoke):

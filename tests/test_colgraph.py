@@ -24,7 +24,10 @@ from echelon import (
     witness_failure_probability,
 )
 from echelon import prng
-from echelon.errors import DemandError, ValidationError
+from echelon.colgraph import WITNESS_BITS_CAP
+from echelon.errors import CapExceeded, DemandError, ValidationError
+
+from helpers import deadline
 
 SCALE = 1 << 64
 
@@ -155,6 +158,25 @@ def test_witness_failure_probability_edge_cases():
         witness_failure_probability(Fraction(1, 2), (0,), (1,), 10)
     with pytest.raises(DemandError):
         witness_failure_probability(Fraction(1, 2), (1, 2), (1,), 10)
+
+
+def test_witness_failure_probability_cap():
+    half = Fraction(1, 2)
+    with deadline(2.0):
+        # p = 1/2 and one set of size 1 at colour 2 bound the answer by 5n bits
+        edge = WITNESS_BITS_CAP // 5
+        past = (((1, 2), (2, 2), 10**18), ((10**18,), (1,), 10), ((2,), (1,), edge + 1))
+        for indices, sizes, n in past:
+            with pytest.raises(CapExceeded) as err:
+                witness_failure_probability(half, indices, sizes, n)
+            assert err.value.code == "prob/cap"
+        # just inside the cap the exact power is taken
+        assert witness_failure_probability(half, (2,), (1,), edge).total == Fraction(3, 4) ** edge
+    # the candidate count is checked before anything else, the cap included
+    for n in (-1, True, 2.0, "3", None):
+        with pytest.raises(ValidationError) as err:
+            witness_failure_probability(half, (10**18,), (1,), n)
+        assert err.value.code == "prob/range"
 
 
 def test_probability_parsing():

@@ -5,9 +5,7 @@ Random mode must replay the seeded colouring exactly; deterministic mode
 must honour witness demands by construction.  Back-and-forth is tested
 against both, including the self-pairing that forces the identity."""
 
-import contextlib
 import hashlib
-import signal
 import time
 from fractions import Fraction
 
@@ -34,6 +32,7 @@ from echelon.limit import LimitModel
 from echelon.prng import SplitMix64Stream
 from helpers import (
     ReferenceDeterministicLimitModel,
+    deadline,
     reference_back_and_forth,
     reference_simplest_between,
 )
@@ -101,24 +100,8 @@ def test_simplest_between_matches_the_stern_brocot_walk():
         assert simplest_between(small, None) == reference_simplest_between(small, None)
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Turn a step-per-mediant walk into a failure instead of a hang."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"not done within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_simplest_between_large_and_empty_intervals():
-    with _deadline(2.0):
+    with deadline(2.0):
         assert simplest_between(Fraction(10**12), None) == 10**12 + 1
         assert simplest_between(Fraction(0), Fraction(1, 10**12)) == Fraction(1, 10**12 + 1)
         assert simplest_between(Fraction(-5), Fraction(1, 10**12)) == Fraction(1, 10**12 + 1)
