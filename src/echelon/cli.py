@@ -23,8 +23,8 @@ from .errors import CapExceeded, EchelonError, ValidationError
 from .jsonio import FORMAT, fraction_to_str
 from .katetov import katetov_map, katetov_space, one_point_extensions, realize_extension
 from .limit import back_and_forth, limit_new
-from .metrize import from_metric, metrize_dull
-from .ramsey import arrow_check, copy_set, witness_search
+from .metrize import metrize_dull
+from .ramsey import ARROW_BUDGET, _arrow, witness_search
 from .space import are_isomorphic, enumerate_spaces, from_weights
 
 # Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
@@ -34,6 +34,11 @@ LIMIT_POINTS_CAP = 1024
 LIMIT_DEPTH_CAP = 40
 # Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
 GRAPH_VERTICES_CAP = 2048
+# Largest `ramsey search --cap` and `--samples`: a search at both caps
+# samples 500 spaces of each size 5..12 and ends in about 1 s.  `--budget`
+# of both `ramsey` subcommands is capped at ramsey.ARROW_BUDGET.
+RAMSEY_SIZE_CAP = 12
+RAMSEY_SAMPLES_CAP = 500
 
 
 class _UsageError(Exception):
@@ -93,6 +98,11 @@ def _seed_arg(value: str) -> int:
     return seed
 
 
+def _check_cap(flag: str, value: int, cap: int, code: str, unit: str = "") -> None:
+    if value > cap:
+        raise CapExceeded(code, f"{flag} {value} exceeds the cap of {cap}{unit}")
+
+
 def _label_str(label: tuple) -> str:
     return ":".join(str(part) for part in label)
 
@@ -136,7 +146,7 @@ def _cmd_metrize(args) -> dict:
 
 
 def _cmd_from_metric(args) -> dict:
-    return jsonio.space_to_json(from_metric(jsonio.metric_from_json(_read_doc(args.input))))
+    return jsonio.space_to_json(jsonio.space_from_metric_json(_read_doc(args.input)))
 
 
 def _cmd_amalgamate(args) -> dict:
@@ -192,10 +202,7 @@ def _cmd_extend(args) -> dict:
 
 
 def _cmd_limit_sample(args) -> dict:
-    if args.n > LIMIT_POINTS_CAP:
-        raise CapExceeded(
-            "limit/points-cap", f"--n {args.n} exceeds the cap of {LIMIT_POINTS_CAP} points"
-        )
+    _check_cap("--n", args.n, LIMIT_POINTS_CAP, "limit/points-cap", " points")
     model = limit_new(args.mode, args.seed, args.p)
     space = model.sample_prefix(args.n)
     doc = jsonio.space_to_json(space)
@@ -207,10 +214,7 @@ def _cmd_limit_sample(args) -> dict:
 
 
 def _cmd_limit_bnf(args) -> dict:
-    if args.depth > LIMIT_DEPTH_CAP:
-        raise CapExceeded(
-            "limit/depth-cap", f"--depth {args.depth} exceeds the cap of {LIMIT_DEPTH_CAP}"
-        )
+    _check_cap("--depth", args.depth, LIMIT_DEPTH_CAP, "limit/depth-cap")
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)
@@ -228,21 +232,25 @@ def _cmd_limit_bnf(args) -> dict:
 
 
 def _cmd_ramsey_check(args) -> dict:
+    _check_cap("--budget", args.budget, ARROW_BUDGET, "ramsey/budget-cap")
     c = _read_ordered(args.c)
     a = _read_ordered(args.a)
     b = _read_ordered(args.b)
-    arrows = arrow_check(c, a, b, args.k, budget=args.budget)
+    arrows, copies_a, copies_b = _arrow(c, a, b, args.k, args.budget)
     return {
         "format": FORMAT,
         "kind": "report",
         "arrow": arrows,
         "k": args.k,
-        "a_copies": len(copy_set(a, c)),
-        "b_copies": len(copy_set(b, c)),
+        "a_copies": len(copies_a),
+        "b_copies": len(copies_b),
     }
 
 
 def _cmd_ramsey_search(args) -> dict:
+    _check_cap("--cap", args.cap, RAMSEY_SIZE_CAP, "ramsey/size-cap")
+    _check_cap("--samples", args.samples, RAMSEY_SAMPLES_CAP, "ramsey/samples-cap")
+    _check_cap("--budget", args.budget, ARROW_BUDGET, "ramsey/budget-cap")
     witness = witness_search(
         _read_ordered(args.a),
         _read_ordered(args.b),
@@ -275,10 +283,7 @@ def _cmd_iso(args) -> dict:
 
 
 def _cmd_graph(args) -> dict:
-    if args.n > GRAPH_VERTICES_CAP:
-        raise CapExceeded(
-            "graph/vertices-cap", f"--n {args.n} exceeds the cap of {GRAPH_VERTICES_CAP} vertices"
-        )
+    _check_cap("--n", args.n, GRAPH_VERTICES_CAP, "graph/vertices-cap", " vertices")
     colouring = GeometricColouring(args.p, args.seed)
     return jsonio.graph_to_json(random_coloured_graph(args.n, colouring))
 
@@ -370,16 +375,16 @@ def _build_parser() -> _Parser:
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--budget", type=int, default=1 << 20)
+    q.add_argument("--budget", type=int, default=ARROW_BUDGET, help="most colourings (default and cap 2^20)")
     q.set_defaults(handler=_cmd_ramsey_check)
 
     q = ramsey_sub.add_parser("search", parents=[common, seeded], help="hunt for a witness C")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--cap", type=int, default=4, help="largest size to try (default 4)")
-    q.add_argument("--samples", type=int, default=200, help="random probes per size beyond 4")
-    q.add_argument("--budget", type=int, default=1 << 20)
+    q.add_argument("--cap", type=int, default=4, help=f"largest size to try (default 4, at most {RAMSEY_SIZE_CAP})")
+    q.add_argument("--samples", type=int, default=200, help=f"random probes per size beyond 4 (at most {RAMSEY_SAMPLES_CAP})")
+    q.add_argument("--budget", type=int, default=ARROW_BUDGET, help="most colourings (default and cap 2^20)")
     q.set_defaults(handler=_cmd_ramsey_search)
 
     p = sub.add_parser("enumerate", parents=[common], help="all labeled spaces on m points")

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
 from .errors import ValidationError
-from .metrize import Metric, validate_metric
+from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .space import EchelonedSpace, PointMap, from_rank_table
 
@@ -222,6 +222,13 @@ def ordered_space_from_json(doc: Any) -> OrderedEchelonedSpace:
 
 def metric_from_json(doc: Any) -> Metric:
     return _load(doc, ("metric",))[1]
+
+
+def space_from_metric_json(doc: Any) -> EchelonedSpace:
+    """The echelon of a ``metric`` document; ``from_metric`` validates the
+    distances, so they are checked once."""
+    _header(doc, ("metric",))
+    return from_metric(_weights(doc, "d"))
 
 
 def graph_from_json(doc: Any) -> ColouredGraph:

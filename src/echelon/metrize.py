@@ -11,7 +11,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import MetricError, MorphismError
-from .space import EchelonedSpace
+from .space import EchelonedSpace, _trusted
 
 Metric = tuple[tuple[Fraction, ...], ...]
 
@@ -79,11 +79,12 @@ def validate_metric(d: Sequence[Sequence[object]]) -> Metric:
 def from_metric(d: Sequence[Sequence[object]]) -> EchelonedSpace:
     """Echelon a metric: pairs ordered by distance, ties merged."""
     s = _checked(d)[1]
-    # the diagonal's 0 is the least level, so it takes rank 0
+    # the diagonal's 0 is the least level, so it takes rank 0; every other
+    # level is some off-diagonal distance, so the ranks are dense
     levels = sorted({v for row in s for v in row})
     rank_of = {v: r for r, v in enumerate(levels)}
     table = tuple(tuple(rank_of[v] for v in row) for row in s)
-    return EchelonedSpace(len(s), len(levels) - 1, table)
+    return _trusted(len(s), len(levels) - 1, table)
 
 
 def metrize_dull(space: EchelonedSpace) -> Metric:

@@ -21,13 +21,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded, ValidationError
 from .prng import SplitMix64Stream
-from .space import (
-    EchelonedSpace,
-    PointMap,
-    embedding_rank_map,
-    enumerate_spaces,
-    from_weights,
-)
+from .space import EchelonedSpace, PointMap, enumerate_spaces, from_weights
 
 ARROW_BUDGET = 1 << 20
 
@@ -52,18 +46,36 @@ class OrderedEchelonedSpace:
 def ordered_embeddings(
     a: OrderedEchelonedSpace, c: OrderedEchelonedSpace
 ) -> list[PointMap]:
-    """All order-preserving embeddings of a into c.
+    """All order-preserving embeddings of a into c, as point maps, in
+    lexicographic order of the sets of c-positions they use.
 
-    Order-preserving injections correspond to point subsets of c taken in
-    order, so each subset is tested once against the echelon structure.
+    Order-preserving injections correspond to position subsets of c taken
+    in order, and such an injection embeds exactly when its rank map is
+    well defined and strictly increasing.  So a's position pairs are sorted
+    by rank once, and a subset passes when c's ranks along that chain stay
+    equal where a's do and rise strictly where a's rise; it is dropped at
+    the first pair that fails (forward checking, Ullmann 1976).  Both
+    spaces were checked when built, so no map is checked per subset.
     """
+    at, k = a.space.table, len(a.order)
+    chain = sorted(
+        (at[a.order[p]][a.order[q]], p, q) for p, q in itertools.combinations(range(k), 2)
+    )
+    steps = [(p, q, i > 0 and r == chain[i - 1][0]) for i, (r, p, q) in enumerate(chain)]
+    position = [0] * k  # position[x]: where point x of a stands in a's order
+    for p, x in enumerate(a.order):
+        position[x] = p
+    ct = c.space.table
     out = []
-    for combo in itertools.combinations(range(c.m), a.m):
-        h = [0] * a.m
-        for i in range(a.m):
-            h[a.order[i]] = c.order[combo[i]]
-        if embedding_rank_map(a.space, c.space, h) is not None:
-            out.append(tuple(h))
+    for combo in itertools.combinations(c.order, k):  # points of c, in c's order
+        last = 0  # distinct points sit above the diagonal's rank 0
+        for p, q, same in steps:
+            r = ct[combo[p]][combo[q]]
+            if r != last if same else r <= last:
+                break
+            last = r
+        else:
+            out.append(tuple(map(combo.__getitem__, position)))
     return out
 
 
@@ -72,27 +84,24 @@ def copy_set(a: OrderedEchelonedSpace, c: OrderedEchelonedSpace) -> tuple[frozen
     return tuple(frozenset(h) for h in ordered_embeddings(a, c))
 
 
-def arrow_check(
+def _arrow(
     c: OrderedEchelonedSpace,
     a: OrderedEchelonedSpace,
     b: OrderedEchelonedSpace,
     k: int,
-    budget: int = ARROW_BUDGET,
-) -> bool:
-    """Whether every k-colouring of the A-copies of C has a B-copy all of
-    whose A-copies share a colour.  Exhaustive with pruning; instances
-    with more than ``budget`` colourings are refused."""
+    budget: int,
+) -> tuple[bool, tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+    """``arrow_check``'s answer with the A-copies and B-copies it decided it on."""
     if k < 1:
         raise ValidationError("arrow/colours", "at least one colour required")
     copies_a = copy_set(a, c)
     n = len(copies_a)
     if k**n > budget:
         raise BudgetExceeded("arrow/budget", f"{k}^{n} colourings exceed the budget {budget}")
-    members = [
-        [i for i, ca in enumerate(copies_a) if ca <= cb] for cb in copy_set(b, c)
-    ]
+    copies_b = copy_set(b, c)
+    members = [[i for i, ca in enumerate(copies_a) if ca <= cb] for cb in copies_b]
     if not members:
-        return False
+        return False, copies_a, copies_b
     colour: list[Optional[int]] = [None] * n
 
     def bad_colouring_exists(i: int) -> bool:
@@ -114,7 +123,20 @@ def arrow_check(
         colour[i] = None
         return False
 
-    return not bad_colouring_exists(0)
+    return not bad_colouring_exists(0), copies_a, copies_b
+
+
+def arrow_check(
+    c: OrderedEchelonedSpace,
+    a: OrderedEchelonedSpace,
+    b: OrderedEchelonedSpace,
+    k: int,
+    budget: int = ARROW_BUDGET,
+) -> bool:
+    """Whether every k-colouring of the A-copies of C has a B-copy all of
+    whose A-copies share a colour.  Exhaustive with pruning; instances
+    with more than ``budget`` colourings are refused."""
+    return _arrow(c, a, b, k, budget)[0]
 
 
 def _random_ordered_space(m: int, stream: SplitMix64Stream) -> OrderedEchelonedSpace:

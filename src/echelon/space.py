@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, MorphismError, ValidationError
@@ -34,7 +35,9 @@ class EchelonedSpace:
 
     ``table`` is the full m x m rank table: symmetric, zero exactly on the
     diagonal, off-diagonal values exactly the range 1..n.  Instances
-    validate on construction, so any held reference is structurally sound.
+    validate on construction, so any held reference is structurally sound;
+    the package's own builders, whose tables are valid by construction,
+    skip the check through ``_trusted``.
     """
 
     m: int
@@ -93,6 +96,15 @@ class EchelonedSpace:
         return {r: tuple(ps) for r, ps in out.items()}
 
 
+def _trusted(m: int, n: int, table: tuple[tuple[int, ...], ...]) -> EchelonedSpace:
+    """A space whose table its builder made valid by construction, skipping
+    the checks of ``__post_init__``.  Only for builders inside the package
+    whose tables cannot fail them."""
+    space = object.__new__(EchelonedSpace)
+    space.__dict__.update(m=m, n=n, table=table)
+    return space
+
+
 class Subspace(NamedTuple):
     space: EchelonedSpace
     points: tuple[int, ...]  # original ids, ascending; new id k is points[k]
@@ -124,7 +136,7 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
     increasing weight.  Only the relative order of the weights matters, so
     any strictly monotone reweighting produces the same space.
     """
-    if m < 1:
+    if not isinstance(m, int) or m < 1:
         raise ValidationError("space/shape", "point count must be a positive integer")
     norm: dict[Pair, object] = {}
     for key, value in weights.items():
@@ -155,7 +167,8 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
     table = [[0] * m for _ in range(m)]
     for (i, j), w in norm.items():
         table[i][j] = table[j][i] = rank_of[w]
-    return EchelonedSpace(m, len(levels), tuple(tuple(row) for row in table))
+    # every pair has a weight and every level is some pair's, so ranks are dense
+    return _trusted(m, len(levels), tuple(tuple(row) for row in table))
 
 
 def induced_subspace(space: EchelonedSpace, points: Iterable[int]) -> Subspace:
@@ -379,7 +392,7 @@ def canonical_form(space: EchelonedSpace) -> CanonicalForm:
     for a, b in itertools.combinations(range(space.m), 2):
         r = next(it)
         table[a][b] = table[b][a] = r
-    canon = EchelonedSpace(space.m, space.n, tuple(tuple(row) for row in table))
+    canon = _trusted(space.m, space.n, tuple(tuple(row) for row in table))  # a relabelling
     return CanonicalForm(canon, order)
 
 
@@ -398,6 +411,30 @@ def are_isomorphic(x: EchelonedSpace, y: EchelonedSpace) -> Optional[PointMap]:
     return tuple(iso)
 
 
+def _dense_rank_strings(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every string of length k whose values are exactly 1..top for some
+    top, paired with its top, in lexicographic order.
+
+    Depth first, each position taking the values 1..k in increasing order.
+    A prefix is extended only while the ranks below its maximum that it
+    misses fit in the positions left, so every prefix visited completes
+    and no string outside the answer is built (Knuth, TAOCP 4A, 7.2.1)."""
+    ranks = [0] * k
+
+    def grow(i: int, top: int, used: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        left = k - 1 - i  # positions after this one
+        for v in range(1, k + 1):
+            t, u = max(top, v), used | 1 << v  # bit r of u: rank r is used
+            if t - u.bit_count() <= left:
+                ranks[i] = v
+                if left:
+                    yield from grow(i + 1, t, u)
+                else:
+                    yield tuple(ranks), t
+
+    return grow(0, 0, 0)
+
+
 def enumerate_spaces(
     m: int, up_to_iso: bool = False, cap: int = 4
 ) -> Iterator[EchelonedSpace]:
@@ -407,27 +444,29 @@ def enumerate_spaces(
     A labelled space is exactly an ordered set partition of the pair set
     (blocks = rank classes, block order = rank order), so spaces are
     emitted as dense rank strings over the lexicographically ordered pair
-    list, in lexicographic string order.  Exhaustive; refuses m beyond the
-    cap (the count is the Fubini number of C(m,2), which explodes).
+    list, in lexicographic string order.  The strings are generated
+    directly rather than filtered from all strings over the ranks, and
+    the tables, valid by construction, are not checked again.  With
+    ``up_to_iso`` the first space of each canonical form is kept.
+    Exhaustive; refuses m beyond the cap (the count is the Fubini number
+    of C(m,2), which explodes).
     """
     if m > cap:
         raise CapExceeded("enumerate/cap", f"m={m} exceeds the exhaustive cap {cap}")
     if m < 1:
         raise ValidationError("space/shape", "point count must be a positive integer")
-    pair_list = list(itertools.combinations(range(m), 2))
-    k = len(pair_list)
-    if k == 0:
-        yield EchelonedSpace(1, 0, ((0,),))
+    if m == 1:
+        yield _trusted(1, 0, ((0,),))
         return
+    # row i of the table reads a rank string, padded with the diagonal's 0 in front
+    slot = [[0] * m for _ in range(m)]
+    for s, (i, j) in enumerate(itertools.combinations(range(m), 2), start=1):
+        slot[i][j] = slot[j][i] = s
+    rows = [itemgetter(*row) for row in slot]
     seen: set[tuple[int, ...]] = set()
-    for ranks in itertools.product(range(1, k + 1), repeat=k):
-        top = max(ranks)
-        if set(ranks) != set(range(1, top + 1)):
-            continue
-        table = [[0] * m for _ in range(m)]
-        for (i, j), r in zip(pair_list, ranks):
-            table[i][j] = table[j][i] = r
-        space = EchelonedSpace(m, top, tuple(tuple(row) for row in table))
+    for ranks, top in _dense_rank_strings(m * (m - 1) // 2):
+        padded = (0,) + ranks
+        space = _trusted(m, top, tuple(row(padded) for row in rows))
         if up_to_iso:
             key = _flat(canonical_form(space).space, range(m))
             if key in seen:

@@ -8,7 +8,7 @@ import signal
 from collections import deque
 from fractions import Fraction
 
-from echelon import EchelonedSpace, from_rank_table, from_weights, is_embedding
+from echelon import EchelonedSpace, embedding_rank_map, from_rank_table, from_weights, is_embedding
 from echelon.errors import EchelonError, MetricError, MorphismError, ValidationError
 from echelon.limit import (
     BackAndForthCertificate,
@@ -422,3 +422,45 @@ def reference_is_one_lipschitz(d_source, d_target, h):
     return all(
         t[h[i]][h[j]] <= s[i][j] for i in range(m) for j in range(i + 1, m)
     )
+
+
+def reference_enumerate_spaces(m, up_to_iso=False):
+    """Every rank string in k^k filtered for density, each table checked on
+    construction: the enumeration that enumerate_spaces must reproduce,
+    order included."""
+    from echelon.space import _flat, canonical_form
+
+    pair_list = list(itertools.combinations(range(m), 2))
+    k = len(pair_list)
+    if k == 0:
+        yield EchelonedSpace(1, 0, ((0,),))
+        return
+    seen = set()
+    for ranks in itertools.product(range(1, k + 1), repeat=k):
+        top = max(ranks)
+        if set(ranks) != set(range(1, top + 1)):
+            continue
+        table = [[0] * m for _ in range(m)]
+        for (i, j), r in zip(pair_list, ranks):
+            table[i][j] = table[j][i] = r
+        space = EchelonedSpace(m, top, tuple(tuple(row) for row in table))
+        if up_to_iso:
+            key = _flat(canonical_form(space).space, range(m))
+            if key in seen:
+                continue
+            seen.add(key)
+        yield space
+
+
+def reference_ordered_embeddings(a, c):
+    """Every order-preserving subset of c run through the fully checked
+    embedding_rank_map: the list ordered_embeddings must reproduce, order
+    included."""
+    out = []
+    for combo in itertools.combinations(range(c.m), a.m):
+        h = [0] * a.m
+        for i in range(a.m):
+            h[a.order[i]] = c.order[combo[i]]
+        if embedding_rank_map(a.space, c.space, h) is not None:
+            out.append(tuple(h))
+    return out

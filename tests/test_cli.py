@@ -19,7 +19,15 @@ from echelon import (
     one_point_extensions,
 )
 from echelon import cli
-from echelon.cli import GRAPH_VERTICES_CAP, LIMIT_DEPTH_CAP, LIMIT_POINTS_CAP, main
+from echelon import metrize, ramsey
+from echelon.cli import (
+    GRAPH_VERTICES_CAP,
+    LIMIT_DEPTH_CAP,
+    LIMIT_POINTS_CAP,
+    RAMSEY_SAMPLES_CAP,
+    RAMSEY_SIZE_CAP,
+    main,
+)
 from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
@@ -81,6 +89,31 @@ def test_metrize_then_from_metric_recovers_the_space(invoke, tmp_path):
     code, out, _ = invoke(["from-metric", "-"], stdin=metric_text)
     assert code == 0
     assert space_from_json(json.loads(out)) == FIX
+
+
+def test_from_metric_validates_once(invoke, monkeypatch, tmp_path):
+    calls = []
+    checked = metrize._checked
+
+    def counting(d):
+        calls.append(len(d))
+        return checked(d)
+
+    monkeypatch.setattr(metrize, "_checked", counting)
+    metric = {"format": FORMAT, "kind": "metric", "points": 3, "d": [["3/2"], ["7/4", "7/4"]]}
+    code, out, _ = invoke(["from-metric", write_doc(tmp_path, "metric.json", metric)])
+    assert code == 0 and calls == [3]
+    assert space_from_json(json.loads(out)) == from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+    for doc, want in (
+        (dict(metric, d=[["1/1"], ["5/1", "1/1"]]), "metric/triangle"),
+        (dict(metric, d=[["0/1"], ["1/1", "1/1"]]), "metric/positivity"),
+        (dict(metric, d=[["1/1"], ["x", "1/1"]]), "json/rational"),
+        (dict(metric, d=[["1/1"]]), "json/schema"),
+        (space_to_json(FIX), "json/schema"),
+    ):
+        code, out, err = invoke(["from-metric", write_doc(tmp_path, "bad.json", doc)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == want
 
 
 def test_amalgamate_with_inline_maps(invoke, tmp_path):
@@ -236,6 +269,50 @@ def test_ramsey_check_pigeonhole(invoke, tmp_path):
     }
     code, out, _ = invoke(["ramsey", "check", "--c", b, "--a", a, "--b", b, "--k", "2"])
     assert json.loads(out)["arrow"] is False
+
+
+def test_ramsey_check_computes_each_copy_set_once(invoke, monkeypatch, tmp_path):
+    calls = []
+    copy_set = ramsey.copy_set
+
+    def counting(a, c):
+        calls.append(a.m)
+        return copy_set(a, c)
+
+    monkeypatch.setattr(ramsey, "copy_set", counting)
+    c = write_doc(tmp_path, "c.json", space_to_json(FLAT3, order=(0, 1, 2)))
+    a = write_doc(tmp_path, "a.json", point_doc())
+    b = write_doc(tmp_path, "b.json", space_to_json(EDGE, order=(0, 1)))
+    code, out, _ = invoke(["ramsey", "check", "--c", c, "--a", a, "--b", b, "--k", "2"])
+    assert code == 0 and calls == [1, 2]
+    assert json.loads(out)["a_copies"] == json.loads(out)["b_copies"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["search", "--cap", str(RAMSEY_SIZE_CAP + 1)], "ramsey/size-cap"),
+        (["search", "--cap", str(10**18)], "ramsey/size-cap"),
+        (["search", "--samples", str(RAMSEY_SAMPLES_CAP + 1)], "ramsey/samples-cap"),
+        (["search", "--samples", str(10**18)], "ramsey/samples-cap"),
+        (["search", "--budget", str(ramsey.ARROW_BUDGET + 1)], "ramsey/budget-cap"),
+        (["search", "--budget", str(10**18)], "ramsey/budget-cap"),
+        (["check", "--budget", str(ramsey.ARROW_BUDGET + 1)], "ramsey/budget-cap"),
+        (["check", "--budget", str(10**18)], "ramsey/budget-cap"),
+    ],
+)
+def test_ramsey_caps(invoke, monkeypatch, tmp_path, argv, code):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran past the cap")
+
+    monkeypatch.setattr(cli, "witness_search", no_search)
+    monkeypatch.setattr(cli, "_arrow", no_search)
+    a = write_doc(tmp_path, "a.json", point_doc())
+    b = write_doc(tmp_path, "b.json", space_to_json(EDGE, order=(0, 1)))
+    spaces = ["--a", a, "--b", b, "--k", "2"] + (["--c", b] if argv[0] == "check" else [])
+    exit_code, out, err = invoke(["ramsey", *argv, *spaces])
+    assert exit_code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == code
 
 
 def test_ramsey_search_emits_the_witness(invoke, tmp_path):

@@ -22,10 +22,11 @@ from echelon import (
     phi_translate,
     witness_search,
 )
+from echelon import ramsey
 from echelon.errors import BudgetExceeded, ValidationError
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_space
+from helpers import random_space, reference_enumerate_spaces, reference_ordered_embeddings
 
 POINT = OrderedEchelonedSpace(EchelonedSpace(1, 0, ((0,),)), (0,))
 EDGE = OrderedEchelonedSpace(from_weights(2, {(0, 1): 1}), (0, 1))
@@ -262,3 +263,52 @@ def test_enumerated_spaces_all_support_identity_order():
     for sp in enumerate_spaces(3):
         s = ident(sp)
         assert copy_set(POINT, s) == tuple(frozenset({i}) for i in range(3))
+
+
+def test_ordered_embeddings_match_the_reference_exhaustively():
+    """Every A of at most 3 points against every 4-point C, each under a
+    seeded order, then seeded C of 5 and 6 points: the same maps as the
+    fully checked loop, in the same order."""
+    stream = SplitMix64Stream(707)
+    small = [sp for m in (1, 2, 3) for sp in enumerate_spaces(m)]
+    found = 0
+    for c_sp in enumerate_spaces(4):
+        c = OrderedEchelonedSpace(c_sp, shuffled(stream, 4))
+        for a_sp in small:
+            a = OrderedEchelonedSpace(a_sp, shuffled(stream, a_sp.m))
+            got = ordered_embeddings(a, c)
+            assert got == reference_ordered_embeddings(a, c), (a, c)
+            found += len(got)
+    for _ in range(300):
+        c_sp = random_space(stream, stream.randrange(2) + 5)
+        a_sp = random_space(stream, stream.randrange(4) + 1)
+        c = OrderedEchelonedSpace(c_sp, shuffled(stream, c_sp.m))
+        a = OrderedEchelonedSpace(a_sp, shuffled(stream, a_sp.m))
+        got = ordered_embeddings(a, c)
+        assert got == reference_ordered_embeddings(a, c), (a, c)
+        found += len(got)
+    assert found > 10_000  # the chains accept as well as refuse
+
+
+def test_witness_search_matches_the_reference_kernels(monkeypatch):
+    stream = SplitMix64Stream(808)
+    triangle = ident(flat(3))
+    cases = [(POINT, EDGE, 2, 4, 0), (EDGE, triangle, 2, 5, 3), (POINT, triangle, 2, 5, 1)]
+    for _ in range(3):
+        a = ident(random_space(stream, stream.randrange(2) + 1))
+        b = ident(random_space(stream, 3))
+        k, cap = stream.randrange(2) + 2, stream.randrange(2) + 4
+        cases.append((a, b, k, cap, stream.randrange(1 << 16)))
+
+    def answers():
+        out = []
+        for a, b, k, cap, seed in cases:
+            c = witness_search(a, b, k, size_cap=cap, seed=seed, samples=20)
+            out.append(None if c is None else (c.space, c.order))
+        return out
+
+    got = answers()
+    monkeypatch.setattr(ramsey, "ordered_embeddings", reference_ordered_embeddings)
+    monkeypatch.setattr(ramsey, "enumerate_spaces", reference_enumerate_spaces)
+    assert got == answers()
+    assert any(w is None for w in got) and any(w is not None for w in got)

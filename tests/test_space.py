@@ -18,16 +18,18 @@ from echelon import (
     embedding_rank_map,
     enumerate_embeddings,
     enumerate_spaces,
+    from_metric,
     from_rank_table,
     from_weights,
     homomorphism_rank_map,
     induced_subspace,
     is_embedding,
     is_homomorphism,
+    metrize_dull,
 )
 from echelon.errors import CapExceeded, ValidationError
 from echelon.prng import SplitMix64Stream
-from helpers import random_space, reference_canon_search
+from helpers import random_space, reference_canon_search, reference_enumerate_spaces
 
 # --- independent oracles ---
 
@@ -118,11 +120,30 @@ def test_enumerate_single_point():
 def test_enumerate_yields_valid_distinct_lex():
     seen = []
     for sp in SPACES_M3:
-        assert isinstance(sp, EchelonedSpace)  # constructor validates
+        assert EchelonedSpace(sp.m, sp.n, sp.table) == sp  # the checked constructor accepts it
         flat = tuple(itertools.chain.from_iterable(sp.table))
         seen.append(flat)
     assert len(set(seen)) == len(seen)
     assert seen == sorted(seen)
+
+
+def test_enumerate_spaces_matches_the_filtered_products():
+    for m in (1, 2, 3, 4):
+        for up_to_iso in (False, True):
+            got = list(enumerate_spaces(m, up_to_iso=up_to_iso))
+            assert got == list(reference_enumerate_spaces(m, up_to_iso)), (m, up_to_iso)
+
+
+def test_unchecked_builders_make_valid_spaces():
+    """enumerate_spaces, from_weights, from_metric and canonical_form skip
+    the constructor's checks; every space they build must pass them."""
+    built = [sp for m in (1, 2, 3, 4) for sp in enumerate_spaces(m)]
+    stream = SplitMix64Stream(31)
+    for _ in range(200):
+        sp = random_space(stream, stream.randrange(7) + 1)
+        built += [sp, from_metric(metrize_dull(sp)), canonical_form(sp).space]
+    for sp in built:
+        assert EchelonedSpace(sp.m, sp.n, sp.table) == sp
 
 
 def test_enumerate_cap():
@@ -177,6 +198,13 @@ def test_from_weights_rejects_conflict_and_nan():
         from_weights(3, {(0, 1): 1, (0, 2): 1})  # missing pair
     with pytest.raises(ValidationError):
         from_weights(3, {(0, 1): 1 + 2j, (0, 2): 2 + 1j, (1, 2): 3 + 3j})
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.0, "2", None])
+def test_from_weights_refuses_a_bad_point_count(m):
+    with pytest.raises(ValidationError) as err:
+        from_weights(m, {(0, 1): 1})
+    assert err.value.code == "space/shape"
 
 
 def test_homomorphism_matches_quantifier_oracle():
