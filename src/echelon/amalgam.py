@@ -9,10 +9,11 @@ forced to grow: amalgamation here is always strong.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import MorphismError, ValidationError
-from .space import EchelonedSpace, PointMap, RankMap, embedding_rank_map, from_weights
+from .space import EchelonedSpace, PointMap, RankMap, _compress, embedding_rank_map
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,15 @@ def amalgamate(
     g2 = tuple(g2_list)
     total = next_id
 
-    weights: dict[tuple[int, int], int] = {}
-    for u in range(total):
-        for v in range(u + 1, total):
-            if u < left.m and v < left.m:
-                weights[(u, v)] = chain.g1[left.rank(u, v)]
-            elif u in into_right and v in into_right:
-                weights[(u, v)] = chain.g2[right.rank(into_right[u], into_right[v])]
-            else:
-                weights[(u, v)] = chain.top
-    space = from_weights(total, weights)
+    values: list[int] = []
+    for u, v in itertools.combinations(range(total), 2):
+        if v < left.m:
+            values.append(chain.g1[left.rank(u, v)])
+        elif u in into_right and v in into_right:
+            values.append(chain.g2[right.rank(into_right[u], into_right[v])])
+        else:
+            values.append(chain.top)
+    space = _compress(total, values)[0]
     return AmalgamResult(space, g1, g2, chain)
 
 

@@ -30,13 +30,15 @@ from .space import are_isomorphic, enumerate_spaces, from_weights
 # Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
 LIMIT_POINTS_CAP = 1024
 # Largest `limit bnf --depth`: back-and-forth between two deterministic
-# models costs about depth^4 and takes about 1 s at this depth.
+# models takes under 0.1 s at this depth and about 4x more per doubling.
 LIMIT_DEPTH_CAP = 40
 # Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
 GRAPH_VERTICES_CAP = 2048
 # Largest `ramsey search --cap` and `--samples`: a search at both caps
-# samples 500 spaces of each size 5..12 and ends in about 1 s.  `--budget`
-# of both `ramsey` subcommands is capped at ramsey.ARROW_BUDGET.
+# samples 500 spaces of each size 5..12 and ends in about 1 s.  The size
+# cap also bounds the C of `ramsey check`, whose A- and B-copies are all
+# listed: under 2 s for a flat 12-point C.  `--budget` of both `ramsey`
+# subcommands is capped at ramsey.ARROW_BUDGET.
 RAMSEY_SIZE_CAP = 12
 RAMSEY_SAMPLES_CAP = 500
 
@@ -234,6 +236,7 @@ def _cmd_limit_bnf(args) -> dict:
 def _cmd_ramsey_check(args) -> dict:
     _check_cap("--budget", args.budget, ARROW_BUDGET, "ramsey/budget-cap")
     c = _read_ordered(args.c)
+    _check_cap("--c point count", c.m, RAMSEY_SIZE_CAP, "ramsey/size-cap")
     a = _read_ordered(args.a)
     b = _read_ordered(args.b)
     arrows, copies_a, copies_b = _arrow(c, a, b, args.k, args.budget)
@@ -371,7 +374,7 @@ def _build_parser() -> _Parser:
     ramsey_sub = p.add_subparsers(dest="ramsey_command", required=True)
 
     q = ramsey_sub.add_parser("check", parents=[common], help="decide C -> (B) over A-copies")
-    q.add_argument("--c", required=True)
+    q.add_argument("--c", required=True, help=f"ordered space of at most {RAMSEY_SIZE_CAP} points")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)

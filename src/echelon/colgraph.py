@@ -8,8 +8,9 @@ different modules and are never unified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import prng
@@ -25,6 +26,7 @@ def pair_index(i: int, j: int) -> int:
     return b * (b - 1) // 2 + a
 
 
+@dataclass(frozen=True)
 class ColouredGraph:
     """Complete graph on vertices 0..v-1 with a colour on every edge.
 
@@ -32,48 +34,31 @@ class ColouredGraph:
     sits at index j*(j-1)//2 + i.  Immutable once built.
     """
 
-    __slots__ = ("v", "chi", "_colours")
+    v: int
+    chi: tuple = field(repr=False)
 
-    def __init__(self, v: int, chi: Sequence[object]):
-        if v < 1:
+    def __post_init__(self):
+        if self.v < 1:
             raise ValidationError("graph/shape", "vertex count must be positive")
-        expected = v * (v - 1) // 2
-        if len(chi) != expected:
+        expected = self.v * (self.v - 1) // 2
+        if len(self.chi) != expected:
             raise ValidationError(
-                "graph/shape", f"edge table must have {expected} entries, got {len(chi)}"
+                "graph/shape", f"edge table must have {expected} entries, got {len(self.chi)}"
             )
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "chi", tuple(chi))
-        object.__setattr__(self, "_colours", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredGraph is immutable")
+        object.__setattr__(self, "chi", tuple(self.chi))
 
     def colour(self, i: int, j: int):
         return self.chi[pair_index(i, j)]
 
-    @property
+    @cached_property
     def colours(self) -> tuple:
         """Distinct colours present, in their total order."""
-        if self._colours is None:
-            try:
-                object.__setattr__(self, "_colours", tuple(sorted(set(self.chi))))
-            except TypeError:
-                raise ValidationError(
-                    "graph/colours", "edge colours are not mutually comparable"
-                ) from None
-        return self._colours
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColouredGraph) and self.v == other.v and self.chi == other.chi
-        )
-
-    def __hash__(self):
-        return hash((self.v, self.chi))
-
-    def __repr__(self):
-        return f"ColouredGraph(v={self.v})"
+        try:
+            return tuple(sorted(set(self.chi)))
+        except TypeError:
+            raise ValidationError(
+                "graph/colours", "edge colours are not mutually comparable"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ echeloned space.  Two interchangeable modes:
 
 * deterministic: labels are constructed.  Auto-growth alternates a fresh
   point (labels above everything, so the first two points share label 1)
-  with a density step that splits the smallest yet-unsplit gap between
-  adjacent labels (always the bottom one), driven through a pending-demand
-  queue; witnesses are built directly, choosing fresh in-gap labels by
-  Stern-Brocot selection.
+  with a point whose label to point 0 falls in the bottom gap, between the
+  two least labels; witnesses are built directly, choosing fresh in-gap
+  labels by Stern-Brocot selection.
 
 A witness demand fixes, per base point, either an exact label or an open
 interval.  Interval entries carry a tier: equal bounds and equal tier mean
@@ -29,21 +28,24 @@ uncovered point, which only moves forward because covered sets only grow.
 One step body serves both sides.  The label bijection between the two
 sides is one dict per direction, extended by the k new pairs after each
 witness, so a demand reads the correspondence instead of rebuilding it.
+Beside each dict the side keeps its known labels sorted, and a new label's
+gap is found by bisection: the bijection is an order isomorphism, so the
+bounds are the images of the label's neighbours.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import prng
 from .colgraph import as_probability
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
 from .rationals import nth_rational, rational_between
-from .space import EchelonedSpace, from_weights, is_embedding
+from .space import EchelonedSpace, _compress
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
@@ -139,10 +141,7 @@ class LimitModel:
         if n < 1:
             raise ValidationError("limit/count", "a prefix needs at least one point")
         self.limit_points(n)
-        weights = {
-            (u, v): self._label(u, v) for u in range(n) for v in range(u + 1, n)
-        }
-        return from_weights(n, weights)
+        return _compress(n, [self._label(u, v) for u, v in combinations(range(n), 2)])[0]
 
     def existing_labels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs."""
@@ -241,6 +240,10 @@ class RandomLimitModel(LimitModel):
 class DeterministicLimitModel(LimitModel):
     """Constructed labels: every demand is realized by appending a point.
 
+    Growth alternates a fresh point, labelled above every label so far,
+    with a point whose label to point 0 falls in the bottom gap, between
+    the two least labels.
+
     The distinct labels are indexed incrementally: a sorted list plus a
     membership set, updated as each pair label is written (fresh labels are
     appended at the top, in-gap and exact labels are inserted by bisection).
@@ -255,7 +258,6 @@ class DeterministicLimitModel(LimitModel):
         self._labels: dict[tuple[int, int], Fraction] = {}
         self._sorted: list[Fraction] = []
         self._label_set: set[Fraction] = set()
-        self.pending: deque[Demand] = deque()
         self._schedule_step = 0
 
     def _label(self, u: int, v: int) -> Fraction:
@@ -270,21 +272,11 @@ class DeterministicLimitModel(LimitModel):
             insort(self._sorted, label)
 
     def _extend(self) -> None:
-        if not self.pending:
-            self.pending.append(self._next_scheduled())
-        self._construct(self.pending.popleft())
-
-    def _next_scheduled(self) -> Demand:
-        """Dovetail: odd steps add a fresh point, even steps split the
-        smallest unsplit gap between adjacent labels.
-
-        That is always the bottom gap: a scheduled split is constructed at
-        once and labels are never removed, so no gap between adjacent labels
-        has been split before."""
         self._schedule_step += 1
+        demand = Demand(())
         if self._schedule_step % 2 == 0 and len(self._sorted) > 1:
-            return Demand(((0, OpenInterval(self._sorted[0], self._sorted[1])),))
-        return Demand(())
+            demand = Demand(((0, OpenInterval(self._sorted[0], self._sorted[1])),))
+        self._construct(demand)
 
     def ensure_witness(self, demand: Demand) -> int:
         return self._construct(demand)
@@ -352,24 +344,22 @@ class BackAndForthCertificate:
 def _build_demand(
     source: LimitModel,
     src_to_tgt: dict[Fraction, Fraction],
+    known: Sequence[Fraction],
     src_matched: Sequence[int],
     tgt_matched: Sequence[int],
     u: int,
 ) -> Demand:
-    """Transport u's label classes along the current correspondence."""
-    known = sorted(src_to_tgt)
+    """Transport u's label classes along the current correspondence, an
+    order isomorphism: a new label's gap lies between the images of its
+    neighbours among the known labels, ``src_to_tgt``'s keys in order."""
     labels = [source.rank_label(u, v) for v in src_matched]
     new_labels = sorted({lab for lab in labels if lab not in src_to_tgt})
     gap_tiers: dict[Fraction, tuple[Fraction, Optional[Fraction], int]] = {}
     gap_counts: dict[tuple, int] = {}
     for lab in new_labels:
-        lo = Fraction(0)
-        hi: Optional[Fraction] = None
-        for known_lab in known:
-            if known_lab < lab:
-                lo = max(lo, src_to_tgt[known_lab])
-            elif hi is None or src_to_tgt[known_lab] < hi:
-                hi = src_to_tgt[known_lab]
+        i = bisect_left(known, lab)
+        lo = src_to_tgt[known[i - 1]] if i else Fraction(0)
+        hi = src_to_tgt[known[i]] if i < len(known) else None
         tier = gap_counts.get((lo, hi), 0)
         gap_counts[(lo, hi)] = tier + 1
         gap_tiers[lab] = (lo, hi, tier)
@@ -392,10 +382,10 @@ def back_and_forth(
     cursor point is already materialized goes first on its turn; a side
     whose uncovered points only exist by demand waits for the other side's
     witnesses to cover them and is force-grown only when both sides would
-    otherwise stall.  The label bijection is kept as one dict per direction
-    and extended by the new pairs after each witness.  The finished
-    correspondence is re-verified as an embedding in both directions before
-    returning.
+    otherwise stall.  The label bijection is kept as one dict per direction,
+    beside each side's known labels in order, and extended by the new pairs
+    after each witness.  The finished correspondence is re-verified before
+    returning: the two sides' matched points must induce the same table.
     """
     if depth < 1:
         raise ValidationError("limit/depth", "depth must be at least 1")
@@ -404,6 +394,7 @@ def back_and_forth(
     covered: tuple[set[int], set[int]] = (set(), set())
     cursor = [0, 0]
     maps: tuple[dict[Fraction, Fraction], dict[Fraction, Fraction]] = ({}, {})
+    known: tuple[list[Fraction], list[Fraction]] = ([], [])  # each dict's keys, sorted
     turn = 0
     while min(cursor) < depth:
         order = (turn % 2, 1 - turn % 2)
@@ -412,7 +403,9 @@ def back_and_forth(
         other = 1 - side
         u = cursor[side]
         models[side].limit_points(u + 1)
-        demand = _build_demand(models[side], maps[side], matched[side], matched[other], u)
+        demand = _build_demand(
+            models[side], maps[side], known[side], matched[side], matched[other], u
+        )
         z = models[other].ensure_witness(demand)
         for s, point in ((side, u), (other, z)):
             matched[s].append(point)
@@ -423,21 +416,23 @@ def back_and_forth(
         for v_left, v_right in zip(matched[0][:-1], matched[1][:-1]):
             a = first.rank_label(v_left, new_left)
             b = second.rank_label(v_right, new_right)
-            if maps[0].setdefault(a, b) != b or maps[1].setdefault(b, a) != a:
+            if a not in maps[0] and b not in maps[1]:
+                maps[0][a], maps[1][b] = b, a
+                insort(known[0], a)
+                insort(known[1], b)
+            elif maps[0].get(a) != b:  # the dicts stay inverse, so this checks both
                 raise EchelonError("limit/certificate", "correspondence lost label classes")
         turn += 1
 
     k = len(matched[0])
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     labels = [
-        tuple(model.rank_label(points[i], points[j]) for i, j in pairs)
+        tuple(model.rank_label(points[i], points[j]) for i, j in combinations(range(k), 2))
         for model, points in zip(models, matched)
     ]
-    spaces = [from_weights(k, dict(zip(pairs, side_labels))) for side_labels in labels]
-    ident = tuple(range(k))
-    if not (
-        is_embedding(spaces[0], spaces[1], ident) and is_embedding(spaces[1], spaces[0], ident)
-    ):
+    spaces = [_compress(k, side_labels)[0] for side_labels in labels]
+    # the identity embeds each compressed space into the other exactly when
+    # their tables are equal
+    if spaces[0] != spaces[1]:
         raise EchelonError("limit/certificate", "back-and-forth produced a non-isomorphism")
     return BackAndForthCertificate(
         tuple(matched[0]), tuple(matched[1]), spaces[0], spaces[1], labels[0], labels[1]

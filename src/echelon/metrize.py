@@ -7,11 +7,12 @@ rejected so no binary rounding can sneak into a comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from .errors import MetricError, MorphismError
-from .space import EchelonedSpace, _trusted
+from .space import EchelonedSpace, _compress
 
 Metric = tuple[tuple[Fraction, ...], ...]
 
@@ -79,12 +80,7 @@ def validate_metric(d: Sequence[Sequence[object]]) -> Metric:
 def from_metric(d: Sequence[Sequence[object]]) -> EchelonedSpace:
     """Echelon a metric: pairs ordered by distance, ties merged."""
     s = _checked(d)[1]
-    # the diagonal's 0 is the least level, so it takes rank 0; every other
-    # level is some off-diagonal distance, so the ranks are dense
-    levels = sorted({v for row in s for v in row})
-    rank_of = {v: r for r, v in enumerate(levels)}
-    table = tuple(tuple(rank_of[v] for v in row) for row in s)
-    return _trusted(len(s), len(levels) - 1, table)
+    return _compress(len(s), [s[i][j] for i, j in combinations(range(len(s)), 2)])[0]
 
 
 def metrize_dull(space: EchelonedSpace) -> Metric:

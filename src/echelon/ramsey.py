@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded, ValidationError
 from .prng import SplitMix64Stream
-from .space import EchelonedSpace, PointMap, enumerate_spaces, from_weights
+from .space import EchelonedSpace, PointMap, _compress, enumerate_spaces
 
 ARROW_BUDGET = 1 << 20
 
@@ -140,10 +140,10 @@ def arrow_check(
 
 
 def _random_ordered_space(m: int, stream: SplitMix64Stream) -> OrderedEchelonedSpace:
-    pairs = list(itertools.combinations(range(m), 2))
-    levels = stream.randrange(len(pairs)) + 1
-    weights = {p: stream.randrange(levels) for p in pairs}
-    return OrderedEchelonedSpace(from_weights(m, weights), tuple(range(m)))
+    pairs = m * (m - 1) // 2
+    levels = stream.randrange(pairs) + 1
+    values = [stream.randrange(levels) for _ in range(pairs)]
+    return OrderedEchelonedSpace(_compress(m, values)[0], tuple(range(m)))
 
 
 def witness_search(

@@ -4,6 +4,7 @@ main() is driven in-process; stdout/stderr go through capsys and stdin is
 monkeypatched for the "-" path."""
 
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -313,6 +314,27 @@ def test_ramsey_caps(invoke, monkeypatch, tmp_path, argv, code):
     exit_code, out, err = invoke(["ramsey", *argv, *spaces])
     assert exit_code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("m", [RAMSEY_SIZE_CAP, RAMSEY_SIZE_CAP + 1])
+def test_ramsey_check_caps_the_size_of_c(invoke, monkeypatch, tmp_path, m):
+    calls = []
+
+    def fake_arrow(*args):
+        calls.append(args)
+        return True, (), ()
+
+    monkeypatch.setattr(cli, "_arrow", fake_arrow)
+    flat = from_weights(m, {p: 1 for p in itertools.combinations(range(m), 2)})
+    c = write_doc(tmp_path, "c.json", space_to_json(flat, order=tuple(range(m))))
+    a = write_doc(tmp_path, "a.json", point_doc())
+    b = write_doc(tmp_path, "b.json", space_to_json(EDGE, order=(0, 1)))
+    exit_code, out, err = invoke(["ramsey", "check", "--c", c, "--a", a, "--b", b, "--k", "1"])
+    if m <= RAMSEY_SIZE_CAP:
+        assert exit_code == 0 and len(calls) == 1
+    else:
+        assert exit_code == 2 and out == "" and calls == []
+        assert json.loads(err)["error"]["code"] == "ramsey/size-cap"
 
 
 def test_ramsey_search_emits_the_witness(invoke, tmp_path):

@@ -240,6 +240,10 @@ def test_coloured_graph_immutable_and_validated():
     g = ColouredGraph(3, [1, 2, 1])
     with pytest.raises(AttributeError):
         g.v = 5
+    assert g == ColouredGraph(3, (1, 2, 1)) and g != ColouredGraph(3, (1, 1, 1))
+    assert hash(g) == hash((3, (1, 2, 1)))
+    assert repr(g) == "ColouredGraph(v=3)"
+    assert g.chi == (1, 2, 1) and g.colours == (1, 2)
     with pytest.raises(ValidationError):
         ColouredGraph(3, [1, 2])
     with pytest.raises(ValidationError):

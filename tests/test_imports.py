@@ -1,0 +1,41 @@
+"""Every name a package module imports is used in it.
+
+No linter is part of the test dependencies, so unused imports are found
+with the standard library's ast: a name an import binds must be read
+somewhere in the module, or be listed in its ``__all__``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "echelon"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import os\nfrom typing import Optional, Sequence\n\nx: Optional[int] = os.sep\n"
+    assert unused_imports(source) == ["Sequence (line 2)"]
+    assert unused_imports("from .space import f\n__all__ = ['f']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

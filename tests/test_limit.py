@@ -18,6 +18,7 @@ from echelon import (
     OpenInterval,
     RandomLimitModel,
     back_and_forth,
+    from_weights,
     is_dull,
     limit_new,
     metrize_dull,
@@ -153,6 +154,8 @@ def test_prefix_is_a_valid_space_and_dull_after_metrization():
         sp = model.sample_prefix(9)
         assert sp.m == 9
         assert is_dull(metrize_dull(sp))
+        labels = {(u, v): model.rank_label(u, v) for u in range(9) for v in range(u + 1, 9)}
+        assert sp == from_weights(9, labels)
 
 
 def test_deterministic_witness_exact_and_fresh():
@@ -413,6 +416,24 @@ def test_back_and_forth_matches_the_reference(first, second):
             got = _certificate_or_code(back_and_forth, (first, second), seed, depth)
             want = _certificate_or_code(reference_back_and_forth, (first, second), seed, depth)
             assert got == want, (seed, depth)
+
+
+@pytest.mark.parametrize("first", ["random", "deterministic"])
+@pytest.mark.parametrize("second", ["random", "deterministic"])
+def test_deep_back_and_forth_matches_the_reference(first, second):
+    """The bisection gap search makes the same demands as the reference's
+    scan over every known label, deep into the correspondence."""
+    for depth in (20, 40):
+        got = _certificate_or_code(back_and_forth, (first, second), 0, depth)
+        want = _certificate_or_code(reference_back_and_forth, (first, second), 0, depth)
+        assert got == want, depth
+
+
+def test_deterministic_back_and_forth_at_depth_80():
+    with deadline(2.0):
+        cert = back_and_forth(DeterministicLimitModel(0), DeterministicLimitModel(100), 80)
+    assert set(range(80)) <= set(cert.left) and set(range(80)) <= set(cert.right)
+    assert cert.left_space == cert.right_space
 
 
 class _DemandIgnoringModel(LimitModel):

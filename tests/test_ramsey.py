@@ -312,3 +312,16 @@ def test_witness_search_matches_the_reference_kernels(monkeypatch):
     monkeypatch.setattr(ramsey, "enumerate_spaces", reference_enumerate_spaces)
     assert got == answers()
     assert any(w is None for w in got) and any(w is not None for w in got)
+
+
+def test_random_ordered_space_keeps_the_draw_order():
+    """Each sample is the space of pair-keyed weights drawn as before: one
+    draw for the level count, then one per pair in lexicographic order."""
+    for m in range(2, 9):
+        got, want = SplitMix64Stream(m), SplitMix64Stream(m)
+        pairs = list(itertools.combinations(range(m), 2))
+        for _ in range(20):
+            levels = want.randrange(len(pairs)) + 1
+            weights = {p: want.randrange(levels) for p in pairs}
+            sample = ramsey._random_ordered_space(m, got)
+            assert sample == OrderedEchelonedSpace(from_weights(m, weights), tuple(range(m)))

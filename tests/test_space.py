@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echelon import (
+    DeterministicLimitModel,
     EchelonedSpace,
+    RandomLimitModel,
+    amalgamate,
     are_isomorphic,
+    back_and_forth,
     canonical_form,
     embedding_rank_map,
     enumerate_embeddings,
@@ -29,7 +33,13 @@ from echelon import (
 )
 from echelon.errors import CapExceeded, ValidationError
 from echelon.prng import SplitMix64Stream
-from helpers import random_space, reference_canon_search, reference_enumerate_spaces
+from echelon.ramsey import _random_ordered_space
+from helpers import (
+    random_amalgam_triple,
+    random_space,
+    reference_canon_search,
+    reference_enumerate_spaces,
+)
 
 # --- independent oracles ---
 
@@ -135,13 +145,27 @@ def test_enumerate_spaces_matches_the_filtered_products():
 
 
 def test_unchecked_builders_make_valid_spaces():
-    """enumerate_spaces, from_weights, from_metric and canonical_form skip
-    the constructor's checks; every space they build must pass them."""
+    """Every caller of the rank-compression kernel or of the rank-string
+    reader skips the constructor's checks; every space they build must
+    pass them."""
     built = [sp for m in (1, 2, 3, 4) for sp in enumerate_spaces(m)]
     stream = SplitMix64Stream(31)
     for _ in range(200):
         sp = random_space(stream, stream.randrange(7) + 1)
-        built += [sp, from_metric(metrize_dull(sp)), canonical_form(sp).space]
+        points = [p for p in range(sp.m) if stream.randrange(2)] or [sp.m - 1]
+        built += [
+            sp,
+            from_metric(metrize_dull(sp)),
+            canonical_form(sp).space,
+            induced_subspace(sp, points).space,
+            amalgamate(*random_amalgam_triple(stream)).space,
+            _random_ordered_space(stream.randrange(7) + 2, stream).space,
+        ]
+    for seed in range(3):
+        for model in (RandomLimitModel(seed), DeterministicLimitModel(seed)):
+            built += [model.sample_prefix(n) for n in (1, 2, 7, 20)]
+        cert = back_and_forth(RandomLimitModel(seed), DeterministicLimitModel(seed), 8)
+        built += [cert.left_space, cert.right_space]
     for sp in built:
         assert EchelonedSpace(sp.m, sp.n, sp.table) == sp
 
@@ -355,6 +379,17 @@ def test_induced_subspace_compresses_and_witnesses():
     assert sub.rank_map[0] == 0
     assert all(a < b for a, b in zip(sub.rank_map, sub.rank_map[1:]))
     assert is_embedding(sub.space, sp, sub.points)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_induced_subspace_rank_map_is_the_embedding_witness(seed, m):
+    stream = SplitMix64Stream(seed)
+    sp = random_space(stream, m)
+    points = [p for p in range(m) if stream.randrange(2)] or [0]
+    sub = induced_subspace(sp, points)
+    assert sub.points == tuple(points)
+    assert sub.rank_map == embedding_rank_map(sub.space, sp, sub.points)
 
 
 def test_rank_classes_partition_pairs():
