@@ -16,13 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import jsonio
+from . import jsonio, prng
 from .amalgam import AmalgamResult, amalgamate, jep
 from .colgraph import GeometricColouring, random_coloured_graph
 from .errors import CapExceeded, EchelonError, ValidationError
 from .jsonio import FORMAT, fraction_to_str
 from .katetov import katetov_map, katetov_space, one_point_extensions, realize_extension
-from .limit import back_and_forth, limit_new
+from .limit import RandomLimitModel, back_and_forth, limit_new
 from .metrize import metrize_dull
 from .ramsey import ARROW_BUDGET, _arrow, witness_search
 from .space import are_isomorphic, enumerate_spaces, from_weights
@@ -34,6 +34,9 @@ LIMIT_POINTS_CAP = 1024
 LIMIT_DEPTH_CAP = 40
 # Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
 GRAPH_VERTICES_CAP = 2048
+# Largest `katetov --materialize-cap`: the emitted K(X) table has m^2
+# entries, about a million at this cap.
+KATETOV_MATERIALIZE_CAP = 1024
 # Largest `ramsey search --cap` and `--samples`: a search at both caps
 # samples 500 spaces of each size 5..12 and ends in about 1 s.  The size
 # cap also bounds the C of `ramsey check`, whose A- and B-copies are all
@@ -125,10 +128,17 @@ def _amalgam_doc(result: AmalgamResult) -> dict:
     }
 
 
-def _label_rows(label_of, count: int) -> list[list[str]]:
-    return [
-        [fraction_to_str(label_of(i, j)) for j in range(i)] for i in range(1, count)
-    ]
+def _label_rows(model, count: int) -> list[list[str]]:
+    """Row i lists the label strings of the pairs (i, j), j < i.  A random
+    model's rows come from the colour kernel's flat layout, with one string
+    per label of its alphabet."""
+    if isinstance(model, RandomLimitModel):
+        names = [fraction_to_str(q) for q in model.alphabet]
+        colours = prng.all_edge_colours(model.p, model.seed, count).tolist()
+        flat = [names[c] for c in colours]
+    else:
+        flat = [fraction_to_str(model.rank_label(i, j)) for i in range(1, count) for j in range(i)]
+    return [flat[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(1, count)]
 
 
 # --- subcommand handlers; each returns the output document ---
@@ -167,6 +177,8 @@ def _cmd_jep(args) -> dict:
 
 
 def _cmd_katetov(args) -> dict:
+    cap = args.materialize_cap
+    _check_cap("--materialize-cap", cap, KATETOV_MATERIALIZE_CAP, "katetov/materialize-cap", " points")
     base = _read_space(args.space)
     kx = katetov_space(base)
     doc = {
@@ -179,8 +191,8 @@ def _cmd_katetov(args) -> dict:
         "chain": [_label_str(lab) for lab in kx.chain.labels],
         "lambda": list(kx.identity_embedding()),
     }
-    if kx.m <= args.materialize_cap:
-        doc["space"] = jsonio.space_to_json(kx.materialize(cap=args.materialize_cap))
+    if kx.m <= cap:
+        doc["space"] = jsonio.space_to_json(kx.materialize(cap=cap))
     if args.map is not None:
         target, phi = jsonio.map_from_json(_read_doc(args.map))
         if target is None:
@@ -211,7 +223,7 @@ def _cmd_limit_sample(args) -> dict:
     doc["mode"] = args.mode
     doc["seed"] = args.seed
     doc["p"] = fraction_to_str(args.p)
-    doc["labels"] = _label_rows(model.rank_label, args.n)
+    doc["labels"] = _label_rows(model, args.n)
     return doc
 
 
@@ -343,7 +355,7 @@ def _build_parser() -> _Parser:
         "--materialize-cap",
         type=int,
         default=512,
-        help="emit the full K(X) table only up to this many points",
+        help=f"emit the full K(X) table only up to this many points (default 512, at most {KATETOV_MATERIALIZE_CAP})",
     )
     p.set_defaults(handler=_cmd_katetov)
 

@@ -8,7 +8,15 @@ echeloned space.  Two interchangeable modes:
   order, i drawn geometrically (parameter p) from the pair's own SplitMix64
   key.  Labels are a pure function of (p, seed, pair): growth never touches
   old pairs and witnesses are found by scanning, growing the prefix in
-  blocks when needed, up to a hard cap.
+  blocks when needed, up to a hard cap.  The colour index comes from a
+  64-bit inverse CDF, so the label alphabet is finite:
+  ``len(prng.geometric_thresholds(p)) + 1`` labels, 65 at p = 1/2.  The
+  model works on colour indices: prefixes rank-compress the labels' ranks
+  within the alphabet, and a witness scan tests blocks of candidates
+  against a table of the colours each demand entry admits.  A demand that
+  no label of the alphabet meets, such as ``OpenInterval(1, 7/6)``, has
+  probability 0 and ends in the witness-cap error once the whole capped
+  range is scanned (about 0.1 s at the default cap).
 
 * deterministic: labels are constructed.  Auto-growth alternates a fresh
   point (labels above everything, so the first two points share label 1)
@@ -35,11 +43,14 @@ bounds are the images of the label's neighbours.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from . import prng
 from .colgraph import as_probability
@@ -49,6 +60,8 @@ from .space import EchelonedSpace, _compress
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
+# Most (candidate, entry) pairs a random witness scan colours at once.
+_SCAN_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,12 @@ class LimitModel:
         if n < 1:
             raise ValidationError("limit/count", "a prefix needs at least one point")
         self.limit_points(n)
-        return _compress(n, [self._label(u, v) for u, v in combinations(range(n), 2)])[0]
+        return _compress(n, self._prefix_values(n))[0]
+
+    def _prefix_values(self, n: int) -> Sequence:
+        """Values ordered as the labels of the first n points' pairs, one
+        per pair in ``combinations(range(n), 2)`` order."""
+        return [self._label(u, v) for u, v in combinations(range(n), 2)]
 
     def existing_labels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs."""
@@ -158,14 +176,6 @@ class LimitModel:
 
     def _extend(self) -> None:
         raise NotImplementedError
-
-
-def _entry_satisfied(entry: Entry, label: Fraction) -> bool:
-    if isinstance(entry, ExactLabel):
-        return label == entry.value
-    if label <= entry.lo:
-        return False
-    return entry.hi is None or label < entry.hi
 
 
 def _tier_pattern_ok(entries: Sequence[tuple[int, Entry]], label_of) -> bool:
@@ -189,6 +199,33 @@ def _tier_pattern_ok(entries: Sequence[tuple[int, Entry]], label_of) -> bool:
     return True
 
 
+class _Alphabet(NamedTuple):
+    labels: tuple[Fraction, ...]  # labels[c] = nth_rational(c); labels[0] = 0, the diagonal
+    ordered: list[Fraction]  # the same labels, ascending
+    rank: np.ndarray  # rank[c] = position of labels[c] in ordered
+
+
+@lru_cache(maxsize=None)
+def _alphabet(p: Fraction) -> _Alphabet:
+    """Every label the random model can give at colour rate p."""
+    colours = len(prng.geometric_thresholds(p)) + 1
+    labels = (Fraction(0),) + tuple(nth_rational(c) for c in range(1, colours + 1))
+    ordered = sorted(labels)
+    position = {q: r for r, q in enumerate(ordered)}
+    rank = np.array([position[q] for q in labels], dtype=np.int64)
+    rank.setflags(write=False)
+    return _Alphabet(labels, ordered, rank)
+
+
+def _rank_bounds(ordered: Sequence[Fraction], entry: Entry) -> tuple[int, int]:
+    """The half-open range of alphabet positions whose labels meet entry."""
+    if isinstance(entry, ExactLabel):
+        r = bisect_left(ordered, entry.value)
+        return (r, r + 1) if r < len(ordered) and ordered[r] == entry.value else (0, 0)
+    hi = len(ordered) if entry.hi is None else bisect_left(ordered, entry.hi)
+    return bisect_right(ordered, entry.lo), hi
+
+
 class RandomLimitModel(LimitModel):
     """Labels read off the seeded geometric colouring, Calkin-Wilf indexed."""
 
@@ -200,8 +237,19 @@ class RandomLimitModel(LimitModel):
         self.p = as_probability(p)
         self.cap = cap
 
+    @property
+    def alphabet(self) -> tuple[Fraction, ...]:
+        """The label of each colour index; index 0 is the diagonal's 0."""
+        return _alphabet(self.p).labels
+
     def _label(self, u: int, v: int) -> Fraction:
         return nth_rational(prng.edge_colour(self.p, self.seed, u, v))
+
+    def _prefix_values(self, n: int) -> list[int]:
+        """Each pair's label rank within the alphabet, from the colour kernel."""
+        u, v = np.triu_indices(n, 1)
+        colours = prng.all_edge_colours(self.p, self.seed, n)[v * (v - 1) // 2 + u]
+        return _alphabet(self.p).rank[colours].tolist()
 
     def _extend(self) -> None:
         self.size += 1
@@ -213,28 +261,47 @@ class RandomLimitModel(LimitModel):
         return prng.edge_colour(self.p, self.seed, u, v)
 
     def ensure_witness(self, demand: Demand) -> int:
-        """Scan for a point meeting the demand, growing in blocks up to the
-        hard cap; existing points qualify."""
+        """The least point outside the demand's base that meets it, among
+        the materialized points and, past them, up to the hard cap.
+
+        Candidates are coloured in blocks by the pair kernel and tested
+        against a table of the colour indices each entry admits; the tier
+        pattern is checked only on the candidates that pass.  The prefix
+        then grows in ``GROW_BLOCK`` steps until it holds the witness, or
+        to the cap before the cap error."""
         entries = _validate_demand(demand, self.size)
-        base = {point for point, _ in entries}
-        scanned = 0
-        while True:
-            while scanned < self.size:
-                z = scanned
-                scanned += 1
-                if z in base:
-                    continue
-                if all(
-                    _entry_satisfied(entry, self._label(z, point))
-                    for point, entry in entries
-                ) and _tier_pattern_ok(entries, lambda point: self._label(z, point)):
+        alphabet = _alphabet(self.p)
+        points = np.array([point for point, _ in entries], dtype=np.int64)
+        bounds = np.array(
+            [_rank_bounds(alphabet.ordered, entry) for _, entry in entries], dtype=np.int64
+        ).reshape(-1, 2)
+        admits = (alphabet.rank >= bounds[:, :1]) & (alphabet.rank < bounds[:, 1:])
+        rows = np.arange(len(entries))
+        widest = max(GROW_BLOCK, _SCAN_PAIRS // max(len(entries), 1))
+        width = min(max(self.size, GROW_BLOCK), widest)
+        start, end = 0, max(self.size, self.cap)
+        while start < end:
+            stop = min(start + width, end)
+            candidates = np.arange(start, stop, dtype=np.int64)
+            colours = prng.pair_colours(self.p, self.seed, candidates[:, None], points)
+            ok = admits[rows, colours].all(axis=1)
+            inside = points[(points >= start) & (points < stop)]
+            ok[inside - start] = False
+            for i in np.flatnonzero(ok).tolist():
+                labels = [alphabet.labels[c] for c in colours[i].tolist()]
+                if _tier_pattern_ok(entries, dict(zip(points.tolist(), labels)).__getitem__):
+                    z = start + i
+                    if z >= self.size:
+                        blocks = -(-(z + 1 - self.size) // GROW_BLOCK)
+                        self.size = min(self.size + blocks * GROW_BLOCK, self.cap)
                     return z
-            if self.size >= self.cap:
-                raise CapExceeded(
-                    "limit/witness-cap",
-                    f"no witness among the first {self.size} points (cap {self.cap})",
-                )
-            self.size = min(self.size + GROW_BLOCK, self.cap)
+            start = stop
+            width = min(2 * width, widest)
+        self.size = end
+        raise CapExceeded(
+            "limit/witness-cap",
+            f"no witness among the first {self.size} points (cap {self.cap})",
+        )
 
 
 class DeterministicLimitModel(LimitModel):

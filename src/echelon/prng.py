@@ -2,8 +2,15 @@
 
 The generator is SplitMix64 ("splitmix64/edge-v1" for the per-edge keying
 scheme below).  Everything is defined on plain Python integers first; the
-numpy helpers replay the identical arithmetic on uint64 arrays and are
+numpy kernel replays the identical arithmetic on uint64 arrays and is
 pinned to the scalar path by tests.
+
+The kernel takes arrays of pairs.  The first two finalizer rounds of
+``edge_bits`` absorb only the seed and the lesser endpoint, so together
+they are a per-point key.  The kernel computes that key once per point and
+gathers it (``all_edge_colours``) or broadcasts it (``pair_colours``) to
+the pairs; only the last round and the inverse-CDF search run once per
+pair.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
@@ -88,12 +95,53 @@ def edge_colour(p: Fraction, seed: int, u: int, v: int) -> int:
 _G = np.uint64(GOLDEN)
 _M1 = np.uint64(MIX1)
 _M2 = np.uint64(MIX2)
+_ONE = np.uint64(1)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on a uint64 array, in place."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+@lru_cache(maxsize=None)
+def _threshold_array(p: Fraction) -> np.ndarray:
+    out = np.array(geometric_thresholds(p), dtype=np.uint64)
+    out.setflags(write=False)
+    return out
+
+
+def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
+    """The first two finalizer rounds of :func:`edge_bits` for each point
+    as the lesser endpoint; they read nothing else."""
+    z0 = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
+    with np.errstate(over="ignore"):
+        return _mix64_vec(z0 ^ ((points.astype(np.uint64) + _ONE) * _G))
+
+
+def _colours(p: Fraction, keys: np.ndarray, greater: np.ndarray) -> np.ndarray:
+    """Absorb the greater endpoint into the lesser one's key, then invert
+    the CDF: the colour of each pair."""
+    with np.errstate(over="ignore"):
+        bits = _mix64_vec(keys ^ ((greater.astype(np.uint64) + _ONE) * _M1))
+    return np.searchsorted(_threshold_array(p), bits, side="right") + 1
+
+
+def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
+    """Colours of the pairs {u, v} over broadcast integer arrays of
+    distinct points, in either order.  Matches :func:`edge_colour` entry by
+    entry.  Point keys are computed on u and on v before they broadcast, so
+    a block of candidates against a few fixed points costs one key per
+    candidate and per fixed point."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keys = np.where(u < v, _point_keys(seed, u), _point_keys(seed, v))
+    return _colours(p, keys, np.maximum(u, v))
 
 
 def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
@@ -102,22 +150,10 @@ def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
     Flat layout: pair (i, j) at index j*(j-1)//2 + i.  Matches the scalar
     :func:`edge_colour` entry by entry.
     """
-    total = n * (n - 1) // 2
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.arange(n, dtype=np.int64)
-    offsets = offsets * (offsets - 1) // 2
-    idx = np.arange(total, dtype=np.int64)
-    j = np.searchsorted(offsets, idx, side="right") - 1
-    i = idx - offsets[j]
-    a = i.astype(np.uint64)
-    b = j.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z0 = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
-        z = _mix64_vec(z0 ^ ((a + np.uint64(1)) * _G))
-        z = _mix64_vec(z ^ ((b + np.uint64(1)) * _M1))
-    thresholds = np.array(geometric_thresholds(p), dtype=np.uint64)
-    return (np.searchsorted(thresholds, z, side="right") + 1).astype(np.int64)
+    points = np.arange(n, dtype=np.int64)
+    j = np.repeat(points, points)  # row j holds the j pairs below it
+    i = np.arange(j.size, dtype=np.int64) - np.repeat(points * (points - 1) // 2, points)
+    return _colours(p, _point_keys(seed, points)[i], j)
 
 
 class SplitMix64Stream:

@@ -9,17 +9,23 @@ from collections import deque
 from fractions import Fraction
 
 from echelon import EchelonedSpace, embedding_rank_map, from_rank_table, from_weights, is_embedding
-from echelon.errors import EchelonError, MetricError, MorphismError, ValidationError
+from echelon import prng
+from echelon.colgraph import as_probability
+from echelon.errors import CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
 from echelon.limit import (
+    GROW_BLOCK,
+    WITNESS_CAP,
     BackAndForthCertificate,
     Demand,
     ExactLabel,
     LimitModel,
     OpenInterval,
+    _tier_pattern_ok,
     _validate_demand,
 )
 from echelon.prng import SplitMix64Stream
-from echelon.rationals import rational_between
+from echelon.rationals import nth_rational, rational_between
+from echelon.space import _compress
 
 
 @contextlib.contextmanager
@@ -211,6 +217,62 @@ class ReferenceDeterministicLimitModel(LimitModel):
                 self._labels[(v, z)] = next_fresh
                 next_fresh += 1
         return z
+
+
+def _entry_satisfied(entry, label):
+    if isinstance(entry, ExactLabel):
+        return label == entry.value
+    if label <= entry.lo:
+        return False
+    return entry.hi is None or label < entry.hi
+
+
+class ReferenceRandomLimitModel(LimitModel):
+    """The random model on scalar colours: one edge_colour and one
+    nth_rational per pair, prefixes compressed from the exact labels and a
+    witness scan that tests one candidate at a time while the prefix grows
+    in GROW_BLOCK steps.  Kept as the reference that RandomLimitModel's
+    colour-index kernel must reproduce exactly."""
+
+    mode = "random"
+
+    def __init__(self, seed, p=Fraction(1, 2), cap=WITNESS_CAP):
+        super().__init__()
+        self.seed = seed
+        self.p = as_probability(p)
+        self.cap = cap
+
+    def _label(self, u, v):
+        return nth_rational(prng.edge_colour(self.p, self.seed, u, v))
+
+    def _extend(self):
+        self.size += 1
+
+    def sample_prefix(self, n):
+        self.limit_points(n)
+        return _compress(n, [self._label(u, v) for u, v in itertools.combinations(range(n), 2)])[0]
+
+    def ensure_witness(self, demand):
+        entries = _validate_demand(demand, self.size)
+        base = {point for point, _ in entries}
+        scanned = 0
+        while True:
+            while scanned < self.size:
+                z = scanned
+                scanned += 1
+                if z in base:
+                    continue
+                if all(
+                    _entry_satisfied(entry, self._label(z, point))
+                    for point, entry in entries
+                ) and _tier_pattern_ok(entries, lambda point: self._label(z, point)):
+                    return z
+            if self.size >= self.cap:
+                raise CapExceeded(
+                    "limit/witness-cap",
+                    f"no witness among the first {self.size} points (cap {self.cap})",
+                )
+            self.size = min(self.size + GROW_BLOCK, self.cap)
 
 
 def _first_unmatched(limit, matched):

@@ -3,6 +3,7 @@
 main() is driven in-process; stdout/stderr go through capsys and stdin is
 monkeypatched for the "-" path."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -23,6 +24,7 @@ from echelon import cli
 from echelon import metrize, ramsey
 from echelon.cli import (
     GRAPH_VERTICES_CAP,
+    KATETOV_MATERIALIZE_CAP,
     LIMIT_DEPTH_CAP,
     LIMIT_POINTS_CAP,
     RAMSEY_SAMPLES_CAP,
@@ -30,6 +32,9 @@ from echelon.cli import (
     main,
 )
 from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
+from echelon.limit import WITNESS_CAP
+
+from helpers import deadline
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 EDGE = from_weights(2, {(0, 1): 1})
@@ -166,6 +171,26 @@ def test_katetov_materializes_small_functors(invoke, tmp_path):
     assert "space" not in json.loads(out)
 
 
+@pytest.mark.parametrize("cap", [KATETOV_MATERIALIZE_CAP + 1, 5000, 10**18])
+def test_katetov_materialize_cap(invoke, monkeypatch, tmp_path, cap):
+    base = write_doc(tmp_path, "base.json", space_to_json(FLAT3))
+
+    def no_space(*args):
+        raise AssertionError("K(X) was built past the cap")
+
+    monkeypatch.setattr(cli, "katetov_space", no_space)
+    code, out, err = invoke(["katetov", "--space", base, "--materialize-cap", str(cap)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "katetov/materialize-cap"
+
+
+def test_katetov_materializes_up_to_the_cap(invoke, tmp_path):
+    base = write_doc(tmp_path, "base.json", space_to_json(EDGE))
+    code, out, _ = invoke(["katetov", "--space", base, "--materialize-cap", str(KATETOV_MATERIALIZE_CAP)])
+    assert code == 0
+    assert json.loads(out)["space"]["points"] == 38
+
+
 def test_katetov_map_and_extension(invoke, tmp_path):
     base = write_doc(tmp_path, "base.json", space_to_json(EDGE))
     map_doc = {
@@ -236,6 +261,28 @@ def test_limit_bnf_depth_cap(invoke, monkeypatch, modes, depth):
     code, out, err = invoke(argv + ["--mode1", modes[0], "--mode2", modes[1]])
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "limit/depth-cap"
+
+
+def test_limit_sample_random_bytes_at_the_points_cap(invoke):
+    """The label rows of a random model come from the colour kernel; the
+    bytes are those of the scalar per-pair labels."""
+    code, out, _ = invoke(["limit", "sample", "--mode", "random", "--seed", "3", "--n", str(LIMIT_POINTS_CAP)])
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 11_896_457
+    assert hashlib.sha256(data).hexdigest().startswith("e8af458c50d9")
+
+
+def test_limit_bnf_random_sides_reach_the_witness_cap_quickly(invoke):
+    """Seed 0 against seed 100 demands a label interval that the random
+    model's finite alphabet does not meet: the scan reaches the cap."""
+    argv = ["limit", "bnf", "--mode1", "random", "--mode2", "random", "--seed1", "0", "--seed2", "100"]
+    with deadline(2.0):
+        code, out, err = invoke(argv + ["--depth", "8"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "limit/witness-cap"
+    assert error["message"] == f"no witness among the first {WITNESS_CAP} points (cap {WITNESS_CAP})"
 
 
 def test_limit_bnf_certificate(invoke):

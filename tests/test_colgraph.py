@@ -66,15 +66,34 @@ def test_geometric_colour_inverts_thresholds():
 
 
 def test_vectorized_replay_equals_scalar():
-    for seed in (0, 1, 12345):
+    for seed in (0, 1, 12345, 2**64 - 1):
         for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)):
-            n = 40
-            bulk = prng.all_edge_colours(p, seed, n)
-            flat = []
-            for j in range(n):
-                for i in range(j):
-                    flat.append(prng.edge_colour(p, seed, i, j))
-            assert bulk.tolist() == flat
+            for n in (0, 1, 2, 40, 70):
+                bulk = prng.all_edge_colours(p, seed, n)
+                flat = []
+                for j in range(n):
+                    for i in range(j):
+                        flat.append(prng.edge_colour(p, seed, i, j))
+                assert bulk.tolist() == flat
+
+
+def test_pair_kernel_equals_scalar():
+    """Pairs in either order, and a block of candidates broadcast against
+    fixed points, entry by entry against the scalar colour."""
+    stream = prng.SplitMix64Stream(5)
+    u = [stream.randrange(70) for _ in range(300)]
+    v = [(a + 1 + stream.randrange(69)) % 70 for a in u]
+    for seed in (0, 1, 2**64 - 1):
+        for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)):
+            got = prng.pair_colours(p, seed, u, v)
+            assert got.tolist() == [prng.edge_colour(p, seed, a, b) for a, b in zip(u, v)]
+            fixed = [3, 0, 69, 41]
+            block = prng.pair_colours(p, seed, [[z] for z in range(70)], fixed)
+            assert block.shape == (70, 4)
+            for z in range(70):
+                for k, w in enumerate(fixed):
+                    if z != w:
+                        assert block[z, k] == prng.edge_colour(p, seed, z, w)
 
 
 def test_graph_determinism_and_structure():

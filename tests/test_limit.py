@@ -29,10 +29,11 @@ from echelon import (
 )
 from echelon import prng
 from echelon.errors import CapExceeded, DemandError, EchelonError, ValidationError
-from echelon.limit import LimitModel
+from echelon.limit import GROW_BLOCK, WITNESS_CAP, LimitModel
 from echelon.prng import SplitMix64Stream
 from helpers import (
     ReferenceDeterministicLimitModel,
+    ReferenceRandomLimitModel,
     deadline,
     reference_back_and_forth,
     reference_simplest_between,
@@ -211,20 +212,19 @@ def test_deterministic_growth_matches_the_reference():
         ]
 
 
-def _random_demand(stream, model):
-    """Up to four entries: exact labels (existing, new, or the simplest
-    rational of a bound pair), bounded intervals with tiers 0-2 over two
-    shared bound pairs, and intervals unbounded above."""
-    labels = model.existing_labels()
+def _random_demand(stream, labels, size):
+    """Up to four entries on points below size: exact labels (from labels,
+    new, or the simplest rational of a bound pair), bounded intervals with
+    tiers 0-2 over two shared bound pairs, and intervals unbounded above."""
     bounds = [Fraction(0)] + labels
     pairs = []
     for _ in range(2):
         i = stream.randrange(len(bounds))
         j = i + 1 + stream.randrange(min(3, len(bounds) - i))
         pairs.append((bounds[i], bounds[j] if j < len(bounds) else None))
-    points = list(range(model.size))
+    points = list(range(size))
     entries = []
-    for _ in range(min(stream.randrange(4) + 1, model.size)):
+    for _ in range(min(stream.randrange(4) + 1, size)):
         point = points.pop(stream.randrange(len(points)))
         kind = stream.randrange(4)
         if kind == 0:
@@ -257,7 +257,7 @@ def test_deterministic_demands_match_the_reference():
                 det.limit_points(n)
                 ref.limit_points(n)
             else:
-                demand = _random_demand(stream, det)
+                demand = _random_demand(stream, det.existing_labels(), det.size)
                 assert det.ensure_witness(demand) == ref.ensure_witness(demand)
             assert det.existing_labels() == ref.existing_labels()
         assert det.size == ref.size
@@ -335,6 +335,91 @@ def test_random_witness_cap():
     rare = nth_rational(64)  # colour index 64: probability 2^-64 per edge
     with pytest.raises(CapExceeded):
         model.ensure_witness(Demand(((0, ExactLabel(rare)),)))
+
+
+RATES = (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10))
+
+
+def test_random_alphabet_is_finite():
+    for p in RATES:
+        alphabet = RandomLimitModel(0, p).alphabet
+        assert len(alphabet) == len(prng.geometric_thresholds(p)) + 2
+        assert alphabet == (Fraction(0),) + tuple(nth_rational(c) for c in range(1, len(alphabet)))
+    assert len(RandomLimitModel(0).alphabet) - 1 == 65
+
+
+def test_random_prefixes_match_the_reference():
+    """The colour kernel and the alphabet ranks echelon the same prefix as
+    the scalar labels do."""
+    for seed in range(20):
+        for p in RATES:
+            for n in (1, 2, 5, 33, 100):
+                got = RandomLimitModel(seed, p).sample_prefix(n)
+                assert got == ReferenceRandomLimitModel(seed, p).sample_prefix(n), (seed, p, n)
+
+
+def _witness_outcome(model, demand):
+    try:
+        z = model.ensure_witness(demand)
+    except EchelonError as exc:
+        return exc.code, exc.message, model.size
+    return z, model.size
+
+
+def test_random_demands_match_the_reference():
+    """Witness ids, the prefix size after every call and the cap errors,
+    code and message, on exact, interval and tiered demands (intervals
+    unbounded above included) under caps low enough that the prefix can
+    already be past them."""
+    for seed in range(60):
+        stream = SplitMix64Stream(seed)
+        p = RATES[stream.randrange(len(RATES))]
+        cap = (12, 300, 3000, 3000)[stream.randrange(4)]
+        new, ref = RandomLimitModel(seed, p, cap=cap), ReferenceRandomLimitModel(seed, p, cap=cap)
+        n = stream.randrange(12) + 1
+        new.limit_points(n)
+        ref.limit_points(n)
+        # bounds and exact labels come from the first 12 points' labels
+        labels = sorted({nth_rational(prng.edge_colour(p, seed, u, v)) for v in range(12) for u in range(v)})
+        for _ in range(6):
+            if stream.randrange(4) == 0:
+                n = new.size + stream.randrange(GROW_BLOCK) + 1
+                new.limit_points(n)
+                ref.limit_points(n)
+            else:
+                demand = _random_demand(stream, labels, ref.size)
+                assert _witness_outcome(new, demand) == _witness_outcome(ref, demand), (seed, demand)
+
+
+def test_random_exact_demands_past_the_prefix_match_the_reference():
+    """Six exact labels that a candidate meets with probability 2^-7: the
+    scan runs past the six-point prefix, which grows to hold the witness."""
+    labels = (Fraction(1),) * 5 + (Fraction(1, 2),)
+    for seed in range(10):
+        demand = Demand(tuple((i, ExactLabel(lab)) for i, lab in enumerate(labels[seed % 6 :] + labels[: seed % 6])))
+        new, ref = RandomLimitModel(seed), ReferenceRandomLimitModel(seed)
+        new.limit_points(6)
+        ref.limit_points(6)
+        assert _witness_outcome(new, demand) == _witness_outcome(ref, demand)
+        assert new.size > 6
+
+
+def test_random_empty_demand_from_an_empty_prefix():
+    new, ref = RandomLimitModel(4), ReferenceRandomLimitModel(4)
+    assert _witness_outcome(new, Demand(())) == _witness_outcome(ref, Demand(())) == (0, GROW_BLOCK)
+
+
+def test_zero_probability_demand_reaches_the_cap_quickly():
+    """No label of the finite alphabet lies in (1, 7/6), so every candidate
+    up to the cap is scanned before the cap error."""
+    model = RandomLimitModel(0)
+    model.limit_points(1)
+    with deadline(2.0):
+        with pytest.raises(CapExceeded) as info:
+            model.ensure_witness(Demand(((0, OpenInterval(Fraction(1), Fraction(7, 6))),)))
+    assert info.value.code == "limit/witness-cap"
+    assert info.value.message == f"no witness among the first {WITNESS_CAP} points (cap {WITNESS_CAP})"
+    assert model.size == WITNESS_CAP
 
 
 def test_mode_dispatch():
