@@ -44,6 +44,11 @@ KATETOV_MATERIALIZE_CAP = 1024
 # subcommands is capped at ramsey.ARROW_BUDGET.
 RAMSEY_SIZE_CAP = 12
 RAMSEY_SAMPLES_CAP = 500
+# Smallest `--p` wherever it is read: a colour rate p has about 44/p exact
+# CDF thresholds (prng.geometric_thresholds), built in about 0.5 s at this
+# floor and about 4x longer per halving of p.
+P_FLOOR = Fraction(1, 256)
+P_HELP = f"colour rate of a random model or graph (default 1/2, at least {fraction_to_str(P_FLOOR)})"
 
 
 class _UsageError(Exception):
@@ -108,8 +113,12 @@ def _check_cap(flag: str, value: int, cap: int, code: str, unit: str = "") -> No
         raise CapExceeded(code, f"{flag} {value} exceeds the cap of {cap}{unit}")
 
 
-def _label_str(label: tuple) -> str:
-    return ":".join(str(part) for part in label)
+def _check_p(p: Fraction) -> None:
+    """Refuse a colour rate below ``P_FLOOR``; one outside (0, 1) is left to
+    ``as_probability``."""
+    if 0 < p < P_FLOOR:
+        floor = fraction_to_str(P_FLOOR)
+        raise CapExceeded("prob/cap", f"--p {fraction_to_str(p)} is below the floor of {floor}")
 
 
 def _amalgam_doc(result: AmalgamResult) -> dict:
@@ -188,7 +197,7 @@ def _cmd_katetov(args) -> dict:
         "points": kx.m,
         "ranks": kx.n,
         "width": kx.width,
-        "chain": [_label_str(lab) for lab in kx.chain.labels],
+        "chain": jsonio.chain_to_json(kx.chain),
         "lambda": list(kx.identity_embedding()),
     }
     if kx.m <= cap:
@@ -217,6 +226,8 @@ def _cmd_extend(args) -> dict:
 
 def _cmd_limit_sample(args) -> dict:
     _check_cap("--n", args.n, LIMIT_POINTS_CAP, "limit/points-cap", " points")
+    if args.mode == "random":
+        _check_p(args.p)
     model = limit_new(args.mode, args.seed, args.p)
     space = model.sample_prefix(args.n)
     doc = jsonio.space_to_json(space)
@@ -229,6 +240,8 @@ def _cmd_limit_sample(args) -> dict:
 
 def _cmd_limit_bnf(args) -> dict:
     _check_cap("--depth", args.depth, LIMIT_DEPTH_CAP, "limit/depth-cap")
+    if "random" in (args.mode1, args.mode2):
+        _check_p(args.p)
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)
@@ -299,6 +312,7 @@ def _cmd_iso(args) -> dict:
 
 def _cmd_graph(args) -> dict:
     _check_cap("--n", args.n, GRAPH_VERTICES_CAP, "graph/vertices-cap", " vertices")
+    _check_p(args.p)
     colouring = GeometricColouring(args.p, args.seed)
     return jsonio.graph_to_json(random_coloured_graph(args.n, colouring))
 
@@ -370,7 +384,7 @@ def _build_parser() -> _Parser:
     q = limit_sub.add_parser("sample", parents=[common, seeded], help="echelon the first n points")
     q.add_argument("--mode", choices=("random", "deterministic"), required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help="colour rate (default 1/2)")
+    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
     q.set_defaults(handler=_cmd_limit_sample)
 
     q = limit_sub.add_parser("bnf", parents=[common], help="back-and-forth certificate")
@@ -379,7 +393,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--depth", type=int, required=True)
     q.add_argument("--mode1", choices=("random", "deterministic"), default="random")
     q.add_argument("--mode2", choices=("random", "deterministic"), default="deterministic")
-    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2))
+    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
     q.set_defaults(handler=_cmd_limit_bnf)
 
     p = sub.add_parser("ramsey", parents=[], help="partition arrow checks")
@@ -415,7 +429,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("graph", parents=[common, seeded], help="seeded geometric edge colouring")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2))
+    p.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
     p.set_defaults(handler=_cmd_graph)
 
     return parser

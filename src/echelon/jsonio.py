@@ -10,7 +10,9 @@ and the pass-through ``amalgam``, ``katetov``, ``bnf`` and ``report``,
 which keep every key and normalize the documents embedded under
 ``space``, ``base``, ``left_space`` and ``right_space`` (not in a report).
 ``load_document`` is the one dispatcher on ``kind``, and ``validate`` is
-load-then-dump through the same table.  Every document, embedded ones
+load-then-dump through the same table.  A ``katetov`` document must embed
+its base, and every claim it makes about K(base) is re-derived from it; a
+false one is refused with ``katetov/claim``.  Every document, embedded ones
 included, passes one header check first: it must be a JSON object, and a
 format tag other than ``echelon/1`` is rejected for every kind (a missing
 one is accepted).  Loaders ignore unknown keys.  ``map`` documents have a
@@ -25,6 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
 from .errors import ValidationError
+from .katetov import KatetovChain, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .space import EchelonedSpace, PointMap, from_rank_table
@@ -167,9 +170,46 @@ def space_list_to_json(members: list[dict]) -> dict:
     return _document("space-list", spaces=members)
 
 
+def chain_to_json(chain: KatetovChain) -> list[str]:
+    """The chain's labels as strings, their parts joined by colons."""
+    return [":".join(str(part) for part in label) for label in chain.labels]
+
+
 def _composite(doc: dict) -> dict:
     embedded = ("space", "base", "left_space", "right_space")
     return {k: validate(v) if k in embedded and v is not None else v for k, v in doc.items()}
+
+
+def _claim(doc: dict, key: str, expected: Any, where: str = "") -> None:
+    """Refuse a present ``doc[key]`` that is not the JSON value ``expected``;
+    comparing the renderings keeps true apart from 1 and 1.0 apart from 1."""
+    if key in doc and json.dumps(doc[key]) != json.dumps(expected):
+        raise ValidationError("katetov/claim", f"{where}{key} is not what the base gives")
+
+
+def _katetov(doc: dict) -> dict:
+    """A katetov document passed through, after each claim it makes is
+    re-derived from its base: the chain, width, ranks and point count of
+    K(base), the identity embedding, the point count of an embedded K(X)
+    table, and the values of a functor action, recomputed by
+    ``katetov_map`` from the target and the images of the base points."""
+    out = _composite(doc)
+    kx = katetov_space(space_from_json(out.get("base")))
+    _claim(out, "chain", chain_to_json(kx.chain))
+    _claim(out, "width", kx.width)
+    _claim(out, "ranks", kx.n)
+    _claim(out, "points", kx.m)
+    _claim(out, "lambda", list(kx.identity_embedding()))
+    if out.get("space") is not None:
+        _claim(out["space"], "points", kx.m, "space ")
+    action = out.get("map")
+    if action is not None:
+        _require(isinstance(action, dict), "map must be an object with a target and values")
+        ky = katetov_space(space_from_json(action.get("target")))
+        values = action.get("values")
+        _require(isinstance(values, list) and all(_is_int(v) for v in values), "map values must be point ids")
+        _claim(action, "values", list(katetov_map(kx, ky, values[: kx.base.m])), "map ")
+    return out
 
 
 def _tagged(doc: dict) -> dict:
@@ -183,7 +223,7 @@ _KINDS: dict[str, tuple[Callable[[dict], Any], Callable[[Any], dict]]] = {
     "weights": (_weights, weights_to_json),
     "space-list": (_space_list, space_list_to_json),
     "amalgam": (_composite, _tagged),
-    "katetov": (_composite, _tagged),
+    "katetov": (_katetov, _tagged),
     "bnf": (_composite, _tagged),
     "report": (dict, _tagged),
 }

@@ -19,12 +19,22 @@ chain exactly: the rank of a pair is the chain position of its label, and
 every position is attained.  K acts on embeddings, giving a functor, and
 every one-point extension of X embeds into K(X) over the identical
 embedding of X.
+
+An extension point's code (its id minus |X|) is a mixed-radix number: one
+digit per base point, the first base point most significant, digit value
+``position - 1`` in base ``width = |C(X)| - 1``.  So K(phi) needs no
+per-point work: the image of a code is a constant (|Y| plus the ``apart``
+digits of the points outside phi's image) plus one term per base point,
+read from a table of ``width`` entries, and the image codes are the sums
+over the product of those tables.  The chain depends only on (m, n), so
+one frozen ``KatetovChain`` per (m, n) is shared by every K(X) built on
+it, with its label-to-position dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, MorphismError
@@ -85,8 +95,14 @@ class KatetovChain:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
+@lru_cache(maxsize=256)
+def _shared_chain(m: int, n: int) -> KatetovChain:
+    return KatetovChain.of(m, n)
+
+
 def katetov_chain(space: EchelonedSpace) -> KatetovChain:
-    return KatetovChain.of(space.m, space.n)
+    """The extension chain of a space, shared by all spaces with its (m, n)."""
+    return _shared_chain(space.m, space.n)
 
 
 class KatetovSpace:
@@ -193,24 +209,32 @@ def katetov_map(
     Original points follow phi.  An extension function h moves to the
     function sending phi(x) to the transported value of h(x) and every
     point outside the image to ``apart``.
+
+    Built digit by digit on the mixed-radix codes (see the module
+    docstring), with the first base point as the most significant digit,
+    so the codes come out in the order of K(X)'s points.  Each mapped
+    position must be a nonbottom position of K(Y)'s chain, or a digit would
+    spill into its neighbour; the transport fixes only bot to bot, so this
+    always holds, and one check over the width-sized table keeps the
+    guarantee that ``function_point`` gave per point.
     """
     x, y = kx.base, ky.base
     label_map = chain_label_map(x, y, phi)
     if label_map is None:
         raise MorphismError("katetov/not-embedding", "the point map is not an embedding")
     phi = tuple(phi)
-    pos_map = {
-        kx._pos[lab]: ky._pos[mapped] for lab, mapped in label_map.items()
-    }
-    apart_pos = ky._pos[APART]
-    out: list[int] = list(phi)
-    for f in range(x.m, kx.m):
-        values = kx.function_values(f)
-        image_values = [apart_pos] * y.m
-        for px in range(x.m):
-            image_values[phi[px]] = pos_map[values[px]]
-        out.append(ky.function_point(image_values))
-    return tuple(out)
+    pos_map = {kx._pos[lab]: ky._pos[mapped] for lab, mapped in label_map.items()}
+    digits = [pos_map[d] - 1 for d in range(1, kx.width + 1)]
+    if not all(0 <= d < ky.width for d in digits):
+        raise MorphismError("katetov/point", "a transported chain position is out of range")
+    place = [ky.width ** (y.m - 1 - py) for py in range(y.m)]
+    apart = ky._pos[APART] - 1
+    outside = set(range(y.m)).difference(phi)
+    codes = [y.m + sum(apart * place[py] for py in outside)]
+    for px in range(x.m):
+        step = [d * place[phi[px]] for d in digits]
+        codes = [c + t for c in codes for t in step]
+    return phi + tuple(codes)
 
 
 class Realization(NamedTuple):

@@ -254,6 +254,24 @@ class RandomLimitModel(LimitModel):
     def _extend(self) -> None:
         self.size += 1
 
+    def existing_labels(self) -> list[Fraction]:
+        """Sorted distinct labels among materialized pairs.
+
+        The colour kernel colours the pairs in blocks of rows, at most
+        ``_SCAN_PAIRS`` pairs a block, and each colour seen marks its
+        alphabet label.  The work is still quadratic in ``size``, so a
+        prefix left at the witness cap (2^20 points) stays out of reach."""
+        alphabet = _alphabet(self.p)
+        seen = np.zeros(len(alphabet.labels), dtype=bool)
+        points = np.arange(self.size, dtype=np.int64)
+        rows = max(1, _SCAN_PAIRS // max(self.size, 1))
+        for start in range(1, self.size, rows):
+            greater = points[start : start + rows, None]
+            lesser = points[None, : start + rows - 1]
+            colours = prng.pair_colours(self.p, self.seed, lesser, greater)
+            seen[colours[lesser < greater]] = True
+        return sorted(alphabet.labels[c] for c in np.flatnonzero(seen).tolist())
+
     def colour_index(self, u: int, v: int) -> int:
         """The geometric colour behind a pair's label."""
         if not (0 <= u < self.size and 0 <= v < self.size) or u == v:

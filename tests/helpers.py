@@ -12,6 +12,7 @@ from echelon import EchelonedSpace, embedding_rank_map, from_rank_table, from_we
 from echelon import prng
 from echelon.colgraph import as_probability
 from echelon.errors import CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
+from echelon.katetov import APART, chain_label_map
 from echelon.limit import (
     GROW_BLOCK,
     WITNESS_CAP,
@@ -526,3 +527,23 @@ def reference_ordered_embeddings(a, c):
         if embedding_rank_map(a.space, c.space, h) is not None:
             out.append(tuple(h))
     return out
+
+
+def reference_katetov_map(kx, ky, phi):
+    """K(phi) one extension point at a time, through the checked
+    ``function_values`` and ``function_point``."""
+    x, y = kx.base, ky.base
+    label_map = chain_label_map(x, y, phi)
+    if label_map is None:
+        raise MorphismError("katetov/not-embedding", "the point map is not an embedding")
+    phi = tuple(phi)
+    pos_map = {kx.chain.position(lab): ky.chain.position(mapped) for lab, mapped in label_map.items()}
+    apart_pos = ky.chain.position(APART)
+    out = list(phi)
+    for f in range(x.m, kx.m):
+        values = kx.function_values(f)
+        image_values = [apart_pos] * y.m
+        for px in range(x.m):
+            image_values[phi[px]] = pos_map[values[px]]
+        out.append(ky.function_point(image_values))
+    return tuple(out)

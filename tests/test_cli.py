@@ -9,6 +9,7 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,13 @@ from echelon import (
     one_point_extensions,
 )
 from echelon import cli
-from echelon import metrize, ramsey
+from echelon import metrize, prng, ramsey
 from echelon.cli import (
     GRAPH_VERTICES_CAP,
     KATETOV_MATERIALIZE_CAP,
     LIMIT_DEPTH_CAP,
     LIMIT_POINTS_CAP,
+    P_FLOOR,
     RAMSEY_SAMPLES_CAP,
     RAMSEY_SIZE_CAP,
     main,
@@ -39,6 +41,7 @@ from helpers import deadline
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 EDGE = from_weights(2, {(0, 1): 1})
 FLAT3 = from_weights(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+FLAT4 = from_weights(4, dict.fromkeys(itertools.combinations(range(4), 2), 1))
 
 
 @pytest.fixture
@@ -673,6 +676,69 @@ def test_exit_code_malformed_bytes(invoke, tmp_path, raw):
     assert json.loads(err)["error"]["code"] == "json/parse"
 
 
+def full_katetov_doc(invoke, tmp_path):
+    """K(EDGE) with its table, a functor action into K(FIX) and a realization."""
+    base = write_doc(tmp_path, "base.json", space_to_json(EDGE))
+    mp = write_doc(tmp_path, "map.json", {"kind": "map", "target": space_to_json(FIX), "map": [1, 0]})
+    ext = write_doc(tmp_path, "ext.json", space_to_json(FIX))
+    code, out, _ = invoke(["katetov", "--space", base, "--map", mp, "--extend", ext])
+    assert code == 0
+    return json.loads(out)
+
+
+def test_validate_accepts_a_true_katetov_document(invoke, tmp_path):
+    doc = full_katetov_doc(invoke, tmp_path)
+    assert {"space", "map", "extension"} <= set(doc)
+    assert validated(invoke, doc) == doc
+
+
+def _swap(items, i, j):
+    items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize(
+    "claim, corrupt",
+    [
+        ("chain", lambda doc: _swap(doc["chain"], 2, 3)),
+        ("chain", lambda doc: doc["chain"].pop()),
+        ("width", lambda doc: doc.update(width=doc["width"] + 1)),
+        ("ranks", lambda doc: doc.update(ranks=doc["ranks"] - 1)),
+        ("points", lambda doc: doc.update(points=doc["points"] + 1)),
+        ("points", lambda doc: doc.update(points=float(doc["points"]))),
+        ("lambda", lambda doc: doc.update({"lambda": [1, 0]})),
+        ("lambda", lambda doc: doc.update({"lambda": [False, True]})),
+        ("space points", lambda doc: doc.update(space=space_to_json(FIX))),
+        ("map values", lambda doc: _swap(doc["map"]["values"], -1, -2)),
+        ("map values", lambda doc: doc["map"]["values"].pop()),
+    ],
+)
+def test_validate_refuses_a_false_katetov_claim(invoke, tmp_path, claim, corrupt):
+    doc = full_katetov_doc(invoke, tmp_path)
+    corrupt(doc)
+    code, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == {"code": "katetov/claim", "message": f"{claim} is not what the base gives"}
+
+
+@pytest.mark.parametrize(
+    "corrupt, code",
+    [
+        (lambda doc: doc.pop("base"), "json/schema"),
+        (lambda doc: doc.update(base=space_to_json(FLAT4)), "katetov/cap"),
+        (lambda doc: doc["map"].pop("target"), "json/schema"),
+        (lambda doc: doc["map"].update(values=["0", 1]), "json/schema"),
+        (lambda doc: doc["map"]["values"].__setitem__(1, 1), "katetov/not-embedding"),
+    ],
+)
+def test_validate_refuses_a_katetov_document_it_cannot_check(invoke, tmp_path, corrupt, code):
+    doc = full_katetov_doc(invoke, tmp_path)
+    corrupt(doc)
+    status, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == code
+
+
 def test_katetov_map_must_be_a_point_list(invoke, tmp_path):
     base = write_doc(tmp_path, "base.json", space_to_json(EDGE))
     bad = {"format": FORMAT, "kind": "map", "target": space_to_json(FIX), "map": 5}
@@ -764,6 +830,45 @@ def test_katetov_and_extend_caps_are_fixed(invoke, tmp_path):
         code, out, err = invoke(argv)
         assert code == 64 and out == ""
         assert json.loads(err)["error"]["code"] == "usage"
+
+
+P_READERS = [
+    ["graph", "--n", "2"],
+    ["limit", "sample", "--mode", "random", "--n", "2"],
+    ["limit", "bnf", "--seed1", "0", "--seed2", "1", "--depth", "1"],
+    ["limit", "bnf", "--seed1", "0", "--seed2", "1", "--depth", "1", "--mode1", "deterministic", "--mode2", "random"],
+]
+
+
+@pytest.mark.parametrize("argv", P_READERS)
+def test_p_floor_is_refused_before_any_threshold(invoke, monkeypatch, argv):
+    assert P_FLOOR == Fraction(1, 256)
+    code, out, _ = invoke(argv + ["--p", "1/256"])
+    assert code == 0 and out
+
+    def no_thresholds(p):
+        raise AssertionError("thresholds were built below the floor")
+
+    monkeypatch.setattr(prng, "geometric_thresholds", no_thresholds)
+    code, out, err = invoke(argv + ["--p", "1/257"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "prob/cap", "message": "--p 1/257 is below the floor of 1/256"}
+
+
+def test_p_floor_holds_only_where_p_is_read(invoke, monkeypatch):
+    monkeypatch.setattr(prng, "geometric_thresholds", None)
+    deterministic = ["--mode1", "deterministic", "--mode2", "deterministic"]
+    for argv in (["limit", "sample", "--mode", "deterministic", "--n", "2"], P_READERS[2] + deterministic):
+        code, out, _ = invoke(argv + ["--p", "1/1000"])
+        assert code == 0 and out
+    code, _, err = invoke(["graph", "--n", "2", "--p", "0"])
+    assert code == 2 and json.loads(err)["error"]["code"] == "prob/range"
+
+
+@pytest.mark.parametrize("argv", [["graph"], ["limit", "sample"], ["limit", "bnf"]])
+def test_help_states_the_p_floor(invoke, argv):
+    code, out, _ = invoke(argv + ["--help"])
+    assert code == 0 and "at least 1/256" in " ".join(out.split())
 
 
 def test_stdin_lone_surrogate_is_malformed(invoke):

@@ -2,8 +2,11 @@
 
 Size identities are checked two ways: the closed formulas and a direct
 count of the chain built label by label.  Extension realization is pinned
-on a worked example, then swept exhaustively for small bases."""
+on a worked example, then swept exhaustively for small bases.  The
+digit-table K(phi) is pinned against the per-point loop in
+``helpers.reference_katetov_map`` on every embedding between small spaces."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,8 +15,10 @@ from echelon import (
     EchelonedSpace,
     chain_label_map,
     embedding_rank_map,
+    enumerate_embeddings,
     enumerate_spaces,
     from_weights,
+    induced_subspace,
     is_embedding,
     katetov_chain,
     katetov_map,
@@ -21,11 +26,12 @@ from echelon import (
     one_point_extensions,
     realize_extension,
 )
+from echelon import katetov
 from echelon.errors import CapExceeded, MorphismError
 from echelon.katetov import APART, BOT, KatetovChain, rank_label, slot
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_embedding_chain
+from helpers import random_embedding_chain, reference_katetov_map
 
 SMALL = [next(iter(enumerate_spaces(1)))] + list(enumerate_spaces(2)) + list(
     enumerate_spaces(3)
@@ -151,8 +157,6 @@ def test_realize_extension_rejects_wrong_restriction():
 
 
 def test_one_point_extensions_restrict_back():
-    from echelon import induced_subspace
-
     base = from_weights(2, {(0, 1): 1})
     exts = list(one_point_extensions(base))
     assert len(exts) == 13  # every 3-point space restricts to the 2-point one
@@ -207,5 +211,57 @@ def test_functor_action_is_an_embedding():
 def test_katetov_map_rejects_non_embeddings():
     x = from_weights(2, {(0, 1): 1})
     y = from_weights(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
-    with pytest.raises(MorphismError):
+    with pytest.raises(MorphismError) as info:
         katetov_map(katetov_space(x), katetov_space(y), (0, 0))
+    assert info.value.code == "katetov/not-embedding"
+
+
+def test_katetov_map_equals_the_per_point_loop():
+    kats = [katetov_space(sp) for sp in SMALL]
+    maps = points = 0
+    for kx in kats:
+        for ky in kats:
+            for phi, _ in enumerate_embeddings(kx.base, ky.base):
+                image = katetov_map(kx, ky, phi)
+                assert image == reference_katetov_map(kx, ky, phi), (kx.base, ky.base, phi)
+                maps += 1
+                points += len(image)
+    assert (maps, points) == (200, 216136)
+
+
+def test_katetov_map_checks_the_transported_positions(monkeypatch):
+    x = from_weights(2, {(0, 1): 1})
+    kx = katetov_space(x)
+
+    def to_bottom(source, target, phi):  # sends a nonbottom label to bot
+        return {lab: BOT if lab == APART else lab for lab in kx.chain.labels}
+
+    monkeypatch.setattr(katetov, "chain_label_map", to_bottom)
+    with pytest.raises(MorphismError) as info:
+        katetov_map(kx, kx, (0, 1))
+    assert info.value.code == "katetov/point"
+
+
+def test_one_chain_per_shape():
+    x = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+    y = from_weights(3, {(0, 1): 2, (0, 2): 1, (1, 2): 2})
+    assert x != y and (x.m, x.n) == (y.m, y.n)
+    assert katetov_chain(x) is katetov_chain(y)
+    assert katetov_space(x).chain is katetov_space(y).chain
+    assert katetov_chain(x) is not katetov_chain(from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
+
+
+def test_realizations_of_all_small_extensions_are_pinned():
+    """The SHA-256 of ``repr(g)`` over every extension of criterion 4,
+    recorded from the per-point implementation."""
+    digest = hashlib.sha256()
+    count = 0
+    for m in (1, 2, 3):
+        small = [sp for sp in SMALL if sp.m == m]
+        for ext in enumerate_spaces(m + 1):
+            sub = induced_subspace(ext, range(m)).space
+            base = next(b for b in small if b == sub)
+            digest.update(repr(realize_extension(base, ext).g).encode())
+            count += 1
+    assert count == 4697
+    assert digest.hexdigest() == "752b644ac9e581b3143ad47676a73e7d1341336cedae4a613d488e2478eed8ac"

@@ -422,6 +422,24 @@ def test_zero_probability_demand_reaches_the_cap_quickly():
     assert model.size == WITNESS_CAP
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+def test_random_existing_labels_match_the_pairwise_loop(p):
+    for seed in range(10):
+        for size in (0, 1, 2, 40, 300):
+            model = RandomLimitModel(seed, p)
+            model.limit_points(size)
+            assert model.existing_labels() == LimitModel.existing_labels(model), (seed, size)
+
+
+def test_random_existing_labels_at_a_thousand_points():
+    model = RandomLimitModel(0)
+    model.limit_points(1000)
+    with deadline(2.0):
+        labels = model.existing_labels()
+    assert len(labels) == 18 and labels == sorted(set(labels))
+    assert set(labels) <= set(model.alphabet[1:])
+
+
 def test_mode_dispatch():
     assert limit_new("random", 4).mode == "random"
     assert limit_new("deterministic", 4).mode == "deterministic"
