@@ -191,8 +191,8 @@ def _katetov(doc: dict) -> dict:
     """A katetov document passed through, after each claim it makes is
     re-derived from its base: the chain, width, ranks and point count of
     K(base), the identity embedding, the point count of an embedded K(X)
-    table, and the values of a functor action, recomputed by
-    ``katetov_map`` from the target and the images of the base points."""
+    table, the values of a functor action, recomputed by ``katetov_map``
+    from the target and the images of the base points, and an extension's g."""
     out = _composite(doc)
     kx = katetov_space(space_from_json(out.get("base")))
     _claim(out, "chain", chain_to_json(kx.chain))
@@ -209,6 +209,14 @@ def _katetov(doc: dict) -> dict:
         values = action.get("values")
         _require(isinstance(values, list) and all(_is_int(v) for v in values), "map values must be point ids")
         _claim(action, "values", list(katetov_map(kx, ky, values[: kx.base.m])), "map ")
+    extension = out.get("extension")
+    if extension is not None:
+        m = kx.base.m
+        g = extension.get("g") if isinstance(extension, dict) else None
+        shaped = isinstance(g, list) and len(g) == m + 1 and all(map(_is_int, g))
+        _require(shaped, f"extension must be an object whose g lists {m + 1} point ids")
+        if g[:m] != list(kx.identity_embedding()) or not m <= g[m] < kx.m:
+            raise ValidationError("katetov/claim", "extension g is not what the base gives")
     return out
 
 

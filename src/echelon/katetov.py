@@ -1,7 +1,7 @@
 """One-point-extension functor on finite echeloned spaces.
 
-For a space X with ranks 1..n the extension chain C(X) lists every rank a
-new point could put a pair at, in order:
+For a space X with m points and ranks 1..n the extension chain C(X) lists
+every rank a new point could put a pair at, in order:
 
     bot < apart < slot(1,0) .. slot(m,0) < rank(1) < slot(1,1) .. slot(m,1)
         < rank(2) < ... < rank(n) < slot(1,n) .. slot(m,n)
@@ -12,37 +12,38 @@ rank(j+1) (gap 0 sits below rank(1), gap n above rank(n)), and ``apart``
 the common rank separating any two distinct extension functions.  The
 chain has n + 2 + (n+1)m elements.
 
+This module works on chain positions; labels are a view for JSON and the
+label API.  Bot is 0, and ``1 + j(m+1) + k`` is apart if j = k = 0, rank(j)
+if k = 0 < j and slot(k,j) if k > 0.  An embedding into a space of m'
+points with rank map w sends ``1 + j(m+1) + k`` to ``1 + w[j](m'+1) + k``.
+
 The extension space K(X) has the points of X plus one point per function
-from X into the nonbottom chain labels ((|C(X)|-1)^|X| of them, ordered
+from X into the nonbottom positions ((|C(X)|-1)^|X| of them, ordered
 lexicographically by their value tuples).  Its rank table realizes the
 chain exactly: the rank of a pair is the chain position of its label, and
 every position is attained.  K acts on embeddings, giving a functor, and
 every one-point extension of X embeds into K(X) over the identical
-embedding of X.
+embedding of X, so the extensions are read off K(X).
 
-An extension point's code (its id minus |X|) is a mixed-radix number: one
-digit per base point, the first base point most significant, digit value
-``position - 1`` in base ``width = |C(X)| - 1``.  So K(phi) needs no
-per-point work: the image of a code is a constant (|Y| plus the ``apart``
-digits of the points outside phi's image) plus one term per base point,
-read from a table of ``width`` entries, and the image codes are the sums
-over the product of those tables.  The chain depends only on (m, n), so
-one frozen ``KatetovChain`` per (m, n) is shared by every K(X) built on
-it, with its label-to-position dict.
+An extension point's code (its id minus |X|) has one digit per base point,
+the first most significant: ``position - 1`` in base ``width = (n+1)(m+1)``.
+So K(phi) maps a code to |Y| (points outside phi's image take ``apart``,
+digit 0) plus one term per base point, read from the transported digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, MorphismError
 from .space import (
+    ENUMERATE_CAP,
     EchelonedSpace,
     PointMap,
+    _compress,
     embedding_rank_map,
-    enumerate_spaces,
     induced_subspace,
 )
 
@@ -74,35 +75,36 @@ class KatetovChain:
 
     @staticmethod
     def of(m: int, n: int) -> "KatetovChain":
-        out: list[Label] = [BOT, APART]
-        out.extend(slot(k, 0) for k in range(1, m + 1))
-        for i in range(1, n + 1):
-            out.append(rank_label(i))
-            out.extend(slot(k, i) for k in range(1, m + 1))
-        return KatetovChain(m, n, tuple(out))
+        bare = KatetovChain(m, n, ())
+        return KatetovChain(m, n, tuple(map(bare.label_at, range(len(bare)))))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return (self.n + 1) * (self.m + 1) + 1
 
     def position(self, label: Label) -> int:
-        return self._positions[label]
+        """The chain position of a label; KeyError for a label not on the chain."""
+        kind = label[0]
+        j = label[-1] if kind in ("rank", "slot") else 0
+        k = label[1] if kind == "slot" else 0
+        pos = 0 if label == BOT else 1 + j * (self.m + 1) + k
+        if not 0 <= pos < len(self) or self.label_at(pos) != label:
+            raise KeyError(label)
+        return pos
 
     def label_at(self, pos: int) -> Label:
-        return self.labels[pos]
-
-    @cached_property
-    def _positions(self) -> dict[Label, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-
-@lru_cache(maxsize=256)
-def _shared_chain(m: int, n: int) -> KatetovChain:
-    return KatetovChain.of(m, n)
+        if not 0 <= pos < len(self):
+            raise IndexError(f"chain position {pos} out of range")
+        if pos == 0:
+            return BOT
+        j, k = divmod(pos - 1, self.m + 1)
+        if k:
+            return slot(k, j)
+        return rank_label(j) if j else APART
 
 
 def katetov_chain(space: EchelonedSpace) -> KatetovChain:
-    """The extension chain of a space, shared by all spaces with its (m, n)."""
-    return _shared_chain(space.m, space.n)
+    """The extension chain of a space."""
+    return KatetovChain.of(space.m, space.n)
 
 
 class KatetovSpace:
@@ -115,15 +117,17 @@ class KatetovSpace:
     is exponential in |X|.
     """
 
-    __slots__ = ("base", "chain", "width", "m", "n", "_pos")
+    __slots__ = ("base", "width", "m", "n")
 
     def __init__(self, base: EchelonedSpace):
         self.base = base
-        self.chain = katetov_chain(base)
-        self.width = len(self.chain) - 1  # nonbottom labels
+        # the nonbottom chain positions, which are also the ranks of K(X)
+        self.width = self.n = (base.n + 1) * (base.m + 1)
         self.m = base.m + self.width**base.m
-        self.n = len(self.chain) - 1  # ranks coincide with chain positions
-        self._pos = self.chain._positions
+
+    @property
+    def chain(self) -> KatetovChain:
+        return katetov_chain(self.base)
 
     def function_count(self) -> int:
         return self.width**self.base.m
@@ -155,9 +159,9 @@ class KatetovSpace:
             return 0
         base_m = self.base.m
         if u < base_m and v < base_m:
-            return self._pos[rank_label(self.base.rank(u, v))]
+            return 1 + self.base.rank(u, v) * (base_m + 1)
         if u >= base_m and v >= base_m:
-            return self._pos[APART]
+            return 1  # apart
         x, f = (u, v) if u < base_m else (v, u)
         return self.function_values(f)[x]
 
@@ -180,6 +184,11 @@ def katetov_space(space: EchelonedSpace) -> KatetovSpace:
     return KatetovSpace(space)
 
 
+def _transport(w: Sequence[int], m: int, target_m: int) -> list[int]:
+    """The images of the positions 1..width of an m-point space's chain."""
+    return [1 + wj * (target_m + 1) + k for wj in w for k in range(m + 1)]
+
+
 def chain_label_map(
     source: EchelonedSpace, target: EchelonedSpace, phi: Sequence[int]
 ) -> Optional[dict[Label, Label]]:
@@ -191,14 +200,8 @@ def chain_label_map(
     w = embedding_rank_map(source, target, phi)
     if w is None:
         return None
-    out: dict[Label, Label] = {BOT: BOT, APART: APART}
-    for k in range(1, source.m + 1):
-        out[slot(k, 0)] = slot(k, 0)
-    for i in range(1, source.n + 1):
-        out[rank_label(i)] = rank_label(w[i])
-        for k in range(1, source.m + 1):
-            out[slot(k, i)] = slot(k, w[i])
-    return out
+    moved = [0] + _transport(w, source.m, target.m)  # bot stays
+    return dict(zip(katetov_chain(source).labels, map(katetov_chain(target).label_at, moved)))
 
 
 def katetov_map(
@@ -210,27 +213,22 @@ def katetov_map(
     function sending phi(x) to the transported value of h(x) and every
     point outside the image to ``apart``.
 
-    Built digit by digit on the mixed-radix codes (see the module
-    docstring), with the first base point as the most significant digit,
-    so the codes come out in the order of K(X)'s points.  Each mapped
-    position must be a nonbottom position of K(Y)'s chain, or a digit would
-    spill into its neighbour; the transport fixes only bot to bot, so this
-    always holds, and one check over the width-sized table keeps the
-    guarantee that ``function_point`` gave per point.
+    Built digit by digit on the codes (see the module docstring), so they
+    come out in the order of K(X)'s points.  A transported position off
+    K(Y)'s nonbottom chain would spill a digit into its neighbour; an
+    embedding's transport never does, and one check over the digits keeps
+    the guarantee ``function_point`` gives per point.
     """
     x, y = kx.base, ky.base
-    label_map = chain_label_map(x, y, phi)
-    if label_map is None:
+    w = embedding_rank_map(x, y, phi)
+    if w is None:
         raise MorphismError("katetov/not-embedding", "the point map is not an embedding")
     phi = tuple(phi)
-    pos_map = {kx._pos[lab]: ky._pos[mapped] for lab, mapped in label_map.items()}
-    digits = [pos_map[d] - 1 for d in range(1, kx.width + 1)]
+    digits = [p - 1 for p in _transport(w, x.m, y.m)]
     if not all(0 <= d < ky.width for d in digits):
         raise MorphismError("katetov/point", "a transported chain position is out of range")
     place = [ky.width ** (y.m - 1 - py) for py in range(y.m)]
-    apart = ky._pos[APART] - 1
-    outside = set(range(y.m)).difference(phi)
-    codes = [y.m + sum(apart * place[py] for py in outside)]
+    codes = [y.m]
     for px in range(x.m):
         step = [d * place[phi[px]] for d in digits]
         codes = [c + t for c in codes for t in step]
@@ -247,8 +245,8 @@ def realize_extension(space: EchelonedSpace, extension: EchelonedSpace) -> Reali
 
     ``extension`` must have the points of X plus one final point, and must
     restrict to X exactly.  The new point's distances decompose along the
-    extension chain: ranks shared with X land on rank labels, new ranks on
-    the slots of the gap they fall into, which pins down the extension
+    extension chain: ranks shared with X land on rank positions, new ranks
+    on the slots of the gap they fall into, which pins down the extension
     function the new point maps to.
     """
     if extension.m != space.m + 1:
@@ -256,37 +254,36 @@ def realize_extension(space: EchelonedSpace, extension: EchelonedSpace) -> Reali
     sub = induced_subspace(extension, range(space.m))
     if sub.space != space:
         raise MorphismError("extend/restriction", "extension does not restrict to the space")
-    e_hat = sub.rank_map  # space rank i -> extension rank
-    image = set(e_hat[1:])
-    # Gap and slot index for every rank the new point introduces.
-    fresh = [d for d in range(1, extension.n + 1) if d not in image]
-    placement: dict[int, Label] = {}
-    taken: dict[int, int] = {}  # slots used so far per gap; fresh is ascending
-    for d in fresh:
-        gap = sum(1 for i in range(1, space.n + 1) if e_hat[i] < d)
-        taken[gap] = taken.get(gap, 0) + 1
-        placement[d] = slot(taken[gap], gap)
-    for i in range(1, space.n + 1):
-        placement[e_hat[i]] = rank_label(i)
+    e_hat = sub.rank_map  # space rank i -> extension rank, increasing
+    # Walk the extension's ranks upward: the rank e_hat[i] of X opens gap i,
+    # and each rank the new point introduces takes the next slot of its gap.
+    position = [0]
+    gap = k = 0
+    for d in range(1, extension.n + 1):
+        opens = gap < space.n and e_hat[gap + 1] == d
+        gap, k = (gap + 1, 0) if opens else (gap, k + 1)
+        position.append(1 + gap * (space.m + 1) + k)
 
     kx = katetov_space(space)
-    new_point = space.m
-    values = [
-        kx._pos[placement[extension.rank(new_point, px)]] for px in range(space.m)
-    ]
+    values = [position[extension.rank(space.m, px)] for px in range(space.m)]
     g = tuple(range(space.m)) + (kx.function_point(values),)
     assert embedding_rank_map(extension, kx, g) is not None
     return Realization(kx, g)
 
 
-def one_point_extensions(space: EchelonedSpace):
+def one_point_extensions(space: EchelonedSpace) -> list[EchelonedSpace]:
     """All labelled one-point extensions of a space, new point last.
 
-    Filters the exhaustive enumeration on m+1 points by exact restriction,
-    so every extension type over the identical embedding shows up (possibly
-    with several labellings of its rank chain).  Desk scale: inherits the
-    enumeration cap.
+    The distinct spaces that X and one point of K(X) induce, listed by
+    table, which is the rank-string order of ``enumerate_spaces(m + 1)``.
+    Desk scale: refuses m + 1 points beyond ``ENUMERATE_CAP``.
     """
-    for cand in enumerate_spaces(space.m + 1):
-        if induced_subspace(cand, range(space.m)).space == space:
-            yield cand
+    m = space.m
+    if m + 1 > ENUMERATE_CAP:
+        raise CapExceeded("enumerate/cap", f"m={m + 1} exceeds the exhaustive cap {ENUMERATE_CAP}")
+    kx = KatetovSpace(space)
+    # the pairs of X in row a, then the pair (a, new point): combinations order
+    rows = [[kx.rank(a, b) for b in range(a + 1, m)] for a in range(m)]
+    points = product(range(1, kx.width + 1), repeat=m)
+    found = {_compress(m + 1, [r for a in range(m) for r in (*rows[a], h[a])])[0] for h in points}
+    return sorted(found, key=lambda ext: ext.table)

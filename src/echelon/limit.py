@@ -361,12 +361,9 @@ class DeterministicLimitModel(LimitModel):
         demand = Demand(())
         if self._schedule_step % 2 == 0 and len(self._sorted) > 1:
             demand = Demand(((0, OpenInterval(self._sorted[0], self._sorted[1])),))
-        self._construct(demand)
+        self.ensure_witness(demand)
 
     def ensure_witness(self, demand: Demand) -> int:
-        return self._construct(demand)
-
-    def _construct(self, demand: Demand) -> int:
         entries = _validate_demand(demand, self.size)
         # One fresh label per (bounds, tier), tiers ascending within bounds.
         # Each is indexed as soon as it is chosen, so later choices in this

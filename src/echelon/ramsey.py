@@ -39,9 +39,6 @@ class OrderedEchelonedSpace:
     def m(self) -> int:
         return self.space.m
 
-    def position(self, point: int) -> int:
-        return self.order.index(point)
-
 
 def ordered_embeddings(
     a: OrderedEchelonedSpace, c: OrderedEchelonedSpace

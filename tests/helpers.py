@@ -8,11 +8,19 @@ import signal
 from collections import deque
 from fractions import Fraction
 
-from echelon import EchelonedSpace, embedding_rank_map, from_rank_table, from_weights, is_embedding
+from echelon import (
+    EchelonedSpace,
+    embedding_rank_map,
+    enumerate_spaces,
+    from_rank_table,
+    from_weights,
+    induced_subspace,
+    is_embedding,
+)
 from echelon import prng
 from echelon.colgraph import as_probability
 from echelon.errors import CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
-from echelon.katetov import APART, chain_label_map
+from echelon.katetov import APART, BOT, rank_label, slot
 from echelon.limit import (
     GROW_BLOCK,
     WITNESS_CAP,
@@ -529,16 +537,56 @@ def reference_ordered_embeddings(a, c):
     return out
 
 
+def reference_chain_labels(m, n):
+    """The extension chain of a space with m points and n ranks, built
+    label by label in chain order."""
+    out = [BOT, APART]
+    out.extend(slot(k, 0) for k in range(1, m + 1))
+    for i in range(1, n + 1):
+        out.append(rank_label(i))
+        out.extend(slot(k, i) for k in range(1, m + 1))
+    return tuple(out)
+
+
+def reference_chain_label_map(source, target, phi):
+    """How an embedding transports chain labels, or None, built one label
+    at a time: bot and apart are fixed, gap-0 slots keep their index,
+    rank(i) follows the embedding's rank map, and slot(k,i) moves to the
+    same slot index in the image gap."""
+    w = embedding_rank_map(source, target, phi)
+    if w is None:
+        return None
+    out = {BOT: BOT, APART: APART}
+    for k in range(1, source.m + 1):
+        out[slot(k, 0)] = slot(k, 0)
+    for i in range(1, source.n + 1):
+        out[rank_label(i)] = rank_label(w[i])
+        for k in range(1, source.m + 1):
+            out[slot(k, i)] = slot(k, w[i])
+    return out
+
+
+def reference_one_point_extensions(space):
+    """Every labelled one-point extension of a space, new point last, by
+    filtering the exhaustive enumeration on m+1 points by exact restriction."""
+    for cand in enumerate_spaces(space.m + 1):
+        if induced_subspace(cand, range(space.m)).space == space:
+            yield cand
+
+
 def reference_katetov_map(kx, ky, phi):
     """K(phi) one extension point at a time, through the checked
-    ``function_values`` and ``function_point``."""
+    ``function_values`` and ``function_point``, with the label transport
+    and the chain positions of the label-list references above."""
     x, y = kx.base, ky.base
-    label_map = chain_label_map(x, y, phi)
+    label_map = reference_chain_label_map(x, y, phi)
     if label_map is None:
         raise MorphismError("katetov/not-embedding", "the point map is not an embedding")
     phi = tuple(phi)
-    pos_map = {kx.chain.position(lab): ky.chain.position(mapped) for lab, mapped in label_map.items()}
-    apart_pos = ky.chain.position(APART)
+    here = {lab: i for i, lab in enumerate(reference_chain_labels(x.m, x.n))}
+    there = {lab: i for i, lab in enumerate(reference_chain_labels(y.m, y.n))}
+    pos_map = {here[lab]: there[mapped] for lab, mapped in label_map.items()}
+    apart_pos = there[APART]
     out = list(phi)
     for f in range(x.m, kx.m):
         values = kx.function_values(f)

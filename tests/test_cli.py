@@ -692,6 +692,13 @@ def test_validate_accepts_a_true_katetov_document(invoke, tmp_path):
     assert validated(invoke, doc) == doc
 
 
+@pytest.mark.parametrize("point", ["first", "last"])
+def test_validate_accepts_every_extension_point(invoke, tmp_path, point):
+    doc = full_katetov_doc(invoke, tmp_path)
+    doc["extension"]["g"][2] = 2 if point == "first" else doc["points"] - 1
+    assert validated(invoke, doc) == doc
+
+
 def _swap(items, i, j):
     items[i], items[j] = items[j], items[i]
 
@@ -710,6 +717,9 @@ def _swap(items, i, j):
         ("space points", lambda doc: doc.update(space=space_to_json(FIX))),
         ("map values", lambda doc: _swap(doc["map"]["values"], -1, -2)),
         ("map values", lambda doc: doc["map"]["values"].pop()),
+        ("extension g", lambda doc: doc["extension"]["g"].__setitem__(0, 1)),
+        ("extension g", lambda doc: doc["extension"]["g"].__setitem__(2, 1)),
+        ("extension g", lambda doc: doc["extension"]["g"].__setitem__(2, doc["points"])),
     ],
 )
 def test_validate_refuses_a_false_katetov_claim(invoke, tmp_path, claim, corrupt):
@@ -729,6 +739,11 @@ def test_validate_refuses_a_false_katetov_claim(invoke, tmp_path, claim, corrupt
         (lambda doc: doc["map"].pop("target"), "json/schema"),
         (lambda doc: doc["map"].update(values=["0", 1]), "json/schema"),
         (lambda doc: doc["map"]["values"].__setitem__(1, 1), "katetov/not-embedding"),
+        (lambda doc: doc["extension"].update(g=[5, 5, "x"]), "json/schema"),
+        (lambda doc: doc["extension"]["g"].pop(), "json/schema"),
+        (lambda doc: doc["extension"]["g"].append(2), "json/schema"),
+        (lambda doc: doc["extension"]["g"].__setitem__(2, True), "json/schema"),
+        (lambda doc: doc.update(extension=[0, 1, 2]), "json/schema"),
     ],
 )
 def test_validate_refuses_a_katetov_document_it_cannot_check(invoke, tmp_path, corrupt, code):

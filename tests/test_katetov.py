@@ -3,8 +3,10 @@
 Size identities are checked two ways: the closed formulas and a direct
 count of the chain built label by label.  Extension realization is pinned
 on a worked example, then swept exhaustively for small bases.  The
-digit-table K(phi) is pinned against the per-point loop in
-``helpers.reference_katetov_map`` on every embedding between small spaces."""
+position formulas are pinned against the label-list code kept in
+``helpers``: the chain, the label transport on every embedding between
+small spaces, the one-point extensions against the enumeration filter,
+and the digit-table K(phi) against the per-point loop."""
 
 import hashlib
 import itertools
@@ -31,7 +33,13 @@ from echelon.errors import CapExceeded, MorphismError
 from echelon.katetov import APART, BOT, KatetovChain, rank_label, slot
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_embedding_chain, reference_katetov_map
+from helpers import (
+    random_embedding_chain,
+    reference_chain_label_map,
+    reference_chain_labels,
+    reference_katetov_map,
+    reference_one_point_extensions,
+)
 
 SMALL = [next(iter(enumerate_spaces(1)))] + list(enumerate_spaces(2)) + list(
     enumerate_spaces(3)
@@ -60,6 +68,23 @@ def test_chain_structure_two_points():
     assert len(chain) == chain_size_formula(2, 1)
     assert chain.position(rank_label(1)) == 4
     assert chain.label_at(1) == APART
+
+
+def test_chain_positions_equal_the_label_list():
+    for m in range(4):
+        for n in range(7):
+            chain = KatetovChain.of(m, n)
+            labels = reference_chain_labels(m, n)
+            assert chain.labels == labels and len(chain) == len(labels)
+            for pos, label in enumerate(labels):
+                assert chain.position(label) == pos
+                assert chain.label_at(pos) == label
+            for off in (slot(m + 1, 0), slot(1, n + 1), rank_label(0), rank_label(n + 1), ("top",)):
+                with pytest.raises(KeyError):
+                    chain.position(off)
+            for pos in (-1, len(labels)):
+                with pytest.raises(IndexError):
+                    chain.label_at(pos)
 
 
 def test_size_identities_small_bases():
@@ -178,6 +203,39 @@ def test_chain_label_map_transport():
     assert chain_label_map(y, x, (0, 1, 1)) is None  # not an embedding
 
 
+def test_chain_label_map_equals_the_label_loop():
+    maps = 0
+    for x in SMALL:
+        for y in SMALL:
+            for phi, _ in enumerate_embeddings(x, y):
+                assert chain_label_map(x, y, phi) == reference_chain_label_map(x, y, phi), (x, y, phi)
+                maps += 1
+    assert maps == 200
+
+
+def test_one_point_extensions_equal_the_enumeration_filter():
+    total = 0
+    for base in SMALL:
+        exts = one_point_extensions(base)
+        assert exts == list(reference_one_point_extensions(base)), base
+        total += len(exts)
+    assert total == 4697
+
+
+def test_one_point_extensions_refuse_before_building(monkeypatch):
+    four = next(iter(enumerate_spaces(4)))
+
+    def no_space(space):
+        raise AssertionError("K(X) built past the cap")
+
+    monkeypatch.setattr(katetov, "KatetovSpace", no_space)
+    with pytest.raises(CapExceeded) as info:
+        one_point_extensions(four)
+    with pytest.raises(CapExceeded) as expected:
+        next(enumerate_spaces(5))
+    assert (info.value.code, info.value.message) == (expected.value.code, expected.value.message)
+
+
 def test_functor_preserves_identity():
     for sp in [SMALL[0]] + list(enumerate_spaces(2)):
         kx = katetov_space(sp)
@@ -233,10 +291,10 @@ def test_katetov_map_checks_the_transported_positions(monkeypatch):
     x = from_weights(2, {(0, 1): 1})
     kx = katetov_space(x)
 
-    def to_bottom(source, target, phi):  # sends a nonbottom label to bot
-        return {lab: BOT if lab == APART else lab for lab in kx.chain.labels}
+    def past_the_top(source, target, phi):  # a rank map K(Y)'s chain cannot hold
+        return (0, target.n + 1)
 
-    monkeypatch.setattr(katetov, "chain_label_map", to_bottom)
+    monkeypatch.setattr(katetov, "embedding_rank_map", past_the_top)
     with pytest.raises(MorphismError) as info:
         katetov_map(kx, kx, (0, 1))
     assert info.value.code == "katetov/point"
@@ -246,9 +304,9 @@ def test_one_chain_per_shape():
     x = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
     y = from_weights(3, {(0, 1): 2, (0, 2): 1, (1, 2): 2})
     assert x != y and (x.m, x.n) == (y.m, y.n)
-    assert katetov_chain(x) is katetov_chain(y)
-    assert katetov_space(x).chain is katetov_space(y).chain
-    assert katetov_chain(x) is not katetov_chain(from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
+    assert katetov_chain(x) == katetov_chain(y)
+    assert katetov_space(x).chain == katetov_space(y).chain
+    assert katetov_chain(x) != katetov_chain(from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
 
 
 def test_realizations_of_all_small_extensions_are_pinned():
