@@ -16,15 +16,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import jsonio, prng
+from . import jsonio
 from .amalgam import AmalgamResult, amalgamate, jep
 from .colgraph import GeometricColouring, random_coloured_graph
 from .errors import CapExceeded, EchelonError, ValidationError
 from .jsonio import FORMAT, fraction_to_str
 from .katetov import katetov_map, katetov_space, one_point_extensions, realize_extension
-from .limit import RandomLimitModel, back_and_forth, limit_new
+from .limit import back_and_forth, limit_new
 from .metrize import metrize_dull
 from .ramsey import ARROW_BUDGET, _arrow, witness_search
+from .rationals import exact_rational
 from .space import are_isomorphic, enumerate_spaces, from_weights
 
 # Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
@@ -92,10 +93,10 @@ def _parse_map(value: str) -> tuple[int, ...]:
 
 
 def _fraction_arg(value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    q = exact_rational(value)
+    if q is None:
         raise argparse.ArgumentTypeError(f"not a rational: {value!r}")
+    return q
 
 
 def _seed_arg(value: str) -> int:
@@ -137,19 +138,6 @@ def _amalgam_doc(result: AmalgamResult) -> dict:
     }
 
 
-def _label_rows(model, count: int) -> list[list[str]]:
-    """Row i lists the label strings of the pairs (i, j), j < i.  A random
-    model's rows come from the colour kernel's flat layout, with one string
-    per label of its alphabet."""
-    if isinstance(model, RandomLimitModel):
-        names = [fraction_to_str(q) for q in model.alphabet]
-        colours = prng.all_edge_colours(model.p, model.seed, count).tolist()
-        flat = [names[c] for c in colours]
-    else:
-        flat = [fraction_to_str(model.rank_label(i, j)) for i in range(1, count) for j in range(i)]
-    return [flat[i * (i - 1) // 2 : i * (i + 1) // 2] for i in range(1, count)]
-
-
 # --- subcommand handlers; each returns the output document ---
 
 
@@ -163,7 +151,7 @@ def _cmd_echelon(args) -> dict:
 
 
 def _cmd_metrize(args) -> dict:
-    return jsonio.metric_to_json(metrize_dull(_read_space(args.input)))
+    return jsonio._dump_metric(metrize_dull(_read_space(args.input)))
 
 
 def _cmd_from_metric(args) -> dict:
@@ -234,7 +222,9 @@ def _cmd_limit_sample(args) -> dict:
     doc["mode"] = args.mode
     doc["seed"] = args.seed
     doc["p"] = fraction_to_str(args.p)
-    doc["labels"] = _label_rows(model, args.n)
+    # a fresh model's existing labels are exactly the prefix's levels, rank by rank
+    names = [fraction_to_str(q) for q in model.existing_labels()]
+    doc["labels"] = [[names[r - 1] for r in space.table[i][:i]] for i in range(1, args.n)]
     return doc
 
 

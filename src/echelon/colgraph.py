@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import prng
 from .errors import CapExceeded, DemandError, ValidationError
+from .rationals import as_probability
 from .space import EchelonedSpace, from_weights
 
 
@@ -119,20 +120,6 @@ def check_star(graph: ColouredGraph, demand: StarDemand) -> Optional[int]:
         if ok:
             return z
     return None
-
-
-def as_probability(p: object) -> Fraction:
-    """Exact probability in (0, 1).  Floats convert by their exact binary
-    value (0.5 is exactly 1/2); prefer Fraction or strings elsewhere."""
-    if isinstance(p, bool):
-        raise ValidationError("prob/range", "probability must be a number in (0,1)")
-    if isinstance(p, float):
-        p = Fraction(p)
-    elif isinstance(p, (int, str)):
-        p = Fraction(p)
-    if not isinstance(p, Fraction) or not (0 < p < 1):
-        raise ValidationError("prob/range", "probability must lie strictly between 0 and 1")
-    return p
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .katetov import KatetovChain, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
+from .rationals import exact_rational
 from .space import EchelonedSpace, PointMap, from_rank_table
 
 FORMAT = "echelon/1"
@@ -41,14 +42,10 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 def fraction_from_str(s: Any) -> Fraction:
-    if isinstance(s, str):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
-    elif _is_int(s):
-        return Fraction(s)
-    raise ValidationError("json/rational", f"expected a 'p/q' string, got {s!r}")
+    q = exact_rational(s)
+    if q is None:
+        raise ValidationError("json/rational", f"expected a 'p/q' string, got {s!r}")
+    return q
 
 
 def _require(cond: bool, message: str) -> None:
@@ -80,7 +77,7 @@ def _fraction_rows(table: Sequence[Sequence[Fraction]]) -> list[list[str]]:
 
 
 def _integer(x: Any) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
+    if _is_int(x):  # not _require: its message would be formatted for every entry
         return x
     raise ValidationError("json/schema", f"expected an integer entry, got {x!r}")
 
@@ -137,9 +134,13 @@ def _metric(doc: dict) -> Metric:
     return validate_metric(_weights(doc, "d"))
 
 
-def metric_to_json(d: Metric) -> dict:
-    d = validate_metric(d)
+def _dump_metric(d: Metric) -> dict:
+    """Render a metric the caller has already checked."""
     return _document("metric", points=len(d), d=_fraction_rows(d))
+
+
+def metric_to_json(d: Metric) -> dict:
+    return _dump_metric(validate_metric(d))
 
 
 def _graph(doc: dict) -> ColouredGraph:
@@ -226,7 +227,7 @@ def _tagged(doc: dict) -> dict:
 
 _KINDS: dict[str, tuple[Callable[[dict], Any], Callable[[Any], dict]]] = {
     "space": (_load_space, _dump_space),
-    "metric": (_metric, metric_to_json),
+    "metric": (_metric, _dump_metric),
     "graph": (_graph, graph_to_json),
     "weights": (_weights, weights_to_json),
     "space-list": (_space_list, space_list_to_json),

@@ -53,9 +53,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import prng
-from .colgraph import as_probability
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
-from .rationals import nth_rational, rational_between
+from .rationals import as_probability, exact_rational, nth_rational, rational_between
 from .space import EchelonedSpace, _compress
 
 WITNESS_CAP = 1 << 20
@@ -87,12 +86,10 @@ class Demand:
 
 
 def _as_label(value: object, code: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    q = exact_rational(value)
+    if q is None:
         raise DemandError(code, f"labels are exact rationals, got {value!r}")
-    try:
-        return Fraction(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise DemandError(code, f"labels are exact rationals, got {value!r}") from None
+    return q
 
 
 def _validate_demand(demand: Demand, size: int) -> list[tuple[int, Entry]]:

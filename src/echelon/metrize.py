@@ -12,23 +12,21 @@ from math import lcm
 from typing import Sequence
 
 from .errors import MetricError, MorphismError
+from .rationals import exact_rational
 from .space import EchelonedSpace, _compress
 
 Metric = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_fraction(value: object, i: int, j: int) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    q = exact_rational(value)
+    if q is not None:
+        return q
     where = f"entry ({i},{j})"
-    if isinstance(value, bool) or isinstance(value, float):
-        raise MetricError("metric/shape", f"{where}: exact rational required, got {value!r}")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise MetricError("metric/shape", f"{where}: unparsable rational {value!r}") from None
-    raise MetricError("metric/shape", f"{where}: exact rational required, got {type(value).__name__}")
+    if isinstance(value, str):
+        raise MetricError("metric/shape", f"{where}: unparsable rational {value!r}")
+    shown = repr(value) if isinstance(value, (bool, float)) else type(value).__name__
+    raise MetricError("metric/shape", f"{where}: exact rational required, got {shown}")
 
 
 def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, tuple[tuple[int, ...], ...]]:

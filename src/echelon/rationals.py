@@ -1,11 +1,18 @@
-"""Positive-rational enumeration and in-gap selection.
+"""Exact rationals: reading them, enumerating them, and choosing them in a gap.
 
-Two pieces of machinery, both exact:
+Three pieces of machinery, all exact:
 
-* ``nth_rational`` / ``rational_index``: the Calkin-Wilf breadth-first
-  walk of the Stern-Brocot tree, a bijection between positive integers and
-  positive rationals.  Index 1 is 1/1; the left child of index i is 2i, the
-  right child 2i+1.
+* ``exact_rational``: the one reader that turns a raw value into a
+  ``Fraction``.  It accepts a ``Fraction`` (returned as the same object),
+  an ``int`` that is not a ``bool``, and a string ``Fraction`` parses with
+  a nonzero denominator; everything else reads as ``None``, and each
+  caller raises its own error.  ``as_probability`` reads a colour rate
+  through it.
+* ``nth_rational`` / ``rational_index``: the breadth-first walk of the
+  Calkin-Wilf tree, whose root is 1/1 and where a/b has the left child
+  a/(a+b) and the right child (a+b)/b: a bijection between positive
+  integers and positive rationals.  Index 1 is 1/1; the left child of
+  index i is 2i, the right child 2i+1.
 * ``rational_between``: the simplest rational strictly inside an open
   interval, skipping a finite forbidden set.  Used wherever a fresh label
   has to be invented deterministically.
@@ -14,7 +21,39 @@ Two pieces of machinery, both exact:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from typing import Container, Optional
+
+from .errors import ValidationError
+
+
+def exact_rational(value: object) -> Optional[Fraction]:
+    """A Fraction read from a Fraction (the same object), an int that is not
+    a bool, or a string Fraction parses with a nonzero denominator; None
+    for any other value."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        return None
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):  # "a/b", "1/0"
+        return None
+
+
+def as_probability(p: object) -> Fraction:
+    """Exact probability in (0, 1).  A finite float converts by its exact
+    binary value (0.5 is exactly 1/2); prefer Fraction or strings elsewhere.
+
+    Refused with ``prob/range``, all with one message: a ``bool``, NaN and
+    the infinities, a string that is not a rational (``"abc"``, ``"1/0"``),
+    any other type, and every rational outside (0, 1)."""
+    if isinstance(p, float) and isfinite(p):
+        p = Fraction(p)
+    q = exact_rational(p)
+    if q is None or not 0 < q < 1:
+        raise ValidationError("prob/range", "probability must lie strictly between 0 and 1")
+    return q
 
 
 def nth_rational(i: int) -> Fraction:

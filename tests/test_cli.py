@@ -33,8 +33,8 @@ from echelon.cli import (
     RAMSEY_SIZE_CAP,
     main,
 )
-from echelon.jsonio import FORMAT, dumps, space_from_json, space_to_json
-from echelon.limit import WITNESS_CAP
+from echelon.jsonio import FORMAT, dumps, fraction_to_str, space_from_json, space_to_json
+from echelon.limit import WITNESS_CAP, limit_new
 
 from helpers import deadline
 
@@ -123,6 +123,23 @@ def test_from_metric_validates_once(invoke, monkeypatch, tmp_path):
         code, out, err = invoke(["from-metric", write_doc(tmp_path, "bad.json", doc)])
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == want
+
+
+def test_metric_documents_are_checked_once(invoke, monkeypatch, tmp_path):
+    """metrize renders a metric that is dull by construction unchecked, and
+    validate checks the document it loads once."""
+    calls = []
+    checked = metrize._checked
+
+    def counting(d):
+        calls.append(len(d))
+        return checked(d)
+
+    monkeypatch.setattr(metrize, "_checked", counting)
+    code, metric_text, _ = invoke(["metrize", write_doc(tmp_path, "s.json", space_to_json(FIX))])
+    assert code == 0 and calls == []
+    code, out, _ = invoke(["validate", "-"], stdin=metric_text)
+    assert code == 0 and out == metric_text and calls == [3]
 
 
 def test_amalgamate_with_inline_maps(invoke, tmp_path):
@@ -239,6 +256,18 @@ def test_limit_sample_bytes_are_reproducible(invoke):
         ["limit", "sample", "--mode", "random", "--seed", "10", "--n", "6"]
     )
     assert out3 != out1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+@pytest.mark.parametrize("mode", ["random", "deterministic"])
+def test_limit_sample_label_rows_are_the_pair_labels(invoke, mode, n, seed):
+    code, out, _ = invoke(["limit", "sample", "--mode", mode, "--seed", str(seed), "--n", str(n)])
+    assert code == 0
+    model = limit_new(mode, seed)
+    model.limit_points(n)
+    want = [[fraction_to_str(model.rank_label(i, j)) for j in range(i)] for i in range(1, n)]
+    assert json.loads(out)["labels"] == want
 
 
 @pytest.mark.parametrize("n", [LIMIT_POINTS_CAP + 1, 10**18])

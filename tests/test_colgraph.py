@@ -201,9 +201,18 @@ def test_witness_failure_probability_cap():
 def test_probability_parsing():
     assert as_probability(0.5) == Fraction(1, 2)
     assert as_probability("2/3") == Fraction(2, 3)
-    for bad in (0, 1, Fraction(3, 2), True):
-        with pytest.raises(ValidationError):
-            as_probability(bad)
+    bad_rates = (0, 1, Fraction(3, 2), True, None, "abc", "1/0", float("nan"), float("inf"), float("-inf"))
+    readers = (
+        as_probability,
+        lambda p: GeometricColouring(p, 0),
+        lambda p: witness_failure_probability(p, (1,), (1,), 1),
+    )
+    for bad in bad_rates:
+        for read in readers:
+            with pytest.raises(ValidationError) as err:
+                read(bad)
+            assert err.value.code == "prob/range"
+            assert err.value.message == "probability must lie strictly between 0 and 1"
 
 
 def test_rado_slice_keeps_one_colour():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and only
+``rationals`` parses raw rationals.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
@@ -39,3 +40,15 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "rationals.py"], ids=lambda p: p.name
+)
+def test_only_rationals_names_zero_division(path):
+    """``exact_rational`` is the one reader of raw rationals; a module that
+    names ZeroDivisionError is parsing them on its own."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {getattr(node, "id", None) for node in ast.walk(tree)}
+    names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+    assert "ZeroDivisionError" not in names

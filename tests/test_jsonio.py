@@ -90,6 +90,12 @@ def test_metric_rejects_axiom_violations():
         metric_from_json(doc)  # triangle inequality
 
 
+def test_metric_to_json_checks_the_metric():
+    with pytest.raises(MetricError) as err:
+        metric_to_json(((0, 1), (2, 0)))
+    assert err.value.code == "metric/symmetry"
+
+
 def test_graph_roundtrip():
     g = ColouredGraph(3, (2, 1, 1))
     doc = graph_to_json(g)

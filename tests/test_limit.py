@@ -7,8 +7,10 @@ against both, including the self-pairing that forces the identity."""
 
 import hashlib
 import time
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from echelon import (
@@ -31,6 +33,7 @@ from echelon import prng
 from echelon.errors import CapExceeded, DemandError, EchelonError, ValidationError
 from echelon.limit import GROW_BLOCK, WITNESS_CAP, LimitModel
 from echelon.prng import SplitMix64Stream
+from echelon.rationals import exact_rational
 from helpers import (
     ReferenceDeterministicLimitModel,
     ReferenceRandomLimitModel,
@@ -68,6 +71,17 @@ def test_rational_enumeration_is_bijective():
         assert rational_index(q) == i
         seen.add(q)
     assert len(seen) == 299
+
+
+def test_exact_rational_reads_three_kinds():
+    q = Fraction(5, 3)
+    assert exact_rational(q) is q
+    for value, want in ((3, Fraction(3)), ("7", Fraction(7)), ("7/4", Fraction(7, 4)),
+                        (" 1/2 ", Fraction(1, 2)), ("1.5", Fraction(3, 2))):
+        got = exact_rational(value)
+        assert got == want and type(got) is Fraction
+    for bad in (True, 0.5, None, "1/0", "a/b", Decimal("1")):
+        assert exact_rational(bad) is None
 
 
 def test_simplest_between():
@@ -297,6 +311,31 @@ def test_demand_validation():
         det.ensure_witness(Demand(((0, OpenInterval(Fraction(2), Fraction(1))),)))
     with pytest.raises(DemandError):
         det.ensure_witness(Demand(((0, "nonsense"),)))
+
+
+@pytest.mark.parametrize("make", [DeterministicLimitModel, lambda: RandomLimitModel(0)])
+def test_unreadable_demand_labels_are_demand_errors(make):
+    """Only exact_rational's three kinds of value read as labels."""
+    model = make()
+    model.limit_points(2)
+    for entry, code in (
+        (ExactLabel("1/0"), "demand/label"),
+        (ExactLabel(Decimal("1")), "demand/label"),
+        (ExactLabel(np.int64(1)), "demand/label"),
+        (OpenInterval(0, "1/0"), "demand/interval"),
+        (OpenInterval(Decimal(0), None), "demand/interval"),
+        (OpenInterval(np.int64(0), 2), "demand/interval"),
+    ):
+        with pytest.raises(DemandError) as err:
+            model.ensure_witness(Demand(((0, entry),)))
+        assert err.value.code == code
+
+
+def test_random_model_refuses_an_unreadable_rate():
+    for bad in ("abc", "1/0", float("nan")):
+        with pytest.raises(ValidationError) as err:
+            RandomLimitModel(0, bad)
+        assert err.value.code == "prob/range"
 
 
 # --- random mode ---
