@@ -46,7 +46,7 @@ KATETOV_MATERIALIZE_CAP = 1024
 RAMSEY_SIZE_CAP = 12
 RAMSEY_SAMPLES_CAP = 500
 # Smallest `--p` wherever it is read: a colour rate p has about 44/p exact
-# CDF thresholds (prng.geometric_thresholds), built in about 0.5 s at this
+# CDF thresholds (prng.geometric_thresholds), built in about 0.25 s at this
 # floor and about 4x longer per halving of p.
 P_FLOOR = Fraction(1, 256)
 P_HELP = f"colour rate of a random model or graph (default 1/2, at least {fraction_to_str(P_FLOOR)})"

@@ -9,14 +9,19 @@ The kernel takes arrays of pairs.  The first two finalizer rounds of
 ``edge_bits`` absorb only the seed and the lesser endpoint, so together
 they are a per-point key.  The kernel computes that key once per point and
 gathers it (``all_edge_colours``) or broadcasts it (``pair_colours``) to
-the pairs; only the last round and the inverse-CDF search run once per
-pair.
+the pairs, and the greater endpoint's term likewise; only the last round
+and the inversion run once per pair.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
 (t_i - t_{i-1}) / 2^64 where t_i = floor((1 - (1-p)^i) * 2^64).  The error
 against the ideal law (1-p)^{i-1} p is below 2^-64 per colour and the tail
 beyond the last representable threshold is lumped into the final index.
+The scalar path inverts by binary search.  The kernel inverts through a
+guide table over the top bits of the draw (Chen and Asau, 1974): a bucket
+that no threshold splits gives the colour in one lookup, and the draws in
+the few buckets that a threshold splits fall back to the exact binary
+search, so both paths give the same colour for every draw.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,30 +66,66 @@ def geometric_thresholds(p: Fraction) -> tuple[int, ...]:
     """Ascending CDF thresholds for the geometric law with parameter p.
 
     colour(r) = bisect_right(thresholds, r) + 1 for r uniform in [0, 2^64).
+    The powers of q = 1 - p are kept as a numerator and a denominator that
+    are never reduced: the ceiling below needs no lowest terms.
     """
     if not isinstance(p, Fraction):
         raise TypeError("p must be a Fraction")
     if not (0 < p < 1):
         raise ValueError("p must lie strictly between 0 and 1")
     scale = 1 << 64
-    q = 1 - p
-    acc = q  # q^i
+    a, b = p.denominator - p.numerator, p.denominator  # q = a/b
+    num, den = a, b  # q^i = num/den
     out: list[int] = []
     while True:
-        tail = -(-(acc.numerator * scale) // acc.denominator)  # ceil(q^i * 2^64)
+        tail = -(-(num * scale) // den)  # ceil(q^i * 2^64)
         t = scale - tail
         if out and t <= out[-1]:
             break
         out.append(t)
         if tail <= 1:
             break
-        acc *= q
+        num *= a
+        den *= b
     return tuple(out)
+
+
+class _Law(NamedTuple):
+    """What the scalar and vector inversions read for one colour rate."""
+
+    thresholds: tuple[int, ...]
+    array: np.ndarray  # the thresholds as uint64
+    shift: np.uint64  # 64 - b: r >> shift is r's guide bucket
+    guide: np.ndarray  # int64[2^b]: each bucket's colour, 0 where it varies
+
+
+@lru_cache(maxsize=None)
+def _law(num: int, den: int) -> _Law:
+    """The inversion tables at p = num/den.  Keyed by two ints: hashing a
+    Fraction costs a modular inverse, too much for once per scalar colour.
+    The thresholds are built through the module's ``geometric_thresholds``.
+
+    Guide table (Chen and Asau): bucket k holds the draws whose top b bits
+    are k, b = clamp(bit_length(T) + 4, 8, 16) for T thresholds.  A bucket
+    [first, last] with no threshold in (first, last] has one colour, which
+    it stores; the others store 0 and send their draws to the binary
+    search."""
+    ts = geometric_thresholds(Fraction(num, den))
+    array = np.array(ts, dtype=np.uint64)
+    b = min(max(len(ts).bit_length() + 4, 8), 16)
+    shift = np.uint64(64 - b)
+    first = np.arange(1 << b, dtype=np.uint64) << shift
+    below = np.searchsorted(array, first, side="right")
+    upto = np.searchsorted(array, first | np.uint64((1 << (64 - b)) - 1), side="right")
+    guide = np.where(below == upto, below + 1, 0)
+    array.setflags(write=False)
+    guide.setflags(write=False)
+    return _Law(ts, array, shift, guide)
 
 
 def geometric_colour(p: Fraction, r: int) -> int:
     """Colour index >= 1 for 64 uniform bits ``r``."""
-    return bisect_right(geometric_thresholds(p), r) + 1
+    return bisect_right(_law(p.numerator, p.denominator).thresholds, r) + 1
 
 
 def edge_colour(p: Fraction, seed: int, u: int, v: int) -> int:
@@ -109,13 +151,6 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=None)
-def _threshold_array(p: Fraction) -> np.ndarray:
-    out = np.array(geometric_thresholds(p), dtype=np.uint64)
-    out.setflags(write=False)
-    return out
-
-
 def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
     """The first two finalizer rounds of :func:`edge_bits` for each point
     as the lesser endpoint; they read nothing else."""
@@ -124,12 +159,23 @@ def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
         return _mix64_vec(z0 ^ ((points.astype(np.uint64) + _ONE) * _G))
 
 
-def _colours(p: Fraction, keys: np.ndarray, greater: np.ndarray) -> np.ndarray:
-    """Absorb the greater endpoint into the lesser one's key, then invert
-    the CDF: the colour of each pair."""
+def _greater_terms(points: np.ndarray) -> np.ndarray:
+    """What each point XORs into the lesser key as the greater endpoint."""
     with np.errstate(over="ignore"):
-        bits = _mix64_vec(keys ^ ((greater.astype(np.uint64) + _ONE) * _M1))
-    return np.searchsorted(_threshold_array(p), bits, side="right") + 1
+        return (points.astype(np.uint64) + _ONE) * _M1
+
+
+def _invert(p: Fraction, bits: np.ndarray) -> np.ndarray:
+    """The colour of each 64-bit draw, any shape: one guide-table gather
+    per draw, and the binary search only for the draws in buckets that a
+    threshold splits.  Works on flat views, so the shape comes back
+    unchanged."""
+    law = _law(p.numerator, p.denominator)
+    flat = bits.ravel()
+    colours = law.guide[flat >> law.shift]
+    miss = np.flatnonzero(colours == 0)
+    colours[miss] = np.searchsorted(law.array, flat[miss], side="right") + 1
+    return colours.reshape(bits.shape)
 
 
 def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
@@ -140,20 +186,25 @@ def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
     candidate and per fixed point."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    keys = np.where(u < v, _point_keys(seed, u), _point_keys(seed, v))
-    return _colours(p, keys, np.maximum(u, v))
+    z = np.where(u < v, _point_keys(seed, u), _point_keys(seed, v))
+    z ^= _greater_terms(np.maximum(u, v))
+    return _invert(p, _mix64_vec(z))
 
 
 def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
     """Colours for every pair {i, j} of range(n), i < j.
 
     Flat layout: pair (i, j) at index j*(j-1)//2 + i.  Matches the scalar
-    :func:`edge_colour` entry by entry.
+    :func:`edge_colour` entry by entry.  Both endpoints' terms are computed
+    once per point and gathered to the pairs.
     """
     points = np.arange(n, dtype=np.int64)
-    j = np.repeat(points, points)  # row j holds the j pairs below it
-    i = np.arange(j.size, dtype=np.int64) - np.repeat(points * (points - 1) // 2, points)
-    return _colours(p, _point_keys(seed, points)[i], j)
+    i = np.arange(n * (n - 1) // 2, dtype=np.int64)
+    i -= np.repeat(points * (points - 1) // 2, points)  # row j holds the j pairs below it
+    z = _point_keys(seed, points)[i]
+    del i
+    z ^= np.repeat(_greater_terms(points), points)
+    return _invert(p, _mix64_vec(z))
 
 
 class SplitMix64Stream:

@@ -5,7 +5,8 @@ Three pieces of machinery, all exact:
 * ``exact_rational``: the one reader that turns a raw value into a
   ``Fraction``.  It accepts a ``Fraction`` (returned as the same object),
   an ``int`` that is not a ``bool``, and a string ``Fraction`` parses with
-  a nonzero denominator; everything else reads as ``None``, and each
+  a nonzero denominator and no exponent (an exponent spells a huge integer
+  in a few characters); everything else reads as ``None``, and each
   caller raises its own error.  ``as_probability`` reads a colour rate
   through it.
 * ``nth_rational`` / ``rational_index``: the breadth-first walk of the
@@ -29,11 +30,14 @@ from .errors import ValidationError
 
 def exact_rational(value: object) -> Optional[Fraction]:
     """A Fraction read from a Fraction (the same object), an int that is not
-    a bool, or a string Fraction parses with a nonzero denominator; None
-    for any other value."""
+    a bool, or a string without an exponent that Fraction parses with a
+    nonzero denominator; None for any other value."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, str):
+        if "e" in value or "E" in value:  # "1e100000000" spells a huge integer
+            return None
+    elif isinstance(value, bool) or not isinstance(value, int):
         return None
     try:
         return Fraction(value)

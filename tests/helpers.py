@@ -8,6 +8,8 @@ import signal
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from echelon import (
     EchelonedSpace,
     embedding_rank_map,
@@ -282,6 +284,51 @@ class ReferenceRandomLimitModel(LimitModel):
                     f"no witness among the first {self.size} points (cap {self.cap})",
                 )
             self.size = min(self.size + GROW_BLOCK, self.cap)
+
+
+def reference_geometric_thresholds(p):
+    """The CDF thresholds by the Fraction power loop (a gcd every step),
+    kept as the reference for the plain-integer loop."""
+    scale = 1 << 64
+    q = 1 - p
+    acc = q  # q^i
+    out = []
+    while True:
+        tail = -(-(acc.numerator * scale) // acc.denominator)  # ceil(q^i * 2^64)
+        t = scale - tail
+        if out and t <= out[-1]:
+            break
+        out.append(t)
+        if tail <= 1:
+            break
+        acc *= q
+    return tuple(out)
+
+
+def _reference_colours(p, keys, greater):
+    """The last finalizer round on each pair, then one binary search over
+    the thresholds per pair."""
+    with np.errstate(over="ignore"):
+        bits = prng._mix64_vec(keys ^ ((greater.astype(np.uint64) + np.uint64(1)) * np.uint64(prng.MIX1)))
+    thresholds = np.array(prng.geometric_thresholds(p), dtype=np.uint64)
+    return np.searchsorted(thresholds, bits, side="right") + 1
+
+
+def reference_pair_colours(p, seed, u, v):
+    """The pair kernel before the guide table."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keys = np.where(u < v, prng._point_keys(seed, u), prng._point_keys(seed, v))
+    return _reference_colours(p, keys, np.maximum(u, v))
+
+
+def reference_all_edge_colours(p, seed, n):
+    """The bulk kernel before the guide table: both endpoints of every pair
+    as index arrays, and one binary search per pair."""
+    points = np.arange(n, dtype=np.int64)
+    j = np.repeat(points, points)  # row j holds the j pairs below it
+    i = np.arange(j.size, dtype=np.int64) - np.repeat(points * (points - 1) // 2, points)
+    return _reference_colours(p, prng._point_keys(seed, points)[i], j)
 
 
 def _first_unmatched(limit, matched):

@@ -705,6 +705,19 @@ def test_exit_code_malformed_bytes(invoke, tmp_path, raw):
     assert json.loads(err)["error"]["code"] == "json/parse"
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e100000000", "1e3", "1E3", "5/2e1"])
+@pytest.mark.parametrize("command", ["validate", "echelon"])
+def test_exponent_strings_are_refused(invoke, tmp_path, command, value):
+    """An exponent spells a huge integer in a few characters: "1e5000" once
+    ended in a traceback past the integer-string limit, "1e100000000" in a
+    hang.  Both, and every other exponent, are refused as rationals."""
+    doc = {"format": FORMAT, "kind": "weights", "points": 2, "w": [[value]]}
+    with deadline(5.0):
+        code, out, err = invoke([command, write_doc(tmp_path, "w.json", doc)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "json/rational", "message": f"expected a 'p/q' string, got {value!r}"}
+
+
 def full_katetov_doc(invoke, tmp_path):
     """K(EDGE) with its table, a functor action into K(FIX) and a realization."""
     base = write_doc(tmp_path, "base.json", space_to_json(EDGE))

@@ -5,8 +5,10 @@ pinned to it exactly.  Marginals are checked against the geometric law
 with a chi-square test, and the exact threshold table is verified against
 the law's cumulative distribution by integer arithmetic."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -27,7 +29,12 @@ from echelon import prng
 from echelon.colgraph import WITNESS_BITS_CAP
 from echelon.errors import CapExceeded, DemandError, ValidationError
 
-from helpers import deadline
+from helpers import (
+    deadline,
+    reference_all_edge_colours,
+    reference_geometric_thresholds,
+    reference_pair_colours,
+)
 
 SCALE = 1 << 64
 
@@ -94,6 +101,69 @@ def test_pair_kernel_equals_scalar():
                 for k, w in enumerate(fixed):
                     if z != w:
                         assert block[z, k] == prng.edge_colour(p, seed, z, w)
+
+
+def test_plain_integer_thresholds_equal_the_fraction_loop():
+    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(255, 256), Fraction(1, 256)):
+        assert prng.geometric_thresholds(p) == reference_geometric_thresholds(p)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
+def test_guide_table_inversion_at_every_boundary(p):
+    """The vectorized inversion against the scalar one on the draws where
+    a guide table can go wrong: each threshold and its neighbours, the
+    first and last draw of every bucket, and both ends of the range."""
+    ts = prng.geometric_thresholds(p)
+    law = prng._law(p.numerator, p.denominator)
+    buckets = np.arange(law.guide.size, dtype=np.uint64) << law.shift
+    assert 0 < law.guide.size <= 1 << 16 and law.guide.dtype == np.int64
+    draws = sorted(
+        {r for t in ts for r in (t - 1, t, t + 1) if 0 <= r < SCALE}
+        | set(buckets.tolist())
+        | set((buckets | ((np.uint64(1) << law.shift) - np.uint64(1))).tolist())
+        | {0, SCALE - 1}
+    )
+    draws += [0] * (len(draws) % 2)  # an even count, for the 2-D block
+    want = [prng.geometric_colour(p, r) for r in draws]
+    bits = np.array(draws, dtype=np.uint64)
+    flat = prng._invert(p, bits)
+    assert flat.dtype == np.int64 and flat.tolist() == want
+    block = bits.reshape(2, -1)
+    assert prng._invert(p, block).tolist() == np.array(want).reshape(2, -1).tolist()
+    assert prng._invert(p, block.T).tolist() == np.array(want).reshape(2, -1).T.tolist()
+    assert (law.guide == 0).any()  # some draws took the binary search
+
+
+def test_kernel_equals_the_binary_search_kernel():
+    """Entry by entry and dtype for dtype against the kernel that searched
+    the thresholds for every pair."""
+    for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)):
+        for seed in (0, 7, 2**64 - 1):
+            for n in (0, 1, 2, 300):
+                got = prng.all_edge_colours(p, seed, n)
+                want = reference_all_edge_colours(p, seed, n)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            u = np.arange(200)[:, None]
+            v = np.array([0, 5, 199, 4000])
+            got = prng.pair_colours(p, seed, u, v)
+            want = reference_pair_colours(p, seed, u, v)
+            assert got.shape == (200, 4) and got.dtype == want.dtype and np.array_equal(got, want)
+    got = prng.all_edge_colours(Fraction(1, 2), 7, 1024)
+    assert np.array_equal(got, reference_all_edge_colours(Fraction(1, 2), 7, 1024))
+
+
+def test_bulk_kernel_peak_memory():
+    """All 523,776 pair colours of 1,024 points at a peak of at most 3.5
+    times the output's bytes."""
+    p = Fraction(1, 2)
+    out = prng.all_edge_colours(p, 11, 1024)
+    tracemalloc.start()
+    try:
+        prng.all_edge_colours(p, 11, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * out.nbytes
 
 
 def test_graph_determinism_and_structure():

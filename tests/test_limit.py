@@ -80,7 +80,7 @@ def test_exact_rational_reads_three_kinds():
                         (" 1/2 ", Fraction(1, 2)), ("1.5", Fraction(3, 2))):
         got = exact_rational(value)
         assert got == want and type(got) is Fraction
-    for bad in (True, 0.5, None, "1/0", "a/b", Decimal("1")):
+    for bad in (True, 0.5, None, "1/0", "a/b", Decimal("1"), "1e3", "1E3", "1.5e-2", "1e100000000"):
         assert exact_rational(bad) is None
 
 
