@@ -10,8 +10,11 @@ codes: 0 success, 2 validation error (JSON diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,32 +31,58 @@ from .ramsey import ARROW_BUDGET, _arrow, witness_search
 from .rationals import exact_rational
 from .space import are_isomorphic, enumerate_spaces, from_weights
 
-# Largest `limit sample --n`: the output carries n(n-1)/2 exact labels.
-LIMIT_POINTS_CAP = 1024
-# Largest `limit bnf --depth`: back-and-forth between two deterministic
-# models takes under 0.1 s at this depth and about 4x more per doubling.
-LIMIT_DEPTH_CAP = 40
-# Largest `graph --n`: the graph stores n(n-1)/2 edge colours.
-GRAPH_VERTICES_CAP = 2048
-# Largest `katetov --materialize-cap`: the emitted K(X) table has m^2
-# entries, about a million at this cap.
-KATETOV_MATERIALIZE_CAP = 1024
-# Largest `ramsey search --cap` and `--samples`: a search at both caps
-# samples 500 spaces of each size 5..12 and ends in about 1 s.  The size
-# cap also bounds the C of `ramsey check`, whose A- and B-copies are all
-# listed: under 2 s for a flat 12-point C.  `--budget` of both `ramsey`
-# subcommands is capped at ramsey.ARROW_BUDGET.
-RAMSEY_SIZE_CAP = 12
-RAMSEY_SAMPLES_CAP = 500
-# Smallest `--p` wherever it is read: a colour rate p has about 44/p exact
-# CDF thresholds (prng.geometric_thresholds), built in about 0.25 s at this
-# floor and about 4x longer per halving of p.
-P_FLOOR = Fraction(1, 256)
-P_HELP = f"colour rate of a random model or graph (default 1/2, at least {fraction_to_str(P_FLOOR)})"
+
+@dataclass(frozen=True)
+class Bound:
+    """One row of the command line's bounds table.  An int ``limit`` caps
+    the option ``flag``; the Fraction limit of ``--p`` is its floor, and a
+    value outside (0, 1) is left to ``as_probability``.  ``main`` checks a
+    leaf parser's rows before its handler runs, so nothing is built past one."""
+
+    flag: str
+    limit: int | Fraction
+    code: str
+    unit: str = ""
+
+    def check(self, value) -> None:
+        if isinstance(self.limit, Fraction):
+            if 0 < value < self.limit:
+                raise CapExceeded(self.code, f"{self.flag} {fraction_to_str(value)} is below the floor of {self}")
+        elif value > self.limit:
+            raise CapExceeded(self.code, f"{self.flag} {value} exceeds the cap of {self}")
+
+    def __str__(self) -> str:  # the limit as messages and help strings state it
+        return fraction_to_str(self.limit) if isinstance(self.limit, Fraction) else f"{self.limit}{self.unit}"
+
+
+BOUNDS = {
+    # the emitted K(X) table has m^2 entries, about a million at this cap
+    "materialize": Bound("--materialize-cap", 1024, "katetov/materialize-cap", " points"),
+    # the output of `limit sample` carries n(n-1)/2 exact labels
+    "points": Bound("--n", 1024, "limit/points-cap", " points"),
+    # back-and-forth between two deterministic models takes under 0.1 s at
+    # this depth and about 4x more per doubling
+    "depth": Bound("--depth", 40, "limit/depth-cap"),
+    # `ramsey search` at both caps samples 500 spaces of each size 5..12 and
+    # ends in about 1 s
+    "size": Bound("--cap", 12, "ramsey/size-cap"),
+    "samples": Bound("--samples", 500, "ramsey/samples-cap"),
+    # the colourings either `ramsey` subcommand may explore
+    "budget": Bound("--budget", ARROW_BUDGET, "ramsey/budget-cap"),
+    # `graph` stores n(n-1)/2 edge colours
+    "vertices": Bound("--n", 2048, "graph/vertices-cap", " vertices"),
+    # a colour rate p has about 44/p exact CDF thresholds
+    # (prng.geometric_thresholds), built in about 0.25 s at this floor and
+    # about 4x longer per halving of p
+    "p": Bound("--p", Fraction(1, 256), "prob/cap"),
+}
+# The C of `ramsey check` comes from its document, so its handler checks
+# this row: every A- and B-copy in C is listed, under 2 s for a flat C at the cap.
+BOUNDS["c-points"] = replace(BOUNDS["size"], flag="--c point count")
 
 
 class _UsageError(Exception):
-    pass
+    """A command line that argparse refuses: exit 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,16 +90,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float.  JSON (RFC 8259) has no NaN or infinities,
+    so ``NaN``, ``Infinity``, ``-Infinity`` and a literal that overflows
+    are malformed."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
 def _read_doc(path: str):
     """Parse a JSON input; bytes that are not UTF-8 and input the decoder
-    refuses (nesting too deep, integers too long) are malformed JSON.
+    refuses (nesting too deep, integers too long, numbers not finite) are
+    malformed JSON.
 
     The encode check refuses the lone surrogates that a non-UTF-8 locale's
     stdin decoding leaves in place of undecodable bytes."""
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         text.encode("utf-8")
-        return json.loads(text)
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeError are ValueErrors
         raise ValidationError("json/parse", str(exc)) from None
 
@@ -107,19 +147,6 @@ def _seed_arg(value: str) -> int:
     if not 0 <= seed < 1 << 64:  # seeds are 64-bit words; others would alias
         raise argparse.ArgumentTypeError(f"seed {seed} is outside [0, 2^64)")
     return seed
-
-
-def _check_cap(flag: str, value: int, cap: int, code: str, unit: str = "") -> None:
-    if value > cap:
-        raise CapExceeded(code, f"{flag} {value} exceeds the cap of {cap}{unit}")
-
-
-def _check_p(p: Fraction) -> None:
-    """Refuse a colour rate below ``P_FLOOR``; one outside (0, 1) is left to
-    ``as_probability``."""
-    if 0 < p < P_FLOOR:
-        floor = fraction_to_str(P_FLOOR)
-        raise CapExceeded("prob/cap", f"--p {fraction_to_str(p)} is below the floor of {floor}")
 
 
 def _amalgam_doc(result: AmalgamResult) -> dict:
@@ -174,8 +201,6 @@ def _cmd_jep(args) -> dict:
 
 
 def _cmd_katetov(args) -> dict:
-    cap = args.materialize_cap
-    _check_cap("--materialize-cap", cap, KATETOV_MATERIALIZE_CAP, "katetov/materialize-cap", " points")
     base = _read_space(args.space)
     kx = katetov_space(base)
     doc = {
@@ -188,8 +213,8 @@ def _cmd_katetov(args) -> dict:
         "chain": jsonio.chain_to_json(kx.chain),
         "lambda": list(kx.identity_embedding()),
     }
-    if kx.m <= cap:
-        doc["space"] = jsonio.space_to_json(kx.materialize(cap=cap))
+    if kx.m <= args.materialize_cap:
+        doc["space"] = jsonio.space_to_json(kx.materialize(cap=args.materialize_cap))
     if args.map is not None:
         target, phi = jsonio.map_from_json(_read_doc(args.map))
         if target is None:
@@ -213,9 +238,6 @@ def _cmd_extend(args) -> dict:
 
 
 def _cmd_limit_sample(args) -> dict:
-    _check_cap("--n", args.n, LIMIT_POINTS_CAP, "limit/points-cap", " points")
-    if args.mode == "random":
-        _check_p(args.p)
     model = limit_new(args.mode, args.seed, args.p)
     space = model.sample_prefix(args.n)
     doc = jsonio.space_to_json(space)
@@ -229,9 +251,6 @@ def _cmd_limit_sample(args) -> dict:
 
 
 def _cmd_limit_bnf(args) -> dict:
-    _check_cap("--depth", args.depth, LIMIT_DEPTH_CAP, "limit/depth-cap")
-    if "random" in (args.mode1, args.mode2):
-        _check_p(args.p)
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)
@@ -249,12 +268,9 @@ def _cmd_limit_bnf(args) -> dict:
 
 
 def _cmd_ramsey_check(args) -> dict:
-    _check_cap("--budget", args.budget, ARROW_BUDGET, "ramsey/budget-cap")
     c = _read_ordered(args.c)
-    _check_cap("--c point count", c.m, RAMSEY_SIZE_CAP, "ramsey/size-cap")
-    a = _read_ordered(args.a)
-    b = _read_ordered(args.b)
-    arrows, copies_a, copies_b = _arrow(c, a, b, args.k, args.budget)
+    BOUNDS["c-points"].check(c.m)
+    arrows, copies_a, copies_b = _arrow(c, _read_ordered(args.a), _read_ordered(args.b), args.k, args.budget)
     return {
         "format": FORMAT,
         "kind": "report",
@@ -266,9 +282,6 @@ def _cmd_ramsey_check(args) -> dict:
 
 
 def _cmd_ramsey_search(args) -> dict:
-    _check_cap("--cap", args.cap, RAMSEY_SIZE_CAP, "ramsey/size-cap")
-    _check_cap("--samples", args.samples, RAMSEY_SAMPLES_CAP, "ramsey/samples-cap")
-    _check_cap("--budget", args.budget, ARROW_BUDGET, "ramsey/budget-cap")
     witness = witness_search(
         _read_ordered(args.a),
         _read_ordered(args.b),
@@ -301,42 +314,37 @@ def _cmd_iso(args) -> dict:
 
 
 def _cmd_graph(args) -> dict:
-    _check_cap("--n", args.n, GRAPH_VERTICES_CAP, "graph/vertices-cap", " vertices")
-    _check_p(args.p)
     colouring = GeometricColouring(args.p, args.seed)
     return jsonio.graph_to_json(random_coloured_graph(args.n, colouring))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; each leaf parser carries its
+    handler and the ``BOUNDS`` rows of its options."""
+    b = BOUNDS
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write the output document here instead of stdout")
-    common.add_argument(
-        "--format",
-        dest="format_tag",
-        default=FORMAT,
-        help=f"expected document format tag (default {FORMAT})",
-    )
+    format_help = f"expected document format tag (default {FORMAT})"
+    common.add_argument("--format", dest="format_tag", default=FORMAT, help=format_help)
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=_seed_arg, default=0, help="PRNG seed in [0, 2^64) (default 0)")
+    rated = _Parser(add_help=False)
+    p_help = f"colour rate of a random model or graph (default 1/2, at least {b['p']})"
+    rated.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=p_help)
 
     parser = _Parser(prog="echelon", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="re-validate and normalize a document")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("echelon", parents=[common], help="rank-compress a weights document into a space")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_echelon)
-
-    p = sub.add_parser("metrize", parents=[common], help="realize a space as a dull metric")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_metrize)
-
-    p = sub.add_parser("from-metric", parents=[common], help="echelon a metric by comparing distances")
-    p.add_argument("input")
-    p.set_defaults(handler=_cmd_from_metric)
+    for name, handler, text in (
+        ("validate", _cmd_validate, "re-validate and normalize a document"),
+        ("echelon", _cmd_echelon, "rank-compress a weights document into a space"),
+        ("metrize", _cmd_metrize, "realize a space as a dull metric"),
+        ("from-metric", _cmd_from_metric, "echelon a metric by comparing distances"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("input")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("amalgamate", parents=[common], help="strong amalgam over a shared subspace")
     p.add_argument("--a", required=True, help="shared space document")
@@ -355,56 +363,51 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--map", help="map document {kind: map, target, map} for the functor action")
     p.add_argument("--extend", help="one-point extension to realize inside K(X)")
-    p.add_argument(
-        "--materialize-cap",
-        type=int,
-        default=512,
-        help=f"emit the full K(X) table only up to this many points (default 512, at most {KATETOV_MATERIALIZE_CAP})",
-    )
-    p.set_defaults(handler=_cmd_katetov)
+    cap_help = f"emit the full K(X) table up to this many points (default 512, at most {b['materialize']})"
+    p.add_argument("--materialize-cap", type=int, default=512, help=cap_help)
+    p.set_defaults(handler=_cmd_katetov, bounds=(b["materialize"],))
 
     p = sub.add_parser("extend", parents=[common], help="enumerate one-point extensions")
     p.add_argument("input")
     p.add_argument("--count", action="store_true", help="emit only the count")
     p.set_defaults(handler=_cmd_extend)
 
-    p = sub.add_parser("limit", parents=[], help="generative models of the limit space")
-    limit_sub = p.add_subparsers(dest="limit_command", required=True)
+    limit_help = "generative models of the limit space"
+    limit_sub = sub.add_parser("limit", help=limit_help).add_subparsers(dest="limit_command", required=True)
 
-    q = limit_sub.add_parser("sample", parents=[common, seeded], help="echelon the first n points")
+    q = limit_sub.add_parser("sample", parents=[common, seeded, rated], help="echelon the first n points")
     q.add_argument("--mode", choices=("random", "deterministic"), required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
-    q.set_defaults(handler=_cmd_limit_sample)
+    q.add_argument("--n", type=int, required=True, help=f"prefix size (at most {b['points']})")
+    q.set_defaults(handler=_cmd_limit_sample, bounds=(b["points"], b["p"]))
 
-    q = limit_sub.add_parser("bnf", parents=[common], help="back-and-forth certificate")
+    q = limit_sub.add_parser("bnf", parents=[common, rated], help="back-and-forth certificate")
     q.add_argument("--seed1", type=_seed_arg, required=True)
     q.add_argument("--seed2", type=_seed_arg, required=True)
-    q.add_argument("--depth", type=int, required=True)
+    q.add_argument("--depth", type=int, required=True, help=f"points matched on each side (at most {b['depth']})")
     q.add_argument("--mode1", choices=("random", "deterministic"), default="random")
     q.add_argument("--mode2", choices=("random", "deterministic"), default="deterministic")
-    q.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
-    q.set_defaults(handler=_cmd_limit_bnf)
+    q.set_defaults(handler=_cmd_limit_bnf, bounds=(b["depth"], b["p"]))
 
-    p = sub.add_parser("ramsey", parents=[], help="partition arrow checks")
-    ramsey_sub = p.add_subparsers(dest="ramsey_command", required=True)
+    ramsey_help = "partition arrow checks"
+    ramsey_sub = sub.add_parser("ramsey", help=ramsey_help).add_subparsers(dest="ramsey_command", required=True)
+    budget_help = f"most colourings (default and cap {b['budget']})"
 
     q = ramsey_sub.add_parser("check", parents=[common], help="decide C -> (B) over A-copies")
-    q.add_argument("--c", required=True, help=f"ordered space of at most {RAMSEY_SIZE_CAP} points")
+    q.add_argument("--c", required=True, help=f"ordered space of at most {b['c-points']} points")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--budget", type=int, default=ARROW_BUDGET, help="most colourings (default and cap 2^20)")
-    q.set_defaults(handler=_cmd_ramsey_check)
+    q.add_argument("--budget", type=int, default=b["budget"].limit, help=budget_help)
+    q.set_defaults(handler=_cmd_ramsey_check, bounds=(b["budget"],))
 
     q = ramsey_sub.add_parser("search", parents=[common, seeded], help="hunt for a witness C")
     q.add_argument("--a", required=True)
     q.add_argument("--b", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--cap", type=int, default=4, help=f"largest size to try (default 4, at most {RAMSEY_SIZE_CAP})")
-    q.add_argument("--samples", type=int, default=200, help=f"random probes per size beyond 4 (at most {RAMSEY_SAMPLES_CAP})")
-    q.add_argument("--budget", type=int, default=ARROW_BUDGET, help="most colourings (default and cap 2^20)")
-    q.set_defaults(handler=_cmd_ramsey_search)
+    q.add_argument("--cap", type=int, default=4, help=f"largest size to try (default 4, at most {b['size']})")
+    q.add_argument("--samples", type=int, default=200, help=f"random probes per size beyond 4 (at most {b['samples']})")
+    q.add_argument("--budget", type=int, default=b["budget"].limit, help=budget_help)
+    q.set_defaults(handler=_cmd_ramsey_search, bounds=(b["size"], b["samples"], b["budget"]))
 
     p = sub.add_parser("enumerate", parents=[common], help="all labeled spaces on m points")
     p.add_argument("--m", type=int, required=True)
@@ -417,12 +420,17 @@ def _build_parser() -> _Parser:
     p.add_argument("b")
     p.set_defaults(handler=_cmd_iso)
 
-    p = sub.add_parser("graph", parents=[common, seeded], help="seeded geometric edge colouring")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_fraction_arg, default=Fraction(1, 2), help=P_HELP)
-    p.set_defaults(handler=_cmd_graph)
+    p = sub.add_parser("graph", parents=[common, seeded, rated], help="seeded geometric edge colouring")
+    p.add_argument("--n", type=int, required=True, help=f"vertex count (at most {b['vertices']})")
+    p.set_defaults(handler=_cmd_graph, bounds=(b["vertices"], b["p"]))
 
     return parser
+
+
+def _reads_p(args) -> bool:
+    """``graph`` always reads ``--p``; ``limit`` reads it only through a random model."""
+    modes = [getattr(args, key) for key in ("mode", "mode1", "mode2") if hasattr(args, key)]
+    return not modes or "random" in modes
 
 
 def _diagnostic(code: str, message: str) -> None:
@@ -441,6 +449,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _diagnostic("json/format", f"unsupported format tag {args.format_tag!r}")
         return 2
     try:
+        for bound in getattr(args, "bounds", ()):
+            if bound is not BOUNDS["p"] or _reads_p(args):
+                bound.check(getattr(args, bound.flag[2:].replace("-", "_")))
         doc = args.handler(args)
     except EchelonError as exc:
         _diagnostic(exc.code, exc.message)

@@ -101,7 +101,7 @@ def _space(doc: dict) -> EchelonedSpace:
     space = from_rank_table(tuple(tuple(r) for r in _table(doc, "points", "eta", _integer, 0)))
     declared = doc.get("ranks")
     if declared is not None:
-        _require(declared == space.n, f"declared ranks {declared} but table has {space.n}")
+        _require(_is_int(declared) and declared == space.n, f"declared ranks {declared} but table has {space.n}")
     return space
 
 

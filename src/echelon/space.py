@@ -232,15 +232,10 @@ def _check_point_map(source_m: int, target_m: int, h: Sequence[int]) -> PointMap
     return h
 
 
-def homomorphism_rank_map(source, target, h: Sequence[int]) -> Optional[RankMap]:
-    """Rank-map witness that h is a homomorphism, or None.
-
-    The witness w satisfies w[0] = 0 and rank(h x, h y) = w[rank(x, y)] for
-    all pairs, and is monotone (non-decreasing).  Constant maps yield the
-    all-zero witness.  ``target`` may be any object exposing ``m`` and
-    ``rank``; ``source`` additionally needs ``n``.
-    """
-    h = _check_point_map(source.m, target.m, h)
+def _rank_witness(source, target, h: PointMap, strict: bool) -> Optional[RankMap]:
+    """The rank map w with w[0] = 0 and rank(h x, h y) = w[rank(x, y)] for
+    all pairs if there is one and it is non-decreasing (increasing if
+    ``strict``), else None; ``h`` is a checked point map."""
     witness: list[Optional[int]] = [None] * (source.n + 1)
     witness[0] = 0
     for x, y in itertools.combinations(range(source.m), 2):
@@ -251,9 +246,20 @@ def homomorphism_rank_map(source, target, h: Sequence[int]) -> Optional[RankMap]
         elif witness[r] != s:
             return None
     for r in range(1, source.n + 1):
-        if witness[r] < witness[r - 1]:  # type: ignore[operator]
+        if witness[r] < witness[r - 1] or strict and witness[r] == witness[r - 1]:  # type: ignore[operator]
             return None
     return tuple(witness)  # type: ignore[arg-type]
+
+
+def homomorphism_rank_map(source, target, h: Sequence[int]) -> Optional[RankMap]:
+    """Rank-map witness that h is a homomorphism, or None.
+
+    The witness w satisfies w[0] = 0 and rank(h x, h y) = w[rank(x, y)] for
+    all pairs, and is monotone (non-decreasing).  Constant maps yield the
+    all-zero witness.  ``target`` may be any object exposing ``m`` and
+    ``rank``; ``source`` additionally needs ``n``.
+    """
+    return _rank_witness(source, target, _check_point_map(source.m, target.m, h), strict=False)
 
 
 def is_homomorphism(source, target, h: Sequence[int]) -> bool:
@@ -269,13 +275,7 @@ def embedding_rank_map(source, target, h: Sequence[int]) -> Optional[RankMap]:
     h = _check_point_map(source.m, target.m, h)
     if len(set(h)) != len(h):
         return None
-    witness = homomorphism_rank_map(source, target, h)
-    if witness is None:
-        return None
-    for r in range(1, source.n + 1):
-        if witness[r] <= witness[r - 1]:
-            return None
-    return witness
+    return _rank_witness(source, target, h, strict=True)
 
 
 def is_embedding(source, target, h: Sequence[int]) -> bool:

@@ -3,6 +3,7 @@
 main() is driven in-process; stdout/stderr go through capsys and stdin is
 monkeypatched for the "-" path."""
 
+import argparse
 import hashlib
 import io
 import itertools
@@ -23,20 +24,19 @@ from echelon import (
 )
 from echelon import cli
 from echelon import metrize, prng, ramsey
-from echelon.cli import (
-    GRAPH_VERTICES_CAP,
-    KATETOV_MATERIALIZE_CAP,
-    LIMIT_DEPTH_CAP,
-    LIMIT_POINTS_CAP,
-    P_FLOOR,
-    RAMSEY_SAMPLES_CAP,
-    RAMSEY_SIZE_CAP,
-    main,
-)
+from echelon.cli import BOUNDS, main
 from echelon.jsonio import FORMAT, dumps, fraction_to_str, space_from_json, space_to_json
 from echelon.limit import WITNESS_CAP, limit_new
 
 from helpers import deadline
+
+GRAPH_VERTICES_CAP = BOUNDS["vertices"].limit
+KATETOV_MATERIALIZE_CAP = BOUNDS["materialize"].limit
+LIMIT_DEPTH_CAP = BOUNDS["depth"].limit
+LIMIT_POINTS_CAP = BOUNDS["points"].limit
+P_FLOOR = BOUNDS["p"].limit
+RAMSEY_SAMPLES_CAP = BOUNDS["samples"].limit
+RAMSEY_SIZE_CAP = BOUNDS["size"].limit
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 EDGE = from_weights(2, {(0, 1): 1})
@@ -926,6 +926,103 @@ def test_p_floor_holds_only_where_p_is_read(invoke, monkeypatch):
 def test_help_states_the_p_floor(invoke, argv):
     code, out, _ = invoke(argv + ["--help"])
     assert code == 0 and "at least 1/256" in " ".join(out.split())
+
+
+def leaf_parsers(parser=None, path=()):
+    """(path, parser) for every leaf of the command line, e.g. (("limit", "sample"), parser)."""
+    for action in (parser or cli._build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub.get_default("handler") is None:
+                    yield from leaf_parsers(sub, path + (name,))
+                else:
+                    yield path + (name,), sub
+
+
+# Options of type int that have no row, and what bounds them instead.
+EXEMPT = {
+    ("enumerate", "--m"): "space.ENUMERATE_CAP refuses m past it",
+    ("ramsey", "check", "--k"): "k^(A-copies) must fit within --budget",
+    ("ramsey", "search", "--k"): "k^(A-copies) must fit within --budget",
+}
+
+
+def test_every_numeric_option_has_a_row_or_an_exemption():
+    exempted = set()
+    for path, leaf in leaf_parsers():
+        rows = {row.flag: row for row in leaf.get_default("bounds") or ()}
+        for action in leaf._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if action.type is cli._seed_arg:  # refuses values outside [0, 2^64)
+                assert flag not in rows
+            elif action.type in (int, cli._fraction_arg):
+                if (*path, flag) in EXEMPT:
+                    assert flag not in rows
+                    exempted.add((*path, flag))
+                else:
+                    assert flag in rows, f"{' '.join(path)} {flag} has no row"
+                    assert rows.pop(flag).flag[2:].replace("-", "_") == action.dest
+        assert rows == {}, f"{' '.join(path)} has rows for options it lacks"
+    assert exempted == set(EXEMPT)
+
+
+# Smallest argument list of each leaf that has rows; a row's flag given
+# again after it overrides the value here.
+LEAF_ARGV = {
+    ("katetov",): ["--space", "x.json"],
+    ("limit", "sample"): ["--mode", "random", "--n", "2"],
+    ("limit", "bnf"): ["--seed1", "0", "--seed2", "1", "--depth", "1"],
+    ("ramsey", "check"): ["--c", "c.json", "--a", "a.json", "--b", "b.json", "--k", "2"],
+    ("ramsey", "search"): ["--a", "a.json", "--b", "b.json", "--k", "2"],
+    ("graph",): ["--n", "2"],
+}
+LEAF_ROWS = [
+    pytest.param(path, leaf, row, id=f"{' '.join(path)} {row.flag}")
+    for path, leaf in leaf_parsers()
+    for row in leaf.get_default("bounds") or ()
+]
+
+
+@pytest.mark.parametrize("path, leaf, row", LEAF_ROWS)
+def test_each_row_admits_its_limit_and_refuses_past_it(invoke, monkeypatch, path, leaf, row):
+    calls = []
+
+    def handler(args):
+        calls.append(args)
+        return {"format": FORMAT, "kind": "report"}
+
+    monkeypatch.setitem(leaf._defaults, "handler", handler)
+    argv = [*path, *LEAF_ARGV[path], row.flag]
+    code, out, _ = invoke(argv + [str(row.limit)])
+    assert code == 0 and len(calls) == 1
+    if row.flag == "--p":
+        past, message = "1/257", "--p 1/257 is below the floor of 1/256"
+    else:
+        past, message = str(row.limit + 1), f"{row.flag} {row.limit + 1} exceeds the cap of {row.limit}{row.unit}"
+    code, out, err = invoke(argv + [past])
+    assert code == 2 and out == "" and len(calls) == 1
+    assert json.loads(err)["error"] == {"code": row.code, "message": message}
+
+
+def test_readme_cap_table_names_every_row():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| option | row of `cli.BOUNDS` |")[1].split("\n\n")[0]
+    lines = {line.split("|")[2].strip(): line for line in table.splitlines()[2:]}
+    for key, row in BOUNDS.items():
+        line = lines[f"`{key}`"]
+        assert row.flag in line and f"`{row.code}`" in line
+        assert f"at {'least' if row.flag == '--p' else 'most'} {row}" in line
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_numbers_are_malformed(invoke, number):
+    """JSON (RFC 8259) has no NaN or infinities; Python's decoder reads
+    them, and a float literal that overflows, unless refused."""
+    code, out, err = invoke(["validate", "-"], stdin=f'{{"kind": "report", "x": {number}}}')
+    assert code == 65 and out == ""
+    assert json.loads(err)["error"] == {"code": "json/parse", "message": f"not a finite number: {number}"}
+    code, out, _ = invoke(["validate", "-"], stdin='{"kind": "report", "x": 0.5}')
+    assert code == 0 and json.loads(out)["x"] == 0.5
 
 
 def test_stdin_lone_surrogate_is_malformed(invoke):

@@ -75,6 +75,17 @@ def test_declared_ranks_must_match_table():
         space_from_json(doc)
 
 
+@pytest.mark.parametrize("declared", [True, 1.0])
+def test_declared_ranks_must_be_an_integer(declared):
+    """A bool or float equal to the rank count is not the integer claim."""
+    doc = {"kind": "space", "points": 2, "eta": [[1]], "ranks": declared}
+    with pytest.raises(ValidationError) as info:
+        space_from_json(doc)
+    assert info.value.code == "json/schema"
+    assert info.value.message == f"declared ranks {declared} but table has 1"
+    assert space_from_json({**doc, "ranks": 1}).n == 1
+
+
 def test_metric_roundtrip():
     d = metrize_dull(FIX)
     doc = metric_to_json(d)

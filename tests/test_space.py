@@ -31,6 +31,7 @@ from echelon import (
     is_homomorphism,
     metrize_dull,
 )
+from echelon import space as space_module
 from echelon.errors import CapExceeded, ValidationError
 from echelon.prng import SplitMix64Stream
 from echelon.ramsey import _random_ordered_space
@@ -277,6 +278,23 @@ def test_rank_map_witnesses_are_monotone():
                 strict = embedding_rank_map(x, y, h)
                 if strict is not None:
                     assert all(strict[i] < strict[i + 1] for i in range(len(strict) - 1))
+
+
+def test_embedding_rank_map_checks_the_point_map_once(monkeypatch):
+    calls = []
+    check = space_module._check_point_map
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(space_module, "_check_point_map", counting)
+    for x in SPACES_M2:
+        for y in SPACES_M3:
+            for h in itertools.product(range(y.m), repeat=x.m):
+                calls.clear()
+                embedding_rank_map(x, y, h)
+                assert len(calls) == 1
 
 
 def test_enumerate_embeddings_matches_oracle():
