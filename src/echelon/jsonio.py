@@ -16,13 +16,17 @@ false one is refused with ``katetov/claim``.  Every document, embedded ones
 included, passes one header check first: it must be a JSON object, and a
 format tag other than ``echelon/1`` is rejected for every kind (a missing
 one is accepted).  Loaders ignore unknown keys.  ``map`` documents have a
-loader but no registry entry, so ``validate`` rejects them.
+loader but no registry entry, so ``validate`` rejects them.  ``dumps`` is
+the one renderer of documents and diagnostics: its own emitter writes the
+standard library's ``sort_keys=True, indent=2`` layout.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
@@ -31,7 +35,7 @@ from .katetov import KatetovChain, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .rationals import exact_rational
-from .space import EchelonedSpace, PointMap, from_rank_table
+from .space import EchelonedSpace, PointMap, _table_reader, _trusted, from_rank_table
 
 FORMAT = "echelon/1"
 
@@ -64,7 +68,8 @@ def _header(doc: Any, kinds) -> str:
     if tag is not None and tag != FORMAT:
         raise ValidationError("json/format", f"unsupported format tag {tag!r}")
     kind = doc.get("kind")
-    _require(isinstance(kind, str) and kind in kinds, f"expected kind {'/'.join(kinds)}, got {kind!r}")
+    if not (isinstance(kind, str) and kind in kinds):  # not _require: one message per embedded document
+        raise ValidationError("json/schema", f"expected kind {'/'.join(kinds)}, got {kind!r}")
     return kind
 
 
@@ -97,12 +102,42 @@ def _table(doc: dict, size: str, key: str, cell: Callable[[Any], Any], zero: Any
     return table
 
 
+def _integer_rows(doc: dict, size: str, key: str) -> tuple[int, list[int]]:
+    """The point count ``doc[size]`` and the rows of ``doc[key]``, a strict
+    lower triangle of integers, concatenated: the pairs (0,1), (0,2), (1,2),
+    (0,3), ... in order.  Refused at the same first fault as ``_table``."""
+    m = doc.get(size)
+    _require(_is_int(m) and m >= 1, f"{size} must be a positive integer")
+    rows = doc.get(key)
+    _require(isinstance(rows, list) and len(rows) == m - 1, f"{key} needs {m - 1} rows")
+    for i, row in enumerate(rows, start=1):
+        if not (isinstance(row, list) and len(row) == i):
+            raise ValidationError("json/schema", f"{key} row {i} needs {i} entries")
+        if not {*map(type, row)} <= {int}:
+            for x in row:
+                _integer(x)  # raises at the row's first entry that is not an int
+    return m, [*chain.from_iterable(rows)]
+
+
+@lru_cache(maxsize=16)
+def _eta_reader(m: int):
+    """Reads the concatenated ``eta`` rows of an m-point space into its table."""
+    return _table_reader(m, ((j, i) for i in range(1, m) for j in range(i)))
+
+
 def _space(doc: dict) -> EchelonedSpace:
-    space = from_rank_table(tuple(tuple(r) for r in _table(doc, "points", "eta", _integer, 0)))
+    """The one check a space document gets: ``_integer_rows`` checks the
+    shape and the entries, and the ranks must be exactly 1..n."""
+    m, eta = _integer_rows(doc, "points", "eta")
+    ranks = {*eta}
+    n = len(ranks)
+    table = _eta_reader(m)(eta)
+    if ranks and (min(ranks) != 1 or max(ranks) != n):
+        from_rank_table(table)  # raises, naming the first pair out of place
     declared = doc.get("ranks")
-    if declared is not None:
-        _require(_is_int(declared) and declared == space.n, f"declared ranks {declared} but table has {space.n}")
-    return space
+    if declared is not None and not (_is_int(declared) and declared == n):
+        raise ValidationError("json/schema", f"declared ranks {declared} but table has {n}")
+    return _trusted(m, n, table)
 
 
 def _ordered_space(doc: dict) -> OrderedEchelonedSpace:
@@ -117,7 +152,8 @@ def _load_space(doc: dict):
 
 
 def space_to_json(space: EchelonedSpace, order: Optional[tuple[int, ...]] = None) -> dict:
-    eta = [[space.rank(i, j) for j in range(i)] for i in range(1, space.m)]
+    table = space.table
+    eta = [list(table[i][:i]) for i in range(1, space.m)]
     doc = _document("space", points=space.m, ranks=space.n, eta=eta)
     if order is not None:
         doc["order"] = list(order)
@@ -144,12 +180,12 @@ def metric_to_json(d: Metric) -> dict:
 
 
 def _graph(doc: dict) -> ColouredGraph:
-    chi = _table(doc, "v", "chi", _integer, 0)
-    return ColouredGraph(len(chi), tuple(chi[i][j] for i in range(1, len(chi)) for j in range(i)))
+    return ColouredGraph(*_integer_rows(doc, "v", "chi"))
 
 
 def graph_to_json(g: ColouredGraph) -> dict:
-    chi = [[g.colour(i, j) for j in range(i)] for i in range(1, g.v)]
+    """The flat ``chi`` is the document's rows concatenated: row i is chi[i(i-1)/2 : i(i+1)/2]."""
+    chi = [list(g.chi[i * (i - 1) // 2 : i * (i + 1) // 2]) for i in range(1, g.v)]
     return _document("graph", v=g.v, colours=list(g.colours), chi=chi)
 
 
@@ -302,6 +338,42 @@ def map_from_json(doc: Any) -> tuple[Optional[EchelonedSpace], PointMap]:
     return target, tuple(doc)
 
 
-def dumps(doc: dict) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, one trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALARS: dict[type, Callable[[Any], str]] = {str: _encode_str, int: int.__repr__}
+
+
+def dumps(doc: Any) -> str:
+    """Deterministic rendering: sorted keys, two-space indent, one trailing
+    newline; the bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and
+    a newline.  A document ``_render`` cannot take, one with a key that is
+    not a string, nested deeper than the recursion limit or holding a value
+    JSON has no form for, goes to that call, which renders it or raises."""
+    try:
+        return _render(doc, "\n") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _render(x: Any, newline: str) -> str:
+    """The JSON text of ``x``, its lines after the first starting with ``newline``."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, value in sorted(x.items()):
+            encode = _SCALARS.get(type(value))
+            items.append(_encode_str(key) + ": " + (encode(value) if encode else _render(value, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        if type(x) is not list:
+            x = list(x)
+        if {*map(type, x)} == {int}:  # a bool is not an int here
+            return "[" + inner + repr(x)[1:-1].replace(", ", "," + inner) + newline + "]"
+        return "[" + inner + ("," + inner).join([_render(item, inner) for item in x]) + newline + "]"
+    if isinstance(x, str):
+        return _encode_str(x)
+    return repr(x) if type(x) is int else json.dumps(x)  # bool, None, float, int subclasses

@@ -158,8 +158,11 @@ def witness_search(
     relabelling by the order turns any ordered space into one on the
     natural order, and distinct tables are distinct types).  Larger sizes,
     if allowed, are probed by seeded random sampling.  Instances whose
-    arrow check would blow the colouring budget are skipped, not decided.
+    arrow check would blow the colouring budget are skipped, not decided;
+    a budget below 1, which every candidate would blow, is refused.
     """
+    if budget < 1:
+        raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
     for m in range(b.space.m, size_cap + 1):
         if m <= 4:
             candidates = (

@@ -76,10 +76,10 @@ class EchelonedSpace:
                         f"pair ({i},{j}) has rank {r}; only diagonal pairs may sit at the bottom",
                     )
                 seen.add(r)
-        expected = set(range(1, self.n + 1))
-        if self.m == 1:
-            expected = set()
-        if seen != expected or (self.m > 1 and self.n < 1):
+        # seen holds ranks >= 1, so it is 1..n exactly when it has n members
+        # and its largest is n; no set of all n ranks is built, n may be huge
+        exact = self.m == 1 or len(seen) == self.n == max(seen)
+        if not isinstance(self.n, int) or not exact:
             raise ValidationError(
                 "space/surjective",
                 f"off-diagonal ranks must be exactly 1..{self.n}, got {sorted(seen)}",
@@ -109,15 +109,17 @@ def _trusted(m: int, n: int, table: tuple[tuple[int, ...], ...]) -> EchelonedSpa
     return space
 
 
-def _table_reader(m: int) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
-    """Reads a rank string, one rank per pair in
-    ``itertools.combinations(range(m), 2)`` order, into the symmetric m x m
+def _table_reader(
+    m: int, pairs: Optional[Iterable[Pair]] = None
+) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
+    """Reads a rank string, one rank per pair in ``pairs`` order (by default
+    ``itertools.combinations(range(m), 2)``), into the symmetric m x m
     table with 0 on the diagonal."""
     if m == 1:
         return lambda ranks: ((0,),)
     # row i of the table picks from the string padded with the diagonal's 0 in front
     slot = [[0] * m for _ in range(m)]
-    for s, (i, j) in enumerate(itertools.combinations(range(m), 2), start=1):
+    for s, (i, j) in enumerate(itertools.combinations(range(m), 2) if pairs is None else pairs, start=1):
         slot[i][j] = slot[j][i] = s
     rows = [itemgetter(*row) for row in slot]
 

@@ -4,6 +4,7 @@ Everything draws from SplitMix64Stream so a seed pins the whole case."""
 
 import contextlib
 import itertools
+import json
 import signal
 from collections import deque
 from fractions import Fraction
@@ -19,8 +20,8 @@ from echelon import (
     induced_subspace,
     is_embedding,
 )
-from echelon import prng
-from echelon.colgraph import as_probability
+from echelon import jsonio, prng
+from echelon.colgraph import ColouredGraph, as_probability
 from echelon.errors import CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
 from echelon.katetov import APART, BOT, rank_label, slot
 from echelon.limit import (
@@ -642,3 +643,25 @@ def reference_katetov_map(kx, ky, phi):
             image_values[phi[px]] = pos_map[values[px]]
         out.append(ky.function_point(image_values))
     return tuple(out)
+
+
+def reference_dumps(doc):
+    """The standard library's rendering that ``jsonio.dumps`` reproduces."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def reference_space_from_json(doc):
+    """The space reader before the one-check reader: ``_table`` parses the
+    rows, then ``from_rank_table`` and ``__post_init__`` check the table."""
+    table = jsonio._table(doc, "points", "eta", jsonio._integer, 0)
+    space = from_rank_table(tuple(tuple(row) for row in table))
+    declared = doc.get("ranks")
+    if declared is not None and not (jsonio._is_int(declared) and declared == space.n):
+        raise ValidationError("json/schema", f"declared ranks {declared} but table has {space.n}")
+    return space
+
+
+def reference_graph_from_json(doc):
+    """The graph reader before it read ``chi`` row by row: a v x v table first."""
+    chi = jsonio._table(doc, "v", "chi", jsonio._integer, 0)
+    return ColouredGraph(len(chi), tuple(chi[i][j] for i in range(1, len(chi)) for j in range(i)))

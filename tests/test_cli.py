@@ -28,7 +28,7 @@ from echelon.cli import BOUNDS, main
 from echelon.jsonio import FORMAT, dumps, fraction_to_str, space_from_json, space_to_json
 from echelon.limit import WITNESS_CAP, limit_new
 
-from helpers import deadline
+from helpers import deadline, reference_dumps
 
 GRAPH_VERTICES_CAP = BOUNDS["vertices"].limit
 KATETOV_MATERIALIZE_CAP = BOUNDS["materialize"].limit
@@ -425,6 +425,18 @@ def test_ramsey_search_emits_the_witness(invoke, tmp_path):
     assert doc["kind"] == "space"
     assert doc["points"] == 3
     assert "order" in doc
+
+
+@pytest.mark.parametrize("subcommand", ["check", "search"])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_ramsey_budget_below_one_is_refused(invoke, tmp_path, subcommand, budget):
+    """Both ramsey subcommands refuse a budget that admits no colouring."""
+    a = write_doc(tmp_path, "a.json", point_doc())
+    b = write_doc(tmp_path, "b.json", space_to_json(EDGE, order=(0, 1)))
+    c = ["--c", b] if subcommand == "check" else []
+    code, out, err = invoke(["ramsey", subcommand, "--a", a, "--b", b, *c, "--k", "2", "--budget", str(budget)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "arrow/budget"
 
 
 def test_enumerate_counts_and_lists(invoke):
@@ -846,6 +858,31 @@ def test_benchmark_selfcheck_pins_the_cli_bytes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.endswith("selfcheck: ok\n")
+
+
+def test_every_golden_output_is_the_stdlib_rendering(invoke, monkeypatch, tmp_path):
+    """On the benchmark's fixed corpus, every stdout and every ``validate``
+    of one is its pinned bytes, and ``dumps`` of the parsed document equals
+    the standard library's rendering byte for byte."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import clirun
+    import golden
+
+    paths = {}
+    for name, doc in clirun.CORPUS.items():
+        paths[name] = write_doc(tmp_path, f"{name}.json", doc)
+    outputs = {}
+    for key, argv in clirun.INVOCATIONS + clirun.STANDALONE:
+        code, outputs[key], _ = invoke([a.format(**paths) for a in argv])
+        assert code == 0
+        if (key, argv) in clirun.INVOCATIONS:
+            code, outputs[f"validate:{key}"], _ = invoke(["validate", "-"], stdin=outputs[key])
+            assert code == 0
+    assert outputs.keys() == golden.CLI.keys()
+    for key, text in outputs.items():
+        assert hashlib.sha256(text.encode()).hexdigest() == golden.CLI[key], key
+        doc = json.loads(text)
+        assert dumps(doc) == reference_dumps(doc) == text, key
 
 
 @pytest.mark.parametrize(

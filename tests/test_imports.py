@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in it, and only
-``rationals`` parses raw rationals.
+"""Every name a package module imports is used in it, only ``rationals``
+parses raw rationals, and only ``jsonio`` renders JSON.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
@@ -52,3 +52,29 @@ def test_only_rationals_names_zero_division(path):
     names = {getattr(node, "id", None) for node in ast.walk(tree)}
     names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
     assert "ZeroDivisionError" not in names
+
+
+def calls_json_dumps(source: str) -> bool:
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name == "dumps" for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "dumps":
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                return True
+    return False
+
+
+def test_the_check_sees_a_json_dumps_call():
+    assert calls_json_dumps("import json\nprint(json.dumps({}))\n")
+    assert calls_json_dumps("from json import dumps\n")
+    assert not calls_json_dumps("from . import jsonio\nprint(jsonio.dumps({}))\n")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "jsonio.py"], ids=lambda p: p.name
+)
+def test_only_jsonio_renders_json(path):
+    """``jsonio.dumps`` is the one renderer of documents and diagnostics."""
+    assert not calls_json_dumps(path.read_text(encoding="utf-8"))

@@ -4,12 +4,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echelon import (
     ColouredGraph,
     EchelonedSpace,
     OrderedEchelonedSpace,
+    enumerate_spaces,
     from_weights,
+    jsonio,
     metrize_dull,
 )
 from echelon.errors import MetricError, ValidationError
@@ -26,13 +30,14 @@ from echelon.jsonio import (
     metric_to_json,
     ordered_space_from_json,
     space_from_json,
+    space_list_to_json,
     space_to_json,
     validate,
     weights_from_json,
 )
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_space
+from helpers import random_space, reference_dumps, reference_graph_from_json, reference_space_from_json
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 
@@ -251,3 +256,142 @@ def test_map_from_json():
         assert e.value.code == code
     with pytest.raises(ValidationError):
         validate(doc)  # maps have a loader but are not a registered kind
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.lists(st.integers(), min_size=1)
+    | st.lists(st.integers(), min_size=1).map(tuple)
+    | st.lists(st.integers() | st.booleans()),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_equals_the_stdlib_rendering(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1: [1, 2], 10: {"a": None}, 2: True},
+        {"outer": {None: (2, 3)}},
+        [{"x": {1.5: [()]}}],
+        [[{False: [1, True]}]],
+    ],
+)
+def test_dumps_hands_keys_that_are_not_strings_to_the_stdlib(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{"a": 1, 2: "b"}, {"q": [1, Fraction(1, 2)]}, [1, {"s": {3}}]])
+def test_dumps_raises_what_the_stdlib_raises(doc):
+    with pytest.raises(TypeError) as expected:
+        reference_dumps(doc)
+    with pytest.raises(TypeError) as got:
+        dumps(doc)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("depth", [300, 800])
+def test_dumps_renders_documents_as_deep_as_the_stdlib_does(depth):
+    """Past the emitter's recursion limit (a few hundred levels) the stdlib
+    renders the document, as deep as it reaches."""
+    deep = 1
+    for level in range(depth):
+        deep = [deep, "x"] if level % 2 else {"k": deep}
+    assert dumps(deep) == reference_dumps(deep)
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except ValidationError as exc:
+        return exc.code, exc.message
+
+
+# (document fields, the code it is refused with or None)
+SPACE_CASES = {
+    "m=1": ({"points": 1, "eta": []}, None),
+    "m=2": ({"points": 2, "eta": [[1]]}, None),
+    "m=4": ({"points": 4, "eta": [[2], [1, 3], [3, 1, 2]], "ranks": 3}, None),
+    "bool entry": ({"points": 2, "eta": [[True]]}, "json/schema"),
+    "float entry": ({"points": 3, "eta": [[1], [1, 1.0]]}, "json/schema"),
+    "string entry": ({"points": 2, "eta": [["1"]]}, "json/schema"),
+    "rank 0": ({"points": 3, "eta": [[1], [0, 1]]}, "space/offdiag"),
+    "negative rank": ({"points": 2, "eta": [[-1]]}, "space/offdiag"),
+    "gap": ({"points": 3, "eta": [[1], [3, 3]]}, "space/surjective"),
+    "gap past the largest int range": ({"points": 2, "eta": [[10**30]]}, "space/surjective"),
+    "short row": ({"points": 3, "eta": [[1], [1]]}, "json/schema"),
+    "row not a list": ({"points": 3, "eta": [[1], 2]}, "json/schema"),
+    "too few rows": ({"points": 3, "eta": [[1]]}, "json/schema"),
+    "entry before a later short row": ({"points": 4, "eta": [[1], [1, "x"], [1]]}, "json/schema"),
+    "short row before a later rank 0": ({"points": 4, "eta": [[1], [1], [0, 1, 1]]}, "json/schema"),
+    "missing eta": ({"points": 3}, "json/schema"),
+    "points 0": ({"points": 0, "eta": []}, "json/schema"),
+    "points true": ({"points": True, "eta": []}, "json/schema"),
+    "declared ranks wrong": ({"points": 2, "eta": [[1]], "ranks": 2}, "json/schema"),
+    "declared ranks a string": ({"points": 2, "eta": [[1]], "ranks": "1"}, "json/schema"),
+    "declared ranks a float": ({"points": 3, "eta": [[1], [2, 2]], "ranks": 2.0}, "json/schema"),
+    "declared ranks after a gap": ({"points": 3, "eta": [[1], [3, 3]], "ranks": 1}, "space/surjective"),
+}
+
+
+@pytest.mark.parametrize("fields, code", SPACE_CASES.values(), ids=SPACE_CASES)
+def test_space_reader_matches_the_checked_path(fields, code):
+    """One check per space refuses what the old three did, with the same
+    code and message, from the same first fault."""
+    doc = {"kind": "space", **fields}
+    got = _outcome(jsonio._space, doc)
+    assert got == _outcome(reference_space_from_json, doc)
+    assert (got[0] if isinstance(got, tuple) else None) == code
+
+
+GRAPH_CASES = {
+    "v=1": {"v": 1, "chi": []},
+    "v=3": {"v": 3, "chi": [[2], [0, -5]]},
+    "bool entry": {"v": 2, "chi": [[False]]},
+    "short row": {"v": 3, "chi": [[1], [1]]},
+    "entry before a later short row": {"v": 4, "chi": [[1], [1, None], [1]]},
+    "missing chi": {"v": 2},
+    "v 0": {"v": 0, "chi": []},
+}
+
+
+@pytest.mark.parametrize("fields", GRAPH_CASES.values(), ids=GRAPH_CASES)
+def test_graph_reader_matches_the_table_path(fields):
+    doc = {"kind": "graph", **fields}
+    assert _outcome(jsonio._graph, doc) == _outcome(reference_graph_from_json, doc)
+
+
+def test_validate_of_the_enumerated_spaces_runs_no_space_check(monkeypatch):
+    """The parent checked each of the 4,683 spaces in ``__post_init__`` after
+    ``from_rank_table`` had; now the one check in ``_space`` is all."""
+    doc = json.loads(dumps(space_list_to_json([space_to_json(sp) for sp in enumerate_spaces(4)])))
+    calls = []
+    check = EchelonedSpace.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(EchelonedSpace, "__post_init__", counting)
+    EchelonedSpace(1, 0, ((0,),))
+    assert len(calls) == 1
+    calls.clear()
+    assert len(validate(doc)["spaces"]) == 4683
+    assert calls == []

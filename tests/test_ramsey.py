@@ -205,6 +205,20 @@ def test_witness_search_can_fail_within_cap():
     assert c is None or arrow_check(c, a, b, 4)
 
 
+@pytest.mark.parametrize("budget", [1, 0, -1])
+def test_witness_search_refuses_a_budget_below_one(budget):
+    """Every candidate has at least one colouring, so a budget below 1 would
+    skip them all and report no witness; it is refused before the search."""
+    if budget >= 1:
+        assert witness_search(POINT, EDGE, 2, budget=budget) is None  # 2^n > 1 for every candidate
+        assert witness_search(POINT, EDGE, 1, budget=budget).space.m == 2
+        return
+    with pytest.raises(BudgetExceeded) as info:
+        witness_search(POINT, EDGE, 2, budget=budget)
+    assert info.value.code == "arrow/budget"
+    assert info.value.message == f"the budget {budget} admits no colouring"
+
+
 def test_graph_roundtrip_through_phi():
     stream = SplitMix64Stream(7)
     for _ in range(15):
