@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, MorphismError, ValidationError
@@ -77,8 +78,9 @@ class EchelonedSpace:
                     )
                 seen.add(r)
         # seen holds ranks >= 1, so it is 1..n exactly when it has n members
-        # and its largest is n; no set of all n ranks is built, n may be huge
-        exact = self.m == 1 or len(seen) == self.n == max(seen)
+        # and its largest is n (a single point has none, so n = 0); no set of
+        # all n ranks is built, n may be huge
+        exact = len(seen) == self.n == max(seen, default=0)
         if not isinstance(self.n, int) or not exact:
             raise ValidationError(
                 "space/surjective",
@@ -110,16 +112,15 @@ def _trusted(m: int, n: int, table: tuple[tuple[int, ...], ...]) -> EchelonedSpa
 
 
 def _table_reader(
-    m: int, pairs: Optional[Iterable[Pair]] = None
+    m: int, pairs: Iterable[Pair]
 ) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
-    """Reads a rank string, one rank per pair in ``pairs`` order (by default
-    ``itertools.combinations(range(m), 2)``), into the symmetric m x m
-    table with 0 on the diagonal."""
+    """Reads a rank string, one rank per pair in ``pairs`` order, into the
+    symmetric m x m table with 0 on the diagonal."""
     if m == 1:
         return lambda ranks: ((0,),)
     # row i of the table picks from the string padded with the diagonal's 0 in front
     slot = [[0] * m for _ in range(m)]
-    for s, (i, j) in enumerate(itertools.combinations(range(m), 2) if pairs is None else pairs, start=1):
+    for s, (i, j) in enumerate(pairs, start=1):
         slot[i][j] = slot[j][i] = s
     rows = [itemgetter(*row) for row in slot]
 
@@ -128,6 +129,12 @@ def _table_reader(
         return tuple([row(padded) for row in rows])
 
     return read
+
+
+@lru_cache(maxsize=16)
+def _lex_reader(m: int) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
+    """Reads a rank string in ``itertools.combinations(range(m), 2)`` order."""
+    return _table_reader(m, itertools.combinations(range(m), 2))
 
 
 def _compress(m: int, values: Sequence) -> tuple[EchelonedSpace, list]:
@@ -141,7 +148,7 @@ def _compress(m: int, values: Sequence) -> tuple[EchelonedSpace, list]:
     levels = sorted(set(values))
     rank_of = {v: r for r, v in enumerate(levels, start=1)}
     ranks = map(rank_of.__getitem__, values)
-    return _trusted(m, len(levels), _table_reader(m)(ranks)), levels
+    return _trusted(m, len(levels), _lex_reader(m)(ranks)), levels
 
 
 class Subspace(NamedTuple):
@@ -298,15 +305,16 @@ def enumerate_embeddings(
     return out
 
 
-def _refine(space: EchelonedSpace, colours: Sequence[int]) -> tuple[int, ...]:
-    """Stable point partition under iterated rank-profile refinement."""
+def _refine(rows: Sequence[Sequence[int]], colours: Sequence[int]) -> tuple[int, ...]:
+    """Stable point partition under iterated rank-profile refinement.
+
+    ``rows[v][u]`` is rank(v, u) * (m + 1) and the colours lie in 0..m, so
+    the key ``rows[v][u] + colours[u]`` orders as the pair (rank, colour).
+    Point v's sorted keys start with the diagonal's, its own colour, below
+    every other key, so signatures order as (colour, sorted profile)."""
     cols = list(colours)
-    m = space.m
     while True:
-        sigs = []
-        for v in range(m):
-            profile = sorted((space.rank(v, u), cols[u]) for u in range(m) if u != v)
-            sigs.append((cols[v], tuple(profile)))
+        sigs = [tuple(sorted(map(add, row, cols))) for row in rows]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == cols:
@@ -314,10 +322,10 @@ def _refine(space: EchelonedSpace, colours: Sequence[int]) -> tuple[int, ...]:
         cols = new
 
 
-def _flat(space: EchelonedSpace, order: Sequence[int]) -> tuple[int, ...]:
+def _flat(table: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """The ranks of the pairs of positions a < b of ``order``, row by row."""
     return tuple(
-        space.rank(order[a], order[b])
-        for a, b in itertools.combinations(range(space.m), 2)
+        [r for a, v in enumerate(order) for r in map(table[v].__getitem__, order[a + 1 :])]
     )
 
 
@@ -359,12 +367,13 @@ def _canon_search(
     The first least leaf is therefore never skipped and the result is the
     one the unpruned tree gives.
     """
-    colours = _refine(space, colours)
+    m = space.m
+    rows = [[r * (m + 1) for r in row] for row in space.table]
+    colours = _refine(rows, colours)
     cell = _first_cell(colours)
     if not cell:
         order = _leaf_order(colours)
-        return _flat(space, order), order
-    m = space.m
+        return _flat(space.table, order), order
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # first least leaf so far
     automorphisms: list[tuple[int, ...]] = []
 
@@ -385,13 +394,13 @@ def _canon_search(
             explored.append(v)
             child = list(colours)
             child[v] = m  # fresh colour above all, individualizes v
-            refined = _refine(space, child)
+            refined = _refine(rows, child)
             sub = _first_cell(refined)
             if sub:
                 visit(refined, sub, path + (v,))
                 continue
             order = _leaf_order(refined)
-            flat = _flat(space, order)
+            flat = _flat(space.table, order)
             if best is None or flat < best[0]:
                 best = flat, order
             elif flat == best[0]:
@@ -415,7 +424,7 @@ def canonical_form(space: EchelonedSpace) -> CanonicalForm:
     one, so symmetric spaces such as uniform ones stay fast.
     """
     flat, order = _canon_search(space, tuple([0] * space.m))
-    canon = _trusted(space.m, space.n, _table_reader(space.m)(flat))  # a relabelling
+    canon = _trusted(space.m, space.n, _lex_reader(space.m)(flat))  # a relabelling
     return CanonicalForm(canon, order)
 
 
@@ -478,12 +487,12 @@ def enumerate_spaces(m: int, up_to_iso: bool = False) -> Iterator[EchelonedSpace
         raise CapExceeded("enumerate/cap", f"m={m} exceeds the exhaustive cap {ENUMERATE_CAP}")
     if m < 1:
         raise ValidationError("space/shape", "point count must be a positive integer")
-    read = _table_reader(m)
+    read = _lex_reader(m)
     seen: set[tuple[int, ...]] = set()
     for ranks, top in _dense_rank_strings(m * (m - 1) // 2):
         space = _trusted(m, top, read(ranks))
         if up_to_iso:
-            key = _flat(canonical_form(space).space, range(m))
+            key = canonical_form(space).space.table
             if key in seen:
                 continue
             seen.add(key)

@@ -117,13 +117,36 @@ def random_embedding_chain(stream: SplitMix64Stream, sizes):
     return spaces, maps
 
 
+def reference_refine(space, colours):
+    """Stable point partition under iterated rank-profile refinement, one
+    (rank, colour) tuple per pair: the kernel that space._refine must
+    reproduce."""
+    cols = list(colours)
+    m = space.m
+    while True:
+        sigs = []
+        for v in range(m):
+            profile = sorted((space.rank(v, u), cols[u]) for u in range(m) if u != v)
+            sigs.append((cols[v], tuple(profile)))
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == cols:
+            return tuple(cols)
+        cols = new
+
+
+def reference_flat(space, order):
+    return tuple(
+        space.rank(order[a], order[b])
+        for a, b in itertools.combinations(range(space.m), 2)
+    )
+
+
 def reference_canon_search(space, colours):
     """Unpruned individualization-refinement search, kept as the reference
     that canonical_form must reproduce: (flat, order) of the first least
     leaf in depth-first order."""
-    from echelon.space import _flat, _refine
-
-    colours = _refine(space, colours)
+    colours = reference_refine(space, colours)
     m = space.m
     cells = {}
     for v, c in enumerate(colours):
@@ -131,7 +154,7 @@ def reference_canon_search(space, colours):
     split = [c for c in sorted(cells) if len(cells[c]) > 1]
     if not split:
         order = tuple(sorted(range(m), key=lambda v: colours[v]))
-        return _flat(space, order), order
+        return reference_flat(space, order), order
     best = None
     for v in cells[split[0]]:
         child = list(colours)
@@ -547,7 +570,7 @@ def reference_enumerate_spaces(m, up_to_iso=False):
     """Every rank string in k^k filtered for density, each table checked on
     construction: the enumeration that enumerate_spaces must reproduce,
     order included."""
-    from echelon.space import _flat, canonical_form
+    from echelon.space import canonical_form
 
     pair_list = list(itertools.combinations(range(m), 2))
     k = len(pair_list)
@@ -564,7 +587,7 @@ def reference_enumerate_spaces(m, up_to_iso=False):
             table[i][j] = table[j][i] = r
         space = EchelonedSpace(m, top, tuple(tuple(row) for row in table))
         if up_to_iso:
-            key = _flat(canonical_form(space).space, range(m))
+            key = reference_flat(canonical_form(space).space, range(m))
             if key in seen:
                 continue
             seen.add(key)

@@ -2,6 +2,7 @@
 oracle, morphism predicates against quantifier oracles, and canonical
 forms against brute-force isomorphism."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -33,6 +34,7 @@ from echelon import (
 )
 from echelon import space as space_module
 from echelon.errors import CapExceeded, ValidationError
+from echelon.katetov import katetov_space
 from echelon.prng import SplitMix64Stream
 from echelon.ramsey import _random_ordered_space
 from helpers import (
@@ -40,6 +42,7 @@ from helpers import (
     random_space,
     reference_canon_search,
     reference_enumerate_spaces,
+    reference_refine,
 )
 
 # --- independent oracles ---
@@ -201,6 +204,19 @@ def test_validation_rejects_bad_tables():
         EchelonedSpace(2, 1, ((0, 0), (0, 0)))  # off-diagonal at the bottom
     with pytest.raises(ValidationError):
         EchelonedSpace(2, 1, ((0, 1),))  # wrong shape
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_a_single_point_has_no_ranks(n):
+    assert EchelonedSpace(1, 0, ((0,),)).rank_classes() == {}
+    with pytest.raises(ValidationError) as err:
+        EchelonedSpace(1, n, ((0,),))
+    assert err.value.code == "space/surjective"
+
+
+def test_the_default_order_reader_is_built_once_per_point_count():
+    assert space_module._lex_reader(4) is space_module._lex_reader(4)
+    assert space_module._lex_reader(3)((1, 2, 2)) == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
 
 
 def test_from_rank_table_infers_ranks():
@@ -472,6 +488,103 @@ def test_canonical_form_matches_reference_beyond_desk_scale():
     for sp in spaces:
         assert_matches_reference(sp)
         assert_matches_reference(random_relabelling(stream, sp))
+
+
+def search_rows(sp):
+    """The keyed rows that canonical_form hands its refinement kernel."""
+    refine = space_module._refine
+    seen = []
+
+    def record(rows, colours):
+        seen.append(rows)
+        return refine(rows, colours)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(space_module, "_refine", record)
+        canonical_form(sp)
+    return seen[0]
+
+
+def assert_refine_matches_reference(sp):
+    """The integer-keyed kernel against the tuple-profile one, from the
+    all-0 colouring, from its refinement, and from every point
+    individualized in either, as the search individualizes."""
+    m = sp.m
+    rows = search_rows(sp)
+    blank = (0,) * m
+    refined = reference_refine(sp, blank)
+    assert space_module._refine(rows, blank) == refined, sp.table
+    for colours in (blank, refined):
+        for v in range(m):
+            child = list(colours)
+            child[v] = m
+            assert space_module._refine(rows, child) == reference_refine(sp, child), (sp.table, v)
+
+
+def test_refine_matches_the_tuple_profile_kernel_all_m4():
+    for sp in enumerate_spaces(4):
+        assert_refine_matches_reference(sp)
+
+
+def test_refine_matches_the_tuple_profile_kernel_on_random_spaces():
+    stream = SplitMix64Stream(1613)
+    for m in range(5, 14):
+        for _ in range(50):
+            assert_refine_matches_reference(random_space(stream, m))
+
+
+def table_space(m, rank):
+    return from_rank_table([[0 if i == j else rank(i, j) for j in range(m)] for i in range(m)])
+
+
+def petersen():
+    """Adjacent when the 2-subsets of 0..4 are disjoint, as in the search benchmark."""
+    v = list(itertools.combinations(range(5), 2))
+    return table_space(10, lambda i, j: 1 if not set(v[i]) & set(v[j]) else 2)
+
+
+def paley13():
+    squares = {x * x % 13 for x in range(1, 13)}
+    return table_space(13, lambda i, j: 1 if (j - i) % 13 in squares else 2)
+
+
+@pytest.mark.parametrize(
+    "sp, calls",
+    [
+        (uniform(8), 92),
+        (petersen(), 21),
+        (paley13(), 12),
+        (table_space(16, lambda i, j: min((i - j) % 16, (j - i) % 16)), 7),
+    ],
+    ids=["uniform8", "petersen", "paley13", "cycle16"],
+)
+def test_canonical_search_visits_the_pinned_number_of_nodes(monkeypatch, sp, calls):
+    refine = space_module._refine
+    count = 0
+
+    def counting(rows, colours):
+        nonlocal count
+        count += 1
+        return refine(rows, colours)
+
+    monkeypatch.setattr(space_module, "_refine", counting)
+    canonical_form(sp)
+    assert count == calls
+
+
+def test_canonical_forms_keep_their_bytes():
+    """sha256 of repr((table, order)) over every 4-point space in
+    enumeration order, then over K(X) for the uniform 3-point X."""
+    digest = hashlib.sha256()
+    for sp in enumerate_spaces(4):
+        cf = canonical_form(sp)
+        digest.update(repr((cf.space.table, cf.order)).encode())
+    assert digest.hexdigest() == "3a3c02624dcd5ec1d5579ca0c76de1d889bdcddacd759fdb57ea3222e740d0e7"
+    kx = katetov_space(uniform(3)).materialize(cap=1024)
+    assert kx.m == 515
+    cf = canonical_form(kx)
+    digest.update(repr((cf.space.table, cf.order)).encode())
+    assert digest.hexdigest() == "e608a3c9ae0173fc62d1dbc48c6dbec5212689516dde6ee29ec1a7d04a88fd92"
 
 
 # --- isomorphism against networkx as an independent oracle ---
