@@ -9,11 +9,10 @@ forced to grow: amalgamation here is always strong.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import MorphismError, ValidationError
-from .space import EchelonedSpace, PointMap, RankMap, _compress, embedding_rank_map
+from .space import EchelonedSpace, PointMap, RankMap, _colex_pairs, _compress, embedding_rank_map
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def amalgamate(
     total = next_id
 
     values: list[int] = []
-    for u, v in itertools.combinations(range(total), 2):
+    for u, v in _colex_pairs(total):
         if v < left.m:
             values.append(chain.g1[left.rank(u, v)])
         elif u in into_right and v in into_right:

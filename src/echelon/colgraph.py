@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import prng
 from .errors import CapExceeded, DemandError, ValidationError
 from .rationals import as_probability
-from .space import EchelonedSpace, from_weights
+from .space import EchelonedSpace, _colex_pairs, _is_int, from_weights
 
 
 def pair_index(i: int, j: int) -> int:
@@ -39,7 +39,7 @@ class ColouredGraph:
     chi: tuple = field(repr=False)
 
     def __post_init__(self):
-        if self.v < 1:
+        if not _is_int(self.v) or self.v < 1:
             raise ValidationError("graph/shape", "vertex count must be positive")
         expected = self.v * (self.v - 1) // 2
         if len(self.chi) != expected:
@@ -149,7 +149,7 @@ def random_coloured_graph(n: int, colouring: GeometricColouring) -> ColouredGrap
     Bulk path is the vectorized replay of the scalar per-edge function;
     the two are pinned equal by tests.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValidationError("graph/shape", "vertex count must be positive")
     flat = prng.all_edge_colours(colouring.p, colouring.seed, n).tolist()
     return ColouredGraph(n, flat)
@@ -203,29 +203,17 @@ def witness_failure_probability(
 
 def rado_slice(graph: ColouredGraph, colour: object) -> SimpleGraph:
     """Simple graph keeping exactly the edges of one colour."""
-    edges = set()
-    for j in range(graph.v):
-        for i in range(j):
-            if graph.chi[j * (j - 1) // 2 + i] == colour:
-                edges.add((i, j))
-    return SimpleGraph(graph.v, frozenset(edges))
+    edges = frozenset(p for p, c in zip(_colex_pairs(graph.v), graph.chi) if c == colour)
+    return SimpleGraph(graph.v, edges)
 
 
 def to_coloured_graph(space: EchelonedSpace) -> ColouredGraph:
     """View a space as a complete graph coloured by ranks 1..n."""
-    flat = []
-    for j in range(space.m):
-        for i in range(j):
-            flat.append(space.rank(i, j))
-    return ColouredGraph(space.m, flat)
+    return ColouredGraph(space.m, [r for j, row in enumerate(space.table) for r in row[:j]])
 
 
 def from_coloured_graph(graph: ColouredGraph) -> EchelonedSpace:
     """Echelon a complete coloured graph by the order of its colours.
 
     Fails if the colour labels are not mutually comparable."""
-    weights = {}
-    for j in range(graph.v):
-        for i in range(j):
-            weights[(i, j)] = graph.chi[j * (j - 1) // 2 + i]
-    return from_weights(graph.v, weights)
+    return from_weights(graph.v, dict(zip(_colex_pairs(graph.v), graph.chi)))

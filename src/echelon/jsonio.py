@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
@@ -35,7 +34,7 @@ from .katetov import KatetovChain, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .rationals import exact_rational
-from .space import EchelonedSpace, PointMap, _table_reader, _trusted, from_rank_table
+from .space import EchelonedSpace, PointMap, _colex_reader, _is_int, _trusted, from_rank_table
 
 FORMAT = "echelon/1"
 
@@ -55,10 +54,6 @@ def fraction_from_str(s: Any) -> Fraction:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError("json/schema", message)
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _header(doc: Any, kinds) -> str:
@@ -119,19 +114,13 @@ def _integer_rows(doc: dict, size: str, key: str) -> tuple[int, list[int]]:
     return m, [*chain.from_iterable(rows)]
 
 
-@lru_cache(maxsize=16)
-def _eta_reader(m: int):
-    """Reads the concatenated ``eta`` rows of an m-point space into its table."""
-    return _table_reader(m, ((j, i) for i in range(1, m) for j in range(i)))
-
-
 def _space(doc: dict) -> EchelonedSpace:
     """The one check a space document gets: ``_integer_rows`` checks the
     shape and the entries, and the ranks must be exactly 1..n."""
     m, eta = _integer_rows(doc, "points", "eta")
     ranks = {*eta}
     n = len(ranks)
-    table = _eta_reader(m)(eta)
+    table = _colex_reader(m)(eta)
     if ranks and (min(ranks) != 1 or max(ranks) != n):
         from_rank_table(table)  # raises, naming the first pair out of place
     declared = doc.get("ranks")

@@ -42,6 +42,7 @@ from .space import (
     ENUMERATE_CAP,
     EchelonedSpace,
     PointMap,
+    _colex_pairs,
     _compress,
     embedding_rank_map,
     induced_subspace,
@@ -282,8 +283,8 @@ def one_point_extensions(space: EchelonedSpace) -> list[EchelonedSpace]:
     if m + 1 > ENUMERATE_CAP:
         raise CapExceeded("enumerate/cap", f"m={m + 1} exceeds the exhaustive cap {ENUMERATE_CAP}")
     kx = KatetovSpace(space)
-    # the pairs of X in row a, then the pair (a, new point): combinations order
-    rows = [[kx.rank(a, b) for b in range(a + 1, m)] for a in range(m)]
+    # X's rank string, then the new point's row: the pairs of m + 1 points
+    base = tuple(kx.rank(a, b) for a, b in _colex_pairs(m))
     points = product(range(1, kx.width + 1), repeat=m)
-    found = {_compress(m + 1, [r for a in range(m) for r in (*rows[a], h[a])])[0] for h in points}
+    found = {_compress(m + 1, base + h)[0] for h in points}
     return sorted(found, key=lambda ext: ext.table)

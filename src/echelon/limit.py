@@ -55,7 +55,7 @@ import numpy as np
 from . import prng
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
 from .rationals import as_probability, exact_rational, nth_rational, rational_between
-from .space import EchelonedSpace, _compress
+from .space import EchelonedSpace, _colex_pairs, _compress
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
@@ -155,8 +155,8 @@ class LimitModel:
 
     def _prefix_values(self, n: int) -> Sequence:
         """Values ordered as the labels of the first n points' pairs, one
-        per pair in ``combinations(range(n), 2)`` order."""
-        return [self._label(u, v) for u, v in combinations(range(n), 2)]
+        per pair in ``_colex_pairs(n)`` order."""
+        return [self._label(u, v) for u, v in _colex_pairs(n)]
 
     def existing_labels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs."""
@@ -243,10 +243,9 @@ class RandomLimitModel(LimitModel):
         return nth_rational(prng.edge_colour(self.p, self.seed, u, v))
 
     def _prefix_values(self, n: int) -> list[int]:
-        """Each pair's label rank within the alphabet, from the colour kernel."""
-        u, v = np.triu_indices(n, 1)
-        colours = prng.all_edge_colours(self.p, self.seed, n)[v * (v - 1) // 2 + u]
-        return _alphabet(self.p).rank[colours].tolist()
+        """Each pair's label rank within the alphabet, from the colour
+        kernel, which lists the pairs in ``_colex_pairs(n)`` order."""
+        return _alphabet(self.p).rank[prng.all_edge_colours(self.p, self.seed, n)].tolist()
 
     def _extend(self) -> None:
         self.size += 1
@@ -330,20 +329,25 @@ class DeterministicLimitModel(LimitModel):
     membership set, updated as each pair label is written (fresh labels are
     appended at the top, in-gap and exact labels are inserted by bisection).
     Nothing is rebuilt per point, so growth to n points costs O(n^2) label
-    writes."""
+    writes.  The pair labels are one flat list in ``_colex_pairs`` order:
+    each new point appends its row, and a prefix's labels are a slice."""
 
     mode = "deterministic"
 
     def __init__(self, seed: int = 0):
         super().__init__()
         self.seed = seed  # recorded; the construction is canonical
-        self._labels: dict[tuple[int, int], Fraction] = {}
+        self._labels: list[Fraction] = []
         self._sorted: list[Fraction] = []
         self._label_set: set[Fraction] = set()
         self._schedule_step = 0
 
     def _label(self, u: int, v: int) -> Fraction:
-        return self._labels[(u, v) if u < v else (v, u)]
+        u, v = (u, v) if u < v else (v, u)
+        return self._labels[v * (v - 1) // 2 + u]
+
+    def _prefix_values(self, n: int) -> list[Fraction]:
+        return self._labels[: n * (n - 1) // 2]
 
     def existing_labels(self) -> list[Fraction]:
         return list(self._sorted)
@@ -390,9 +394,9 @@ class DeterministicLimitModel(LimitModel):
         next_fresh = (self._sorted[-1] if self._sorted else Fraction(0)) + 1
         for v in range(z):
             if v in chosen:
-                self._labels[(v, z)] = chosen[v]
+                self._labels.append(chosen[v])
             else:
-                self._labels[(v, z)] = next_fresh
+                self._labels.append(next_fresh)
                 self._label_set.add(next_fresh)
                 self._sorted.append(next_fresh)
                 next_fresh += 1
@@ -504,11 +508,13 @@ def back_and_forth(
         turn += 1
 
     k = len(matched[0])
+    pairs = list(combinations(range(k), 2))  # the certificate's label order
     labels = [
-        tuple(model.rank_label(points[i], points[j]) for i, j in combinations(range(k), 2))
+        tuple(model.rank_label(points[i], points[j]) for i, j in pairs)
         for model, points in zip(models, matched)
     ]
-    spaces = [_compress(k, side_labels)[0] for side_labels in labels]
+    colex = sorted(range(len(pairs)), key=lambda s: pairs[s][::-1])  # _colex_pairs(k) order
+    spaces = [_compress(k, [side[s] for s in colex])[0] for side in labels]
     # the identity embeds each compressed space into the other exactly when
     # their tables are equal
     if spaces[0] != spaces[1]:

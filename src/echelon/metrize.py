@@ -7,7 +7,6 @@ rejected so no binary rounding can sneak into a comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -78,7 +77,7 @@ def validate_metric(d: Sequence[Sequence[object]]) -> Metric:
 def from_metric(d: Sequence[Sequence[object]]) -> EchelonedSpace:
     """Echelon a metric: pairs ordered by distance, ties merged."""
     s = _checked(d)[1]
-    return _compress(len(s), [s[i][j] for i, j in combinations(range(len(s)), 2)])[0]
+    return _compress(len(s), [x for j, row in enumerate(s) for x in row[:j]])[0]
 
 
 def metrize_dull(space: EchelonedSpace) -> Metric:

@@ -139,7 +139,10 @@ def arrow_check(
 def _random_ordered_space(m: int, stream: SplitMix64Stream) -> OrderedEchelonedSpace:
     pairs = m * (m - 1) // 2
     levels = stream.randrange(pairs) + 1
-    values = [stream.randrange(levels) for _ in range(pairs)]
+    values = [0] * pairs
+    # draws in lexicographic pair order, each written to its _colex_pairs slot
+    for i, j in itertools.combinations(range(m), 2):
+        values[j * (j - 1) // 2 + i] = stream.randrange(levels)
     return OrderedEchelonedSpace(_compress(m, values)[0], tuple(range(m)))
 
 

@@ -34,6 +34,11 @@ RankMap = tuple[int, ...]
 ENUMERATE_CAP = 4
 
 
+def _is_int(x: object) -> bool:
+    """An int that is not a bool: point counts, rank counts, ranks, points."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EchelonedSpace:
     """Immutable echeloned space on points 0..m-1.
@@ -50,7 +55,7 @@ class EchelonedSpace:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValidationError("space/shape", "point count must be a positive integer")
         t = self.table
         if len(t) != self.m or any(len(row) != self.m for row in t):
@@ -59,7 +64,7 @@ class EchelonedSpace:
         for i in range(self.m):
             for j in range(self.m):
                 r = t[i][j]
-                if not isinstance(r, int) or isinstance(r, bool):
+                if not _is_int(r):
                     raise ValidationError("space/shape", f"rank at ({i},{j}) is not an integer")
                 if i == j:
                     if r != 0:
@@ -81,7 +86,7 @@ class EchelonedSpace:
         # and its largest is n (a single point has none, so n = 0); no set of
         # all n ranks is built, n may be huge
         exact = len(seen) == self.n == max(seen, default=0)
-        if not isinstance(self.n, int) or not exact:
+        if not _is_int(self.n) or not exact:
             raise ValidationError(
                 "space/surjective",
                 f"off-diagonal ranks must be exactly 1..{self.n}, got {sorted(seen)}",
@@ -131,24 +136,32 @@ def _table_reader(
     return read
 
 
+def _colex_pairs(m: int) -> Iterator[Pair]:
+    """The flat pair order: (0,1), (0,2), (1,2), (0,3), ..., row j listing
+    the pairs (i, j), i < j, so the pairs of n + 1 points are those of n
+    points plus one row.  A space document's ``eta``, a graph's ``chi`` and
+    the colour kernel list pairs in this order."""
+    return ((i, j) for j in range(1, m) for i in range(j))
+
+
 @lru_cache(maxsize=16)
-def _lex_reader(m: int) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
-    """Reads a rank string in ``itertools.combinations(range(m), 2)`` order."""
-    return _table_reader(m, itertools.combinations(range(m), 2))
+def _colex_reader(m: int) -> Callable[[Iterable[int]], tuple[tuple[int, ...], ...]]:
+    """Reads a rank string in ``_colex_pairs(m)`` order."""
+    return _table_reader(m, _colex_pairs(m))
 
 
 def _compress(m: int, values: Sequence) -> tuple[EchelonedSpace, list]:
     """The space that pair values induce on m points, and its levels.
 
-    ``values`` lists one value per pair in ``itertools.combinations(range(m),
-    2)`` order.  Equal values share a rank and ranks rise with the values,
-    so rank r is ``levels[r - 1]``.  Every level is some pair's value, so
-    the ranks are dense and the space needs no check.  Values that are not
-    mutually comparable raise TypeError."""
+    ``values`` lists one value per pair in ``_colex_pairs(m)`` order.
+    Equal values share a rank and ranks rise with the values, so rank r is
+    ``levels[r - 1]``.  Every level is some pair's value, so the ranks are
+    dense and the space needs no check.  Values that are not mutually
+    comparable raise TypeError."""
     levels = sorted(set(values))
     rank_of = {v: r for r, v in enumerate(levels, start=1)}
     ranks = map(rank_of.__getitem__, values)
-    return _trusted(m, len(levels), _lex_reader(m)(ranks)), levels
+    return _trusted(m, len(levels), _colex_reader(m)(ranks)), levels
 
 
 class Subspace(NamedTuple):
@@ -170,7 +183,7 @@ def from_rank_table(table: Sequence[Sequence[int]]) -> EchelonedSpace:
     n = 0
     for i, row in enumerate(rows):
         for j, r in enumerate(row):
-            if i != j and isinstance(r, int) and not isinstance(r, bool):
+            if i != j and _is_int(r):
                 n = max(n, r)
     return EchelonedSpace(m, n, rows)
 
@@ -182,7 +195,7 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
     increasing weight.  Only the relative order of the weights matters, so
     any strictly monotone reweighting produces the same space.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValidationError("space/shape", "point count must be a positive integer")
     norm: dict[Pair, object] = {}
     for key, value in weights.items():
@@ -200,12 +213,11 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
         norm[pair] = value
         if value != value:  # NaN defeats total ordering
             raise ValidationError("weights/incomparable", f"weight for {pair} is not orderable")
-    pairs = list(itertools.combinations(range(m), 2))
-    missing = [p for p in pairs if p not in norm]
+    missing = [p for p in itertools.combinations(range(m), 2) if p not in norm]
     if missing:
         raise ValidationError("weights/missing", f"no weight for pair {missing[0]}")
     try:
-        return _compress(m, [norm[p] for p in pairs])[0]
+        return _compress(m, [norm[p] for p in _colex_pairs(m)])[0]
     except TypeError:
         raise ValidationError(
             "weights/incomparable", "pair weights are not mutually comparable"
@@ -226,7 +238,7 @@ def induced_subspace(space: EchelonedSpace, points: Iterable[int]) -> Subspace:
     for p in ids:
         if not (0 <= p < space.m):
             raise ValidationError("space/shape", f"point {p} is not in the space")
-    values = [space.rank(a, b) for a, b in itertools.combinations(ids, 2)]
+    values = [r for k, b in enumerate(ids) for r in map(space.table[b].__getitem__, ids[:k])]
     sub, levels = _compress(len(ids), values)
     return Subspace(sub, ids, (0, *levels))
 
@@ -236,7 +248,7 @@ def _check_point_map(source_m: int, target_m: int, h: Sequence[int]) -> PointMap
     if len(h) != source_m:
         raise MorphismError("morphism/map", f"point map must list {source_m} images")
     for x, y in enumerate(h):
-        if not isinstance(y, int) or isinstance(y, bool) or not (0 <= y < target_m):
+        if not _is_int(y) or not (0 <= y < target_m):
             raise MorphismError("morphism/map", f"image of point {x} is not a target point")
     return h
 
@@ -353,10 +365,8 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _canon_search(
-    space: EchelonedSpace, colours: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(flat, order) of the first leaf, in depth-first order, whose flattened
+def _canon_search(space: EchelonedSpace, colours: tuple[int, ...]) -> tuple[int, ...]:
+    """The order of the first leaf, in depth-first order, whose flattened
     table is least in the individualization-refinement tree.
 
     A node individualizes each point of its first non-singleton cell in
@@ -372,8 +382,7 @@ def _canon_search(
     colours = _refine(rows, colours)
     cell = _first_cell(colours)
     if not cell:
-        order = _leaf_order(colours)
-        return _flat(space.table, order), order
+        return _leaf_order(colours)
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # first least leaf so far
     automorphisms: list[tuple[int, ...]] = []
 
@@ -410,7 +419,7 @@ def _canon_search(
                 automorphisms.append(tuple(g))
 
     visit(colours, cell, ())
-    return best  # type: ignore[return-value]
+    return best[1]  # type: ignore[index]
 
 
 def canonical_form(space: EchelonedSpace) -> CanonicalForm:
@@ -423,9 +432,9 @@ def canonical_form(space: EchelonedSpace) -> CanonicalForm:
     prunes siblings that an automorphism found so far maps onto an explored
     one, so symmetric spaces such as uniform ones stay fast.
     """
-    flat, order = _canon_search(space, tuple([0] * space.m))
-    canon = _trusted(space.m, space.n, _lex_reader(space.m)(flat))  # a relabelling
-    return CanonicalForm(canon, order)
+    order = _canon_search(space, tuple([0] * space.m))
+    table = tuple([tuple(map(space.table[v].__getitem__, order)) for v in order])
+    return CanonicalForm(_trusted(space.m, space.n, table), order)  # a relabelling
 
 
 def are_isomorphic(x: EchelonedSpace, y: EchelonedSpace) -> Optional[PointMap]:
@@ -483,11 +492,11 @@ def enumerate_spaces(m: int, up_to_iso: bool = False) -> Iterator[EchelonedSpace
     Exhaustive; refuses m beyond ``ENUMERATE_CAP`` (the count is the
     Fubini number of C(m,2), which explodes).
     """
+    if not _is_int(m) or m < 1:
+        raise ValidationError("space/shape", "point count must be a positive integer")
     if m > ENUMERATE_CAP:
         raise CapExceeded("enumerate/cap", f"m={m} exceeds the exhaustive cap {ENUMERATE_CAP}")
-    if m < 1:
-        raise ValidationError("space/shape", "point count must be a positive integer")
-    read = _lex_reader(m)
+    read = _table_reader(m, itertools.combinations(range(m), 2))
     seen: set[tuple[int, ...]] = set()
     for ranks, top in _dense_rank_strings(m * (m - 1) // 2):
         space = _trusted(m, top, read(ranks))

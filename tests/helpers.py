@@ -37,7 +37,6 @@ from echelon.limit import (
 )
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import nth_rational, rational_between
-from echelon.space import _compress
 
 
 @contextlib.contextmanager
@@ -285,7 +284,7 @@ class ReferenceRandomLimitModel(LimitModel):
 
     def sample_prefix(self, n):
         self.limit_points(n)
-        return _compress(n, [self._label(u, v) for u, v in itertools.combinations(range(n), 2)])[0]
+        return from_weights(n, {(u, v): self._label(u, v) for u, v in itertools.combinations(range(n), 2)})
 
     def ensure_witness(self, demand):
         entries = _validate_demand(demand, self.size)

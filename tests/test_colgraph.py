@@ -28,6 +28,7 @@ from echelon import (
 from echelon import prng
 from echelon.colgraph import WITNESS_BITS_CAP
 from echelon.errors import CapExceeded, DemandError, ValidationError
+from echelon.space import _colex_pairs
 
 from helpers import (
     deadline,
@@ -198,6 +199,7 @@ def test_pair_index_layout():
     assert pair_index(0, 2) == 1
     assert pair_index(1, 2) == 2
     assert pair_index(2, 3) == 5
+    assert [pair_index(i, j) for i, j in _colex_pairs(9)] == list(range(36))
     with pytest.raises(ValidationError):
         pair_index(4, 4)
 
@@ -349,6 +351,24 @@ def test_coloured_graph_immutable_and_validated():
     bad = ColouredGraph(3, [1, "x", 2])
     with pytest.raises(ValidationError):
         bad.colours
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ColouredGraph(True, ()),
+        lambda: ColouredGraph(False, ()),
+        lambda: ColouredGraph("a", ()),
+        lambda: ColouredGraph(2.0, (1,)),
+        lambda: random_coloured_graph(True, GeometricColouring(Fraction(1, 2), 0)),
+        lambda: random_coloured_graph("a", GeometricColouring(Fraction(1, 2), 0)),
+    ],
+    ids=["true", "false", "str", "float", "random-true", "random-str"],
+)
+def test_a_vertex_count_must_be_an_int(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == "graph/shape"
 
 
 def test_stream_randrange_uniform_support():

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in it, only ``rationals``
-parses raw rationals, and only ``jsonio`` renders JSON.
+parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
+decides how a rank string becomes a table.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
@@ -78,3 +79,26 @@ def test_the_check_sees_a_json_dumps_call():
 def test_only_jsonio_renders_json(path):
     """``jsonio.dumps`` is the one renderer of documents and diagnostics."""
     assert not calls_json_dumps(path.read_text(encoding="utf-8"))
+
+
+def names_table_reader(source: str) -> bool:
+    tree = ast.parse(source)
+    names = {getattr(node, "id", None) for node in ast.walk(tree)}
+    names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return "_table_reader" in names
+
+
+def test_the_check_sees_a_table_reader():
+    assert names_table_reader("from .space import _table_reader\n")
+    assert names_table_reader("from . import space\nread = space._table_reader(3, [])\n")
+    assert not names_table_reader("from .space import _colex_reader\nread = _colex_reader(3)\n")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "space.py"], ids=lambda p: p.name
+)
+def test_only_space_reads_rank_strings_into_tables(path):
+    """``space._colex_reader`` is the reader the other modules share; one
+    that names ``_table_reader`` is choosing a pair order of its own."""
+    assert not names_table_reader(path.read_text(encoding="utf-8"))

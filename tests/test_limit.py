@@ -397,6 +397,18 @@ def test_random_prefixes_match_the_reference():
                 assert got == ReferenceRandomLimitModel(seed, p).sample_prefix(n), (seed, p, n)
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "random"])
+def test_a_shorter_prefix_echelons_its_own_labels(mode):
+    """sample_prefix(n) below the model's size reads the first n points'
+    labels, not the first pairs of a longer prefix."""
+    model = limit_new(mode, 5)
+    model.limit_points(40)
+    assert model.size >= 40
+    for n in (1, 2, 3, 4, 7, 16, 39):
+        labels = {(u, v): model.rank_label(u, v) for u in range(n) for v in range(u + 1, n)}
+        assert model.sample_prefix(n) == from_weights(n, labels), n
+
+
 def _witness_outcome(model, demand):
     try:
         z = model.ensure_witness(demand)

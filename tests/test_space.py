@@ -32,6 +32,7 @@ from echelon import (
     is_homomorphism,
     metrize_dull,
 )
+from echelon import jsonio
 from echelon import space as space_module
 from echelon.errors import CapExceeded, ValidationError
 from echelon.katetov import katetov_space
@@ -206,7 +207,7 @@ def test_validation_rejects_bad_tables():
         EchelonedSpace(2, 1, ((0, 1),))  # wrong shape
 
 
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [1, 5, False])
 def test_a_single_point_has_no_ranks(n):
     assert EchelonedSpace(1, 0, ((0,),)).rank_classes() == {}
     with pytest.raises(ValidationError) as err:
@@ -215,8 +216,72 @@ def test_a_single_point_has_no_ranks(n):
 
 
 def test_the_default_order_reader_is_built_once_per_point_count():
-    assert space_module._lex_reader(4) is space_module._lex_reader(4)
-    assert space_module._lex_reader(3)((1, 2, 2)) == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+    assert space_module._colex_reader(4) is space_module._colex_reader(4)
+    assert space_module._colex_reader(3)((1, 2, 2)) == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+    assert space_module._colex_reader(4)((1, 2, 3, 4, 5, 6)) == (
+        (0, 1, 2, 4),
+        (1, 0, 3, 5),
+        (2, 3, 0, 6),
+        (4, 5, 6, 0),
+    )
+
+
+def test_the_colex_reader_reads_eta_rows():
+    """One flat pair order: a space document's ``eta`` rows, concatenated,
+    read back to the space's table."""
+    spaces = list(enumerate_spaces(4))
+    assert len(spaces) == 4683
+    stream = SplitMix64Stream(1717)
+    spaces += [random_space(stream, m) for m in range(5, 41) for _ in range(3)]
+    for sp in spaces:
+        eta = [r for row in jsonio.space_to_json(sp)["eta"] for r in row]
+        assert space_module._colex_reader(sp.m)(eta) == sp.table
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 12])
+def test_compress_ranks_each_pair_by_its_colex_index(m):
+    stream = SplitMix64Stream(900 + m)
+    pairs = list(space_module._colex_pairs(m))
+    assert pairs == sorted(itertools.combinations(range(m), 2), key=lambda p: (p[1], p[0]))
+    for _ in range(20):
+        values = [stream.randrange(m) for _ in pairs]
+        levels = sorted(set(values))
+        sp, got = space_module._compress(m, values)
+        assert got == levels and sp.n == len(levels)
+        for (i, j), value in zip(pairs, values):
+            assert sp.table[i][j] == sp.table[j][i] == levels.index(value) + 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EchelonedSpace(2, True, ((0, 1), (1, 0))),
+        lambda: EchelonedSpace(2, 1.0, ((0, 1), (1, 0))),
+    ],
+    ids=["n-true", "n-float"],
+)
+def test_a_rank_count_must_be_an_int(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == "space/surjective"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EchelonedSpace(True, 0, ((0,),)),
+        lambda: EchelonedSpace("a", 0, ((0,),)),
+        lambda: from_weights(True, {}),
+        lambda: from_weights(2.0, {(0, 1): 1}),
+        lambda: list(enumerate_spaces(True)),
+        lambda: list(enumerate_spaces("a")),
+    ],
+    ids=["space-true", "space-str", "weights-true", "weights-float", "enumerate-true", "enumerate-str"],
+)
+def test_a_point_count_must_be_an_int(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.code == "space/shape"
 
 
 def test_from_rank_table_infers_ranks():
