@@ -2,11 +2,17 @@
 
 Points carry a total order, so a copy of A inside C is just a point subset
 (the increasing bijection is the only order-compatible candidate, and
-either it embeds or nothing does).  ``arrow_check`` decides, by exhaustion
-over colourings with early pruning, whether every k-colouring of the
-A-copies of C leaves a monochromatic B-copy; ``witness_search`` hunts for
-such a C by exhaustive enumeration up to size 4 and seeded random sampling
-beyond.
+either it embeds or nothing does).  A pattern is compiled once: its pairs
+sorted by rank.  Each subset of C's points is resolved to the point pairs
+of that chain and walked over C's rank table, dropped at the first pair
+that breaks the pattern.  ``arrow_check`` decides, by exhaustion over
+colourings with early pruning, whether every k-colouring of the A-copies
+of C leaves a monochromatic B-copy.  ``witness_search`` hunts for such a C
+by exhaustive enumeration up to size 4 and seeded random sampling beyond:
+it compiles A and B once per call, tests each candidate's bare rank table,
+lists its B-copies first and skips a candidate with none before the
+colouring budget is consulted, and wraps only the witness it returns as an
+ordered space.
 
 The translation to ordered edge-coloured simple graphs erases one chosen
 colour class to "non-edge" and keeps the rest; it is inverse to filling
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, ValidationError
 from .prng import SplitMix64Stream
@@ -40,6 +46,51 @@ class OrderedEchelonedSpace:
         return self.space.m
 
 
+def _pattern(a: OrderedEchelonedSpace) -> tuple[int, list[tuple[int, int, bool]], list[int]]:
+    """a compiled for the subset walk: its point count, its position pairs
+    sorted by rank (each flagged when its rank equals the previous one's),
+    and where each point of a stands in a's order."""
+    at, k = a.space.table, len(a.order)
+    chain = sorted(
+        (at[a.order[p]][a.order[q]], p, q) for p, q in itertools.combinations(range(k), 2)
+    )
+    steps = [(p, q, i > 0 and r == chain[i - 1][0]) for i, (r, p, q) in enumerate(chain)]
+    position = [0] * k  # position[x]: where point x of a stands in a's order
+    for p, x in enumerate(a.order):
+        position[x] = p
+    return k, steps, position
+
+
+def _subsets(pattern, points) -> list[tuple[tuple[tuple[int, int, bool], ...], PointMap]]:
+    """Each k-subset of ``points`` (taken in the given order) with the
+    pattern's steps resolved to point pairs, and the point map it would be."""
+    k, steps, position = pattern
+    return [
+        (
+            tuple((combo[p], combo[q], same) for p, q, same in steps),
+            tuple(map(combo.__getitem__, position)),
+        )
+        for combo in itertools.combinations(points, k)
+    ]
+
+
+def _walk(subsets, table) -> list:
+    """The payloads of the subsets whose ranks in ``table`` follow the
+    pattern: equal where its ranks are equal, strictly rising where they
+    rise.  A subset is dropped at the first pair that fails."""
+    out = []
+    for pairs, payload in subsets:
+        last = 0  # distinct points sit above the diagonal's rank 0
+        for u, v, same in pairs:
+            r = table[u][v]
+            if r != last if same else r <= last:
+                break
+            last = r
+        else:
+            out.append(payload)
+    return out
+
+
 def ordered_embeddings(
     a: OrderedEchelonedSpace, c: OrderedEchelonedSpace
 ) -> list[PointMap]:
@@ -54,26 +105,7 @@ def ordered_embeddings(
     the first pair that fails (forward checking, Ullmann 1976).  Both
     spaces were checked when built, so no map is checked per subset.
     """
-    at, k = a.space.table, len(a.order)
-    chain = sorted(
-        (at[a.order[p]][a.order[q]], p, q) for p, q in itertools.combinations(range(k), 2)
-    )
-    steps = [(p, q, i > 0 and r == chain[i - 1][0]) for i, (r, p, q) in enumerate(chain)]
-    position = [0] * k  # position[x]: where point x of a stands in a's order
-    for p, x in enumerate(a.order):
-        position[x] = p
-    ct = c.space.table
-    out = []
-    for combo in itertools.combinations(c.order, k):  # points of c, in c's order
-        last = 0  # distinct points sit above the diagonal's rank 0
-        for p, q, same in steps:
-            r = ct[combo[p]][combo[q]]
-            if r != last if same else r <= last:
-                break
-            last = r
-        else:
-            out.append(tuple(map(combo.__getitem__, position)))
-    return out
+    return _walk(_subsets(_pattern(a), c.order), c.space.table)
 
 
 def copy_set(a: OrderedEchelonedSpace, c: OrderedEchelonedSpace) -> tuple[frozenset[int], ...]:
@@ -81,25 +113,14 @@ def copy_set(a: OrderedEchelonedSpace, c: OrderedEchelonedSpace) -> tuple[frozen
     return tuple(frozenset(h) for h in ordered_embeddings(a, c))
 
 
-def _arrow(
-    c: OrderedEchelonedSpace,
-    a: OrderedEchelonedSpace,
-    b: OrderedEchelonedSpace,
-    k: int,
-    budget: int,
-) -> tuple[bool, tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """``arrow_check``'s answer with the A-copies and B-copies it decided it on."""
-    if k < 1:
-        raise ValidationError("arrow/colours", "at least one colour required")
-    copies_a = copy_set(a, c)
-    n = len(copies_a)
-    if k**n > budget:
-        raise BudgetExceeded("arrow/budget", f"{k}^{n} colourings exceed the budget {budget}")
-    copies_b = copy_set(b, c)
+def _decide(copies_a: Sequence[frozenset[int]], copies_b: Sequence[frozenset[int]], k: int) -> bool:
+    """Whether every k-colouring of ``copies_a`` leaves some B-copy whose
+    A-copies all share a colour: backtracking over colourings in copy
+    order, pruned as soon as the partial colouring settles the answer."""
     members = [[i for i, ca in enumerate(copies_a) if ca <= cb] for cb in copies_b]
     if not members:
-        return False, copies_a, copies_b
-    colour: list[Optional[int]] = [None] * n
+        return False
+    colour: list[Optional[int]] = [None] * len(copies_a)
 
     def bad_colouring_exists(i: int) -> bool:
         alive = False
@@ -120,7 +141,25 @@ def _arrow(
         colour[i] = None
         return False
 
-    return not bad_colouring_exists(0), copies_a, copies_b
+    return not bad_colouring_exists(0)
+
+
+def _arrow(
+    c: OrderedEchelonedSpace,
+    a: OrderedEchelonedSpace,
+    b: OrderedEchelonedSpace,
+    k: int,
+    budget: int,
+) -> tuple[bool, tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+    """``arrow_check``'s answer with the A-copies and B-copies it decided it on."""
+    if k < 1:
+        raise ValidationError("arrow/colours", "at least one colour required")
+    copies_a = copy_set(a, c)
+    n = len(copies_a)
+    if k**n > budget:
+        raise BudgetExceeded("arrow/budget", f"{k}^{n} colourings exceed the budget {budget}")
+    copies_b = copy_set(b, c)
+    return _decide(copies_a, copies_b, k), copies_a, copies_b
 
 
 def arrow_check(
@@ -160,26 +199,40 @@ def witness_search(
     Sizes up to 4 are searched exhaustively (identity order loses nothing:
     relabelling by the order turns any ordered space into one on the
     natural order, and distinct tables are distinct types).  Larger sizes,
-    if allowed, are probed by seeded random sampling.  Instances whose
-    arrow check would blow the colouring budget are skipped, not decided;
-    a budget below 1, which every candidate would blow, is refused.
+    if allowed, are probed by seeded random sampling.
+
+    A and B are compiled once per call, and their subsets of each size are
+    resolved once; a candidate is a bare rank table until it arrows, and
+    only the witness returned is wrapped as an ordered space.  Each
+    candidate's B-copies are listed first: one with none is skipped before
+    the budget is consulted, since it cannot arrow.  A candidate whose
+    k^(A-copies) colourings exceed the budget is skipped, not decided.  A
+    budget below 1, which every candidate would exceed, and fewer than one
+    colour are refused before the search.
     """
     if budget < 1:
         raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
+    if k < 1:
+        raise ValidationError("arrow/colours", "at least one colour required")
+    pattern_a, pattern_b = _pattern(a), _pattern(b)
     for m in range(b.space.m, size_cap + 1):
+        points = range(m)
+        subsets_a = [(pairs, frozenset(h)) for pairs, h in _subsets(pattern_a, points)]
+        subsets_b = [(pairs, frozenset(h)) for pairs, h in _subsets(pattern_b, points)]
         if m <= 4:
-            candidates = (
-                OrderedEchelonedSpace(sp, tuple(range(m))) for sp in enumerate_spaces(m)
-            )
+            candidates = enumerate_spaces(m)
         else:
             stream = SplitMix64Stream((seed << 8) ^ m)
-            candidates = (_random_ordered_space(m, stream) for _ in range(samples))
-        for cand in candidates:
-            try:
-                if arrow_check(cand, a, b, k, budget=budget):
-                    return cand
-            except BudgetExceeded:
+            candidates = (_random_ordered_space(m, stream).space for _ in range(samples))
+        for sp in candidates:
+            copies_b = _walk(subsets_b, sp.table)
+            if not copies_b:
                 continue
+            copies_a = _walk(subsets_a, sp.table)
+            if k ** len(copies_a) > budget:
+                continue
+            if _decide(copies_a, copies_b, k):
+                return OrderedEchelonedSpace(sp, tuple(points))
     return None
 
 

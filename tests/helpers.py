@@ -13,6 +13,8 @@ import numpy as np
 
 from echelon import (
     EchelonedSpace,
+    OrderedEchelonedSpace,
+    arrow_check,
     embedding_rank_map,
     enumerate_spaces,
     from_rank_table,
@@ -20,9 +22,9 @@ from echelon import (
     induced_subspace,
     is_embedding,
 )
-from echelon import jsonio, prng
+from echelon import jsonio, prng, ramsey
 from echelon.colgraph import ColouredGraph, as_probability
-from echelon.errors import CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
+from echelon.errors import BudgetExceeded, CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
 from echelon.katetov import APART, BOT, rank_label, slot
 from echelon.limit import (
     GROW_BLOCK,
@@ -605,6 +607,31 @@ def reference_ordered_embeddings(a, c):
         if embedding_rank_map(a.space, c.space, h) is not None:
             out.append(tuple(h))
     return out
+
+
+def reference_witness_search(a, b, k, size_cap=4, seed=0, samples=200, budget=ramsey.ARROW_BUDGET):
+    """Every candidate wrapped as an ordered space and decided by the public
+    arrow_check, which lists A-copies before B-copies: the search
+    witness_search must reproduce, witness, None and errors included.  It
+    checks k only inside arrow_check, so with fewer than one colour and a cap
+    below |B| it examines nothing and returns None."""
+    if budget < 1:
+        raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
+    for m in range(b.space.m, size_cap + 1):
+        if m <= 4:
+            candidates = (
+                OrderedEchelonedSpace(sp, tuple(range(m))) for sp in enumerate_spaces(m)
+            )
+        else:
+            stream = SplitMix64Stream((seed << 8) ^ m)
+            candidates = (ramsey._random_ordered_space(m, stream) for _ in range(samples))
+        for cand in candidates:
+            try:
+                if arrow_check(cand, a, b, k, budget=budget):
+                    return cand
+            except BudgetExceeded:
+                continue
+    return None
 
 
 def reference_chain_labels(m, n):

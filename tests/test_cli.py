@@ -439,6 +439,17 @@ def test_ramsey_budget_below_one_is_refused(invoke, tmp_path, subcommand, budget
     assert json.loads(err)["error"]["code"] == "arrow/budget"
 
 
+@pytest.mark.parametrize("cap", ["1", "4"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_ramsey_search_refuses_fewer_than_one_colour(invoke, tmp_path, cap, k):
+    """A cap below |B| examines no candidate; k is refused before that."""
+    a = write_doc(tmp_path, "a.json", point_doc())
+    b = write_doc(tmp_path, "b.json", space_to_json(EDGE, order=(0, 1)))
+    code, out, err = invoke(["ramsey", "search", "--a", a, "--b", b, "--k", k, "--cap", cap])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "arrow/colours"
+
+
 def test_enumerate_counts_and_lists(invoke):
     code, out, _ = invoke(["enumerate", "--m", "3", "--count"])
     assert code == 0

@@ -23,10 +23,15 @@ from echelon import (
     witness_search,
 )
 from echelon import ramsey
-from echelon.errors import BudgetExceeded, ValidationError
+from echelon.errors import BudgetExceeded, EchelonError, ValidationError
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_space, reference_enumerate_spaces, reference_ordered_embeddings
+from helpers import (
+    random_space,
+    reference_enumerate_spaces,
+    reference_ordered_embeddings,
+    reference_witness_search,
+)
 
 POINT = OrderedEchelonedSpace(EchelonedSpace(1, 0, ((0,),)), (0,))
 EDGE = OrderedEchelonedSpace(from_weights(2, {(0, 1): 1}), (0, 1))
@@ -219,6 +224,97 @@ def test_witness_search_refuses_a_budget_below_one(budget):
     assert info.value.message == f"the budget {budget} admits no colouring"
 
 
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_witness_search_refuses_fewer_than_one_colour(k, cap):
+    """k < 1 is refused before the search, whatever the cap.  A cap below
+    |B| examines no candidate, so the search that checked k only per
+    candidate answered None there; every other cap raised the same error."""
+    with pytest.raises(ValidationError) as info:
+        witness_search(POINT, EDGE, k, size_cap=cap)
+    assert (info.value.code, info.value.message) == ("arrow/colours", "at least one colour required")
+    if cap < EDGE.m:
+        assert reference_witness_search(POINT, EDGE, k, size_cap=cap) is None
+    else:
+        with pytest.raises(ValidationError) as before:
+            reference_witness_search(POINT, EDGE, k, size_cap=cap)
+        assert before.value.message == info.value.message
+
+
+@pytest.mark.parametrize("budget, size", [(8, 3), (7, None)])
+def test_witness_search_decides_a_candidate_at_the_exact_budget(budget, size):
+    """The flat triangle has 3 point copies: 2^3 colourings fit a budget of
+    8 and it is decided; at 7 every candidate of 3 or 4 points is skipped."""
+    found = witness_search(POINT, EDGE, 2, budget=budget)
+    assert (found and found.m) == size
+    assert found == reference_witness_search(POINT, EDGE, 2, budget=budget)
+
+
+def _search_outcome(search, a, b, k, **options):
+    try:
+        c = search(a, b, k, **options)
+    except EchelonError as e:
+        return type(e).__name__, e.code, e.message
+    return None if c is None else (c.space.table, c.space.n, c.order)
+
+
+def test_witness_search_matches_the_reference_search():
+    """A seeded sample of the grid: every A and B of at most 3 points (B in
+    reversed order), k in 0..3, and four (cap, seed, samples, budget)
+    settings.  The same witness, None or error as the search that wraps
+    every candidate and calls arrow_check, except where k < 1 meets a cap
+    below |B| (pinned in the test above)."""
+    small = [sp for m in (1, 2, 3) for sp in enumerate_spaces(m)]
+    grid = [
+        (a_sp, b_sp, k, options)
+        for a_sp in small
+        for b_sp in small
+        for k in range(4)
+        for options in (
+            dict(size_cap=4, seed=0, samples=200, budget=1 << 20),
+            dict(size_cap=5, seed=3, samples=30, budget=1 << 20),
+            dict(size_cap=4, seed=0, samples=200, budget=64),
+            dict(size_cap=2, seed=0, samples=5, budget=1 << 20),
+        )
+        if k >= 1 or options["size_cap"] >= b_sp.m
+    ]
+    stream = SplitMix64Stream(1818)
+    kinds = set()
+    for _ in range(120):
+        a_sp, b_sp, k, options = grid[stream.randrange(len(grid))]
+        a = ident(a_sp)
+        b = OrderedEchelonedSpace(b_sp, tuple(reversed(range(b_sp.m))))
+        got = _search_outcome(witness_search, a, b, k, **options)
+        assert got == _search_outcome(reference_witness_search, a, b, k, **options), (a, b, k, options)
+        kinds.add("none" if got is None else "error" if isinstance(got[0], str) else "witness")
+    assert kinds == {"none", "error", "witness"}
+
+
+def test_witness_search_compiles_each_pattern_once(monkeypatch):
+    """A and B are compiled once per call, and only the witness returned is
+    built as an ordered space: candidates stay bare tables."""
+    compiled, built = [], []
+    triangle = ident(flat(3))
+    pattern, post_init = ramsey._pattern, OrderedEchelonedSpace.__post_init__
+
+    def counting_pattern(a):
+        compiled.append(a)
+        return pattern(a)
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ramsey, "_pattern", counting_pattern)
+    monkeypatch.setattr(OrderedEchelonedSpace, "__post_init__", counting_post_init)
+    assert witness_search(EDGE, triangle, 2) is None
+    assert compiled == [EDGE, triangle] and built == []
+    compiled.clear()
+    found = witness_search(POINT, EDGE, 3)
+    assert compiled == [POINT, EDGE] and built == [found]
+    assert found.m == 4
+
+
 def test_graph_roundtrip_through_phi():
     stream = SplitMix64Stream(7)
     for _ in range(15):
@@ -322,7 +418,6 @@ def test_witness_search_matches_the_reference_kernels(monkeypatch):
         return out
 
     got = answers()
-    monkeypatch.setattr(ramsey, "ordered_embeddings", reference_ordered_embeddings)
     monkeypatch.setattr(ramsey, "enumerate_spaces", reference_enumerate_spaces)
     assert got == answers()
     assert any(w is None for w in got) and any(w is not None for w in got)
