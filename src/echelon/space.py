@@ -318,20 +318,54 @@ def enumerate_embeddings(
 
 
 def _refine(rows: Sequence[Sequence[int]], colours: Sequence[int]) -> tuple[int, ...]:
-    """Stable point partition under iterated rank-profile refinement.
+    """Stable point partition under iterated rank-profile refinement, as
+    dense colours.
 
-    ``rows[v][u]`` is rank(v, u) * (m + 1) and the colours lie in 0..m, so
-    the key ``rows[v][u] + colours[u]`` orders as the pair (rank, colour).
-    Point v's sorted keys start with the diagonal's, its own colour, below
-    every other key, so signatures order as (colour, sorted profile)."""
-    cols = list(colours)
+    ``rows[v][u]`` is rank(v, u) * (m + 1) and colours lie in 0..m, so the
+    key ``rows[v][u] + colour(u)`` orders as the pair (rank, colour).  The
+    cells are kept as lists in colour order; while refining, a cell's
+    colour is the number of points in the cells before it.  A round keys
+    the members of each cell of two or more points by their sorted keys,
+    all against the colours the round began with, and splits the cell
+    into its distinct keys in increasing order; singleton cells carry
+    over unkeyed.  A point's sorted keys start with its own colour, below
+    every other key, so keys order as (colour, sorted profile), the order
+    in which re-keying every point would number the new cells: a split
+    never moves a cell past another, and only the points of split cells
+    change colour.  The first round that splits no cell ends the
+    refinement; on a discrete colouring it builds no keys."""
+    by_colour: dict[int, list[int]] = {}
+    for v, c in enumerate(colours):
+        by_colour.setdefault(c, []).append(v)
+    cells = [by_colour[c] for c in sorted(by_colour)]
+    cols = [0] * len(colours)
+    start = 0
+    for cell in cells:
+        for v in cell:
+            cols[v] = start
+        start += len(cell)
     while True:
-        sigs = [tuple(sorted(map(add, row, cols))) for row in rows]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == cols:
-            return tuple(cols)
-        cols = new
+        splits = []
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                pieces: dict[tuple[int, ...], list[int]] = {}
+                for v in cell:
+                    pieces.setdefault(tuple(sorted(map(add, rows[v], cols))), []).append(v)
+                if len(pieces) > 1:
+                    splits.append((i, [pieces[k] for k in sorted(pieces)]))
+        if not splits:
+            break
+        for i, pieces in reversed(splits):
+            start = cols[cells[i][0]]
+            cells[i : i + 1] = pieces
+            for piece in pieces:
+                for v in piece:
+                    cols[v] = start
+                start += len(piece)
+    for c, cell in enumerate(cells):
+        for v in cell:
+            cols[v] = c
+    return tuple(cols)
 
 
 def _flat(table: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
@@ -365,28 +399,40 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _canon_search(space: EchelonedSpace, colours: tuple[int, ...]) -> tuple[int, ...]:
+def _canon_search(
+    space: EchelonedSpace, target: Optional[tuple[int, ...]] = None
+) -> Optional[tuple[int, ...]]:
     """The order of the first leaf, in depth-first order, whose flattened
     table is least in the individualization-refinement tree.
 
-    A node individualizes each point of its first non-singleton cell in
-    turn.  Two leaves with equal tables give an automorphism; a child is
-    skipped when the automorphisms found so far that fix the node's path
-    generate one mapping an explored sibling onto it, since its subtree is
-    that sibling's image and holds no table the sibling's lacks (McKay & Piperno, J. Symb. Comput. 60, 2014).
-    The first least leaf is therefore never skipped and the result is the
-    one the unpruned tree gives.
+    The root refines the blank colouring.  A node individualizes each
+    point of its first non-singleton cell in turn.  Two leaves with equal
+    tables give an automorphism; a child is skipped when the automorphisms
+    found so far that fix the node's path generate one mapping an explored
+    sibling onto it, since its subtree is that sibling's image and holds
+    no table the sibling's lacks (McKay & Piperno, J. Symb. Comput. 60,
+    2014).  The first least leaf is therefore never skipped and the result
+    is the one the unpruned tree gives.
+
+    Given the flattened canonical table of another space as ``target``,
+    the search stops at the first leaf whose table is at most the target,
+    and returns its order if its table is the target, else None.  Every
+    earlier leaf was larger, so an equal leaf is the first least one and
+    its order is the one the full search returns; a smaller leaf, or none
+    at most the target, means the two spaces are not isomorphic.
     """
     m = space.m
     rows = [[r * (m + 1) for r in row] for row in space.table]
-    colours = _refine(rows, colours)
+    colours = _refine(rows, [0] * m)
     cell = _first_cell(colours)
     if not cell:
-        return _leaf_order(colours)
+        order = _leaf_order(colours)
+        return order if target is None or _flat(space.table, order) == target else None
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # first least leaf so far
     automorphisms: list[tuple[int, ...]] = []
 
-    def visit(colours: tuple[int, ...], cell: list[int], path: tuple[int, ...]) -> None:
+    def visit(colours: tuple[int, ...], cell: list[int], path: tuple[int, ...]) -> bool:
+        """Searches the node's subtree; True once a leaf meets the target."""
         nonlocal best
         parent = list(range(m))  # orbits of the automorphisms fixing path
         merged = 0
@@ -406,49 +452,60 @@ def _canon_search(space: EchelonedSpace, colours: tuple[int, ...]) -> tuple[int,
             refined = _refine(rows, child)
             sub = _first_cell(refined)
             if sub:
-                visit(refined, sub, path + (v,))
+                if visit(refined, sub, path + (v,)):
+                    return True
                 continue
             order = _leaf_order(refined)
             flat = _flat(space.table, order)
             if best is None or flat < best[0]:
                 best = flat, order
+                if target is not None and flat <= target:
+                    return True
             elif flat == best[0]:
                 g = [0] * m
                 for a, b in zip(best[1], order):
                     g[a] = b
                 automorphisms.append(tuple(g))
+        return False
 
     visit(colours, cell, ())
-    return best[1]  # type: ignore[index]
+    flat, order = best  # type: ignore[misc]
+    return order if target is None or flat == target else None
 
 
 def canonical_form(space: EchelonedSpace) -> CanonicalForm:
     """Canonical relabelling: equal canonical tables iff isomorphic.
 
-    Colour refinement on the rank-labelled complete graph, with
-    individualization backtracking when refinement leaves ties; among the
-    discrete branches the lexicographically least flattened table wins, and
-    ``order`` is the first such branch in depth-first order.  The search
-    prunes siblings that an automorphism found so far maps onto an explored
-    one, so symmetric spaces such as uniform ones stay fast.
+    Colour refinement on the rank-labelled complete graph, re-keying only
+    the cells of two or more points, with individualization backtracking
+    when refinement leaves ties; among the discrete branches the
+    lexicographically least flattened table wins, and ``order`` is the
+    first such branch in depth-first order.  The search prunes siblings
+    that an automorphism found so far maps onto an explored one, so
+    symmetric spaces such as uniform ones stay fast.
     """
-    order = _canon_search(space, tuple([0] * space.m))
+    order = _canon_search(space)
     table = tuple([tuple(map(space.table[v].__getitem__, order)) for v in order])
     return CanonicalForm(_trusted(space.m, space.n, table), order)  # a relabelling
 
 
 def are_isomorphic(x: EchelonedSpace, y: EchelonedSpace) -> Optional[PointMap]:
-    """An isomorphism x -> y as a point map, or None."""
+    """An isomorphism x -> y as a point map, or None.
+
+    x's canonical search runs in full; y's stops at its first leaf whose
+    flattened table is at most x's canonical one.  Equal tables are the
+    proof, and the map sends the point at each canonical position of x to
+    the point at that position of y: the witness two full searches give.
+    """
     if x.m != y.m or x.n != y.n:
         return None
-    cx = canonical_form(x)
-    cy = canonical_form(y)
-    if cx.space != cy.space:
+    ox = _canon_search(x)
+    oy = _canon_search(y, _flat(x.table, ox))
+    if oy is None:
         return None
     iso = [0] * x.m
     for k in range(x.m):
-        iso[cx.order[k]] = cy.order[k]
-    assert embedding_rank_map(x, y, iso) is not None
+        iso[ox[k]] = oy[k]
     return tuple(iso)
 
 

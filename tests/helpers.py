@@ -15,6 +15,7 @@ from echelon import (
     EchelonedSpace,
     OrderedEchelonedSpace,
     arrow_check,
+    canonical_form,
     embedding_rank_map,
     enumerate_spaces,
     from_rank_table,
@@ -164,6 +165,23 @@ def reference_canon_search(space, colours):
         if best is None or cand[0] < best[0]:
             best = cand
     return best
+
+
+def reference_are_isomorphic(x, y):
+    """Two full canonical searches, the composed map and a checked
+    embedding: the isomorphism test whose witness are_isomorphic must
+    reproduce."""
+    if x.m != y.m or x.n != y.n:
+        return None
+    cx = canonical_form(x)
+    cy = canonical_form(y)
+    if cx.space != cy.space:
+        return None
+    iso = [0] * x.m
+    for k in range(x.m):
+        iso[cx.order[k]] = cy.order[k]
+    assert embedding_rank_map(x, y, iso) is not None
+    return tuple(iso)
 
 
 def reference_simplest_between(lo, hi):
@@ -571,8 +589,6 @@ def reference_enumerate_spaces(m, up_to_iso=False):
     """Every rank string in k^k filtered for density, each table checked on
     construction: the enumeration that enumerate_spaces must reproduce,
     order included."""
-    from echelon.space import canonical_form
-
     pair_list = list(itertools.combinations(range(m), 2))
     k = len(pair_list)
     if k == 0:

@@ -41,6 +41,7 @@ from echelon.ramsey import _random_ordered_space
 from helpers import (
     random_amalgam_triple,
     random_space,
+    reference_are_isomorphic,
     reference_canon_search,
     reference_enumerate_spaces,
     reference_refine,
@@ -555,19 +556,20 @@ def test_canonical_form_matches_reference_beyond_desk_scale():
         assert_matches_reference(random_relabelling(stream, sp))
 
 
-def search_rows(sp):
-    """The keyed rows that canonical_form hands its refinement kernel."""
+def refine_inputs(sp):
+    """Every (keyed rows, colours) that canonical_form hands its refinement
+    kernel, in call order."""
     refine = space_module._refine
     seen = []
 
     def record(rows, colours):
-        seen.append(rows)
+        seen.append((rows, tuple(colours)))
         return refine(rows, colours)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space_module, "_refine", record)
         canonical_form(sp)
-    return seen[0]
+    return seen
 
 
 def assert_refine_matches_reference(sp):
@@ -575,7 +577,7 @@ def assert_refine_matches_reference(sp):
     all-0 colouring, from its refinement, and from every point
     individualized in either, as the search individualizes."""
     m = sp.m
-    rows = search_rows(sp)
+    rows = refine_inputs(sp)[0][0]
     blank = (0,) * m
     refined = reference_refine(sp, blank)
     assert space_module._refine(rows, blank) == refined, sp.table
@@ -635,6 +637,93 @@ def test_canonical_search_visits_the_pinned_number_of_nodes(monkeypatch, sp, cal
     monkeypatch.setattr(space_module, "_refine", counting)
     canonical_form(sp)
     assert count == calls
+
+
+def cycle16():
+    return table_space(16, lambda i, j: min((i - j) % 16, (j - i) % 16))
+
+
+def deep_search_spaces():
+    """Spaces whose searches individualize two or more levels deep, and a
+    seeded relabelling of each."""
+    spaces = [uniform(8), petersen(), paley13(), cycle16(), graph_space(nx.frucht_graph())]
+    spaces += [
+        graph_space(nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(k))) for k in (4, 5)
+    ]
+    stream = SplitMix64Stream(1919)
+    return spaces + [random_relabelling(stream, sp) for sp in spaces]
+
+
+def test_refine_matches_the_tuple_profile_kernel_along_search_paths():
+    """Every colouring the search refines, down to the leaves: the kernel's
+    singleton cells and rounds that split nothing occur mostly at depth 2
+    and below, which the tests from the blank colouring do not reach."""
+    checked = 0
+    for sp in deep_search_spaces():
+        for rows, colours in refine_inputs(sp):
+            assert space_module._refine(rows, colours) == reference_refine(sp, colours), (
+                sp.table,
+                colours,
+            )
+            checked += 1
+    assert checked > 300
+
+
+def test_are_isomorphic_gives_the_two_search_witness():
+    """The witness, or None, of two full canonical searches and a checked
+    map, on a seeded sample of 4-point spaces, each against a relabelling,
+    its successor in enumeration order and a relabelled other space; on
+    random 5- to 10-point spaces against a relabelling; and on the deep
+    search spaces against each other's relabellings."""
+    stream = SplitMix64Stream(2323)
+    spaces = list(enumerate_spaces(4))
+    pairs = []
+    for _ in range(800):
+        i = stream.randrange(len(spaces))
+        other = spaces[stream.randrange(len(spaces))]
+        x = spaces[i]
+        pairs += [
+            (x, random_relabelling(stream, x)),
+            (x, spaces[(i + 1) % len(spaces)]),
+            (x, random_relabelling(stream, other)),
+        ]
+    for m in range(5, 11):
+        for _ in range(10):
+            x = random_space(stream, m)
+            pairs.append((x, random_relabelling(stream, x)))
+    deep = deep_search_spaces()
+    pairs += [(x, random_relabelling(stream, y)) for x in deep for y in deep if x.m == y.m]
+    found = 0
+    for x, y in pairs:
+        witness = are_isomorphic(x, y)
+        assert witness == reference_are_isomorphic(x, y), (x.table, y.table)
+        found += witness is not None
+    assert 0 < found < len(pairs)
+
+
+@pytest.mark.parametrize(
+    "sp, calls, canonical_calls",
+    [(uniform(8), 100, 92), (petersen(), 25, 21), (paley13(), 15, 12), (cycle16(), 10, 7)],
+    ids=["uniform8", "petersen", "paley13", "cycle16"],
+)
+def test_are_isomorphic_stops_at_the_first_tables_leaf(monkeypatch, sp, calls, canonical_calls):
+    """The second search ends at its first least leaf instead of running
+    its tree out, so the pair costs fewer refinements than two
+    canonical_form calls (``canonical_calls`` as pinned above).  The count
+    depends on the relabelling, so the relabelling is fixed."""
+    y = random_relabelling(SplitMix64Stream(5), sp)
+    refine = space_module._refine
+    count = 0
+
+    def counting(rows, colours):
+        nonlocal count
+        count += 1
+        return refine(rows, colours)
+
+    monkeypatch.setattr(space_module, "_refine", counting)
+    assert are_isomorphic(sp, y) is not None
+    assert count == calls
+    assert count < 2 * canonical_calls
 
 
 def test_canonical_forms_keep_their_bytes():
