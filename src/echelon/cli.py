@@ -150,19 +150,18 @@ def _seed_arg(value: str) -> int:
 
 
 def _amalgam_doc(result: AmalgamResult) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "amalgam",
-        "space": jsonio.space_to_json(result.space),
-        "g1": list(result.g1),
-        "g2": list(result.g2),
-        "chain": {
+    return jsonio._document(
+        "amalgam",
+        space=jsonio.space_to_json(result.space),
+        g1=list(result.g1),
+        g2=list(result.g2),
+        chain={
             "size": result.chain.size,
             "g1": list(result.chain.g1),
             "g2": list(result.chain.g2),
             "top": result.chain.top,
         },
-    }
+    )
 
 
 # --- subcommand handlers; each returns the output document ---
@@ -203,16 +202,15 @@ def _cmd_jep(args) -> dict:
 def _cmd_katetov(args) -> dict:
     base = _read_space(args.space)
     kx = katetov_space(base)
-    doc = {
-        "format": FORMAT,
-        "kind": "katetov",
-        "base": jsonio.space_to_json(base),
-        "points": kx.m,
-        "ranks": kx.n,
-        "width": kx.width,
-        "chain": jsonio.chain_to_json(kx.chain),
-        "lambda": list(kx.identity_embedding()),
-    }
+    doc = jsonio._document(
+        "katetov",
+        base=jsonio.space_to_json(base),
+        points=kx.m,
+        ranks=kx.n,
+        width=kx.width,
+        chain=jsonio.chain_to_json(kx.chain),
+        **{"lambda": list(kx.identity_embedding())},
+    )
     if kx.m <= args.materialize_cap:
         doc["space"] = jsonio.space_to_json(kx.materialize(cap=args.materialize_cap))
     if args.map is not None:
@@ -233,7 +231,7 @@ def _cmd_katetov(args) -> dict:
 def _cmd_extend(args) -> dict:
     extensions = list(one_point_extensions(_read_space(args.input)))
     if args.count:
-        return {"format": FORMAT, "kind": "report", "count": len(extensions)}
+        return jsonio._document("report", count=len(extensions))
     return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in extensions])
 
 
@@ -254,31 +252,29 @@ def _cmd_limit_bnf(args) -> dict:
     first = limit_new(args.mode1, args.seed1, args.p)
     second = limit_new(args.mode2, args.seed2, args.p)
     cert = back_and_forth(first, second, args.depth)
-    return {
-        "format": FORMAT,
-        "kind": "bnf",
-        "depth": args.depth,
-        "left": list(cert.left),
-        "right": list(cert.right),
-        "left_space": jsonio.space_to_json(cert.left_space),
-        "right_space": jsonio.space_to_json(cert.right_space),
-        "left_labels": [fraction_to_str(q) for q in cert.left_labels],
-        "right_labels": [fraction_to_str(q) for q in cert.right_labels],
-    }
+    return jsonio._document(
+        "bnf",
+        depth=args.depth,
+        left=list(cert.left),
+        right=list(cert.right),
+        left_space=jsonio.space_to_json(cert.left_space),
+        right_space=jsonio.space_to_json(cert.right_space),
+        left_labels=[fraction_to_str(q) for q in cert.left_labels],
+        right_labels=[fraction_to_str(q) for q in cert.right_labels],
+    )
 
 
 def _cmd_ramsey_check(args) -> dict:
     c = _read_ordered(args.c)
     BOUNDS["c-points"].check(c.m)
     arrows, copies_a, copies_b = _arrow(c, _read_ordered(args.a), _read_ordered(args.b), args.k, args.budget)
-    return {
-        "format": FORMAT,
-        "kind": "report",
-        "arrow": arrows,
-        "k": args.k,
-        "a_copies": len(copies_a),
-        "b_copies": len(copies_b),
-    }
+    return jsonio._document(
+        "report",
+        arrow=arrows,
+        k=args.k,
+        a_copies=len(copies_a),
+        b_copies=len(copies_b),
+    )
 
 
 def _cmd_ramsey_search(args) -> dict:
@@ -292,25 +288,24 @@ def _cmd_ramsey_search(args) -> dict:
         budget=args.budget,
     )
     if witness is None:
-        return {"format": FORMAT, "kind": "report", "found": False}
+        return jsonio._document("report", found=False)
     return jsonio.space_to_json(witness.space, order=witness.order)
 
 
 def _cmd_enumerate(args) -> dict:
     spaces = enumerate_spaces(args.m, up_to_iso=args.up_to_iso)
     if args.count:
-        return {"format": FORMAT, "kind": "report", "count": sum(1 for _ in spaces)}
+        return jsonio._document("report", count=sum(1 for _ in spaces))
     return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in spaces])
 
 
 def _cmd_iso(args) -> dict:
     witness = are_isomorphic(_read_space(args.a), _read_space(args.b))
-    return {
-        "format": FORMAT,
-        "kind": "report",
-        "isomorphic": witness is not None,
-        "map": None if witness is None else list(witness),
-    }
+    return jsonio._document(
+        "report",
+        isomorphic=witness is not None,
+        map=None if witness is None else list(witness),
+    )
 
 
 def _cmd_graph(args) -> dict:

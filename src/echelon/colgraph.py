@@ -175,7 +175,7 @@ def witness_failure_probability(
     and n candidates all fail with the complementary probability to the
     n-th power.  Raises CapExceeded before any power is taken when the
     exact answer could pass ``WITNESS_BITS_CAP`` bits."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValidationError("prob/range", "candidate count must be a non-negative integer")
     pf = as_probability(p)
     if len(indices) != len(sizes):
@@ -183,9 +183,9 @@ def witness_failure_probability(
     exp_q = 0
     exp_p = 0
     for c, size in zip(indices, sizes):
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        if not _is_int(c) or c < 1:
             raise DemandError("demand/colour", "colour indices must be positive integers")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        if not _is_int(size) or size < 0:
             raise DemandError("demand/shape", "set sizes must be non-negative integers")
         exp_q += (c - 1) * size
         exp_p += size

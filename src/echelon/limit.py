@@ -55,7 +55,7 @@ import numpy as np
 from . import prng
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
 from .rationals import as_probability, exact_rational, nth_rational, rational_between
-from .space import EchelonedSpace, _colex_pairs, _compress
+from .space import EchelonedSpace, _colex_pairs, _compress, _is_int
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
@@ -98,7 +98,7 @@ def _validate_demand(demand: Demand, size: int) -> list[tuple[int, Entry]]:
     seen: set[int] = set()
     out = []
     for point, entry in demand.entries:
-        if not isinstance(point, int) or isinstance(point, bool) or not (0 <= point < size):
+        if not _is_int(point) or not (0 <= point < size):
             raise DemandError("demand/point", f"point {point!r} is not materialized")
         if point in seen:
             raise DemandError("demand/duplicate", f"point {point} demanded twice")
@@ -113,7 +113,7 @@ def _validate_demand(demand: Demand, size: int) -> list[tuple[int, Entry]]:
             hi = None if entry.hi is None else _as_label(entry.hi, "demand/interval")
             if lo < 0 or (hi is not None and hi <= lo):
                 raise DemandError("demand/interval", "need 0 <= lo < hi")
-            if not isinstance(entry.tier, int) or entry.tier < 0:
+            if not _is_int(entry.tier) or entry.tier < 0:
                 raise DemandError("demand/interval", "tier must be a non-negative integer")
             entry = OpenInterval(lo, hi, entry.tier)
         else:

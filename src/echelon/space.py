@@ -317,28 +317,24 @@ def enumerate_embeddings(
     return out
 
 
-def _refine(rows: Sequence[Sequence[int]], colours: Sequence[int]) -> tuple[int, ...]:
-    """Stable point partition under iterated rank-profile refinement, as
-    dense colours.
+def _refine(rows: Sequence[Sequence[int]], cells: Sequence[list[int]]) -> list[list[int]]:
+    """Stable refinement of an ordered partition of the points under
+    iterated rank-profile refinement.
 
-    ``rows[v][u]`` is rank(v, u) * (m + 1) and colours lie in 0..m, so the
-    key ``rows[v][u] + colour(u)`` orders as the pair (rank, colour).  The
-    cells are kept as lists in colour order; while refining, a cell's
-    colour is the number of points in the cells before it.  A round keys
-    the members of each cell of two or more points by their sorted keys,
-    all against the colours the round began with, and splits the cell
-    into its distinct keys in increasing order; singleton cells carry
+    ``cells`` lists the cells in order, each ascending; neither it nor its
+    cells are changed, since sibling nodes of the search share them.
+    ``rows[v][u]`` is rank(v, u) * (m + 1), and a point's colour is the
+    number of points in the cells before its own, at most m - 1, so the key
+    ``rows[v][u] + colour(u)`` orders as the pair (rank, colour).  A round
+    keys the members of each cell of two or more points by their sorted
+    keys, all against the colours the round began with, and splits the
+    cell into its distinct keys in increasing order; singleton cells carry
     over unkeyed.  A point's sorted keys start with its own colour, below
-    every other key, so keys order as (colour, sorted profile), the order
-    in which re-keying every point would number the new cells: a split
-    never moves a cell past another, and only the points of split cells
-    change colour.  The first round that splits no cell ends the
-    refinement; on a discrete colouring it builds no keys."""
-    by_colour: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        by_colour.setdefault(c, []).append(v)
-    cells = [by_colour[c] for c in sorted(by_colour)]
-    cols = [0] * len(colours)
+    every other key, so a split never moves a cell past another.  The
+    first round that splits no cell ends the refinement; on a discrete
+    partition it builds no keys."""
+    cells = list(cells)
+    cols = [0] * len(rows)
     start = 0
     for cell in cells:
         for v in cell:
@@ -354,7 +350,7 @@ def _refine(rows: Sequence[Sequence[int]], colours: Sequence[int]) -> tuple[int,
                 if len(pieces) > 1:
                     splits.append((i, [pieces[k] for k in sorted(pieces)]))
         if not splits:
-            break
+            return cells
         for i, pieces in reversed(splits):
             start = cols[cells[i][0]]
             cells[i : i + 1] = pieces
@@ -362,10 +358,6 @@ def _refine(rows: Sequence[Sequence[int]], colours: Sequence[int]) -> tuple[int,
                 for v in piece:
                     cols[v] = start
                 start += len(piece)
-    for c, cell in enumerate(cells):
-        for v in cell:
-            cols[v] = c
-    return tuple(cols)
 
 
 def _flat(table: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
@@ -373,23 +365,6 @@ def _flat(table: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ..
     return tuple(
         [r for a, v in enumerate(order) for r in map(table[v].__getitem__, order[a + 1 :])]
     )
-
-
-def _first_cell(colours: Sequence[int]) -> list[int]:
-    """Points of the least colour held by two or more, ascending; empty when
-    the dense colouring is discrete."""
-    m = len(colours)
-    counts = [0] * m
-    for c in colours:
-        counts[c] += 1
-    for c, k in enumerate(counts):
-        if k > 1:
-            return [v for v in range(m) if colours[v] == c]
-    return []
-
-
-def _leaf_order(colours: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(colours)), key=colours.__getitem__))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -405,14 +380,17 @@ def _canon_search(
     """The order of the first leaf, in depth-first order, whose flattened
     table is least in the individualization-refinement tree.
 
-    The root refines the blank colouring.  A node individualizes each
-    point of its first non-singleton cell in turn.  Two leaves with equal
-    tables give an automorphism; a child is skipped when the automorphisms
-    found so far that fix the node's path generate one mapping an explored
-    sibling onto it, since its subtree is that sibling's image and holds
-    no table the sibling's lacks (McKay & Piperno, J. Symb. Comput. 60,
-    2014).  The first least leaf is therefore never skipped and the result
-    is the one the unpruned tree gives.
+    The root refines the one-cell partition.  A node individualizes each
+    point of its first cell of two or more points in turn: the child
+    refines the node's cells with that point moved out of its cell into a
+    new last one.  A node of m cells is a leaf, and its order lists the
+    cells' points in sequence.  Two leaves with equal tables give an
+    automorphism; a child is skipped when the automorphisms found so far
+    that fix the node's path generate one mapping an explored sibling onto
+    it, since its subtree is that sibling's image and holds no table the
+    sibling's lacks (McKay & Piperno, J. Symb. Comput. 60, 2014).  The
+    first least leaf is therefore never skipped and the result is the one
+    the unpruned tree gives.
 
     Given the flattened canonical table of another space as ``target``,
     the search stops at the first leaf whose table is at most the target,
@@ -423,17 +401,27 @@ def _canon_search(
     """
     m = space.m
     rows = [[r * (m + 1) for r in row] for row in space.table]
-    colours = _refine(rows, [0] * m)
-    cell = _first_cell(colours)
-    if not cell:
-        order = _leaf_order(colours)
-        return order if target is None or _flat(space.table, order) == target else None
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # first least leaf so far
     automorphisms: list[tuple[int, ...]] = []
 
-    def visit(colours: tuple[int, ...], cell: list[int], path: tuple[int, ...]) -> bool:
-        """Searches the node's subtree; True once a leaf meets the target."""
+    def visit(cells: list[list[int]], path: tuple[int, ...]) -> bool:
+        """Searches the subtree of the node whose refined partition is
+        ``cells``; True once a leaf meets the target."""
         nonlocal best
+        if len(cells) == m:
+            order = tuple(itertools.chain.from_iterable(cells))
+            flat = _flat(space.table, order)
+            if best is None or flat < best[0]:
+                best = flat, order
+                return target is not None and flat <= target
+            if flat == best[0]:
+                g = [0] * m
+                for a, b in zip(best[1], order):
+                    g[a] = b
+                automorphisms.append(tuple(g))
+            return False
+        i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[i]
         parent = list(range(m))  # orbits of the automorphisms fixing path
         merged = 0
         explored: list[int] = []
@@ -447,28 +435,12 @@ def _canon_search(
             if any(_find(parent, u) == root for u in explored):
                 continue
             explored.append(v)
-            child = list(colours)
-            child[v] = m  # fresh colour above all, individualizes v
-            refined = _refine(rows, child)
-            sub = _first_cell(refined)
-            if sub:
-                if visit(refined, sub, path + (v,)):
-                    return True
-                continue
-            order = _leaf_order(refined)
-            flat = _flat(space.table, order)
-            if best is None or flat < best[0]:
-                best = flat, order
-                if target is not None and flat <= target:
-                    return True
-            elif flat == best[0]:
-                g = [0] * m
-                for a, b in zip(best[1], order):
-                    g[a] = b
-                automorphisms.append(tuple(g))
+            rest = [u for u in cell if u != v]
+            if visit(_refine(rows, [*cells[:i], rest, *cells[i + 1 :], [v]]), path + (v,)):
+                return True
         return False
 
-    visit(colours, cell, ())
+    visit(_refine(rows, [list(range(m))]), ())
     flat, order = best  # type: ignore[misc]
     return order if target is None or flat == target else None
 

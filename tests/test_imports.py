@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it, only ``rationals``
+"""Every name a package module imports is used in it, every private
+module-level name is read somewhere in the package, only ``rationals``
 parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
 decides how a rank string becomes a table.
 
@@ -102,3 +103,49 @@ def test_only_space_reads_rank_strings_into_tables(path):
     """``space._colex_reader`` is the reader the other modules share; one
     that names ``_table_reader`` is choosing a pair order of its own."""
     assert not names_table_reader(path.read_text(encoding="utf-8"))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (``_x``, not dunders) that no module of
+    ``sources`` reads, as ``module: name``.  A name is read where it is
+    loaded as a Name, named as an attribute or imported by name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and name not in read:
+                    out.append(f"{module}: {name}")
+    return out
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": "def _used():\n    _local = 1\n\ndef _dead():\n    pass\n\n_CAP: int = 3\nx = _used()\n",
+        "b.py": "from .a import _CAP\n\nclass _Gone:\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _dead", "b.py: _Gone"]
+    assert unread_private_names({"a.py": "def _f():\n    pass\n", "b.py": "from . import a\na._f()\n"}) == []
+
+
+def test_every_private_name_is_read():
+    """A private helper that nothing in the package reads is dead code."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

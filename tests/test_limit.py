@@ -331,6 +331,19 @@ def test_unreadable_demand_labels_are_demand_errors(make):
         assert err.value.code == code
 
 
+@pytest.mark.parametrize(
+    "make", [DeterministicLimitModel, lambda: RandomLimitModel(0)], ids=["deterministic", "random"]
+)
+def test_a_bool_or_negative_tier_is_refused(make):
+    """A tier is an int that is not a bool, as the point is."""
+    model = make()
+    model.limit_points(2)
+    for tier in (True, False, -1):
+        with pytest.raises(DemandError) as err:
+            model.ensure_witness(Demand(((0, OpenInterval(Fraction(0), None, tier)),)))
+        assert err.value.code == "demand/interval"
+
+
 def test_random_model_refuses_an_unreadable_rate():
     for bad in ("abc", "1/0", float("nan")):
         with pytest.raises(ValidationError) as err:

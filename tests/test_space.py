@@ -2,6 +2,7 @@
 oracle, morphism predicates against quantifier oracles, and canonical
 forms against brute-force isomorphism."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -556,15 +557,39 @@ def test_canonical_form_matches_reference_beyond_desk_scale():
         assert_matches_reference(random_relabelling(stream, sp))
 
 
+def cells_of(colours):
+    """The ordered partition of a colouring: points grouped by colour, in
+    colour order, each cell ascending."""
+    by_colour = {}
+    for v, c in enumerate(colours):
+        by_colour.setdefault(c, []).append(v)
+    return [by_colour[c] for c in sorted(by_colour)]
+
+
+def colours_of(cells):
+    """The dense colouring of an ordered partition: a point's colour is
+    its cell's index."""
+    colours = [0] * sum(map(len, cells))
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colours[v] = c
+    return tuple(colours)
+
+
+def refine_colours(rows, colours):
+    """The cell kernel on a colouring, read back as dense colours."""
+    return colours_of(space_module._refine(rows, cells_of(colours)))
+
+
 def refine_inputs(sp):
     """Every (keyed rows, colours) that canonical_form hands its refinement
-    kernel, in call order."""
+    kernel, in call order, the cells read as dense colours."""
     refine = space_module._refine
     seen = []
 
-    def record(rows, colours):
-        seen.append((rows, tuple(colours)))
-        return refine(rows, colours)
+    def record(rows, cells):
+        seen.append((rows, colours_of(cells)))
+        return refine(rows, cells)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(space_module, "_refine", record)
@@ -580,12 +605,12 @@ def assert_refine_matches_reference(sp):
     rows = refine_inputs(sp)[0][0]
     blank = (0,) * m
     refined = reference_refine(sp, blank)
-    assert space_module._refine(rows, blank) == refined, sp.table
+    assert refine_colours(rows, blank) == refined, sp.table
     for colours in (blank, refined):
         for v in range(m):
             child = list(colours)
             child[v] = m
-            assert space_module._refine(rows, child) == reference_refine(sp, child), (sp.table, v)
+            assert refine_colours(rows, child) == reference_refine(sp, child), (sp.table, v)
 
 
 def test_refine_matches_the_tuple_profile_kernel_all_m4():
@@ -661,11 +686,34 @@ def test_refine_matches_the_tuple_profile_kernel_along_search_paths():
     checked = 0
     for sp in deep_search_spaces():
         for rows, colours in refine_inputs(sp):
-            assert space_module._refine(rows, colours) == reference_refine(sp, colours), (
+            assert refine_colours(rows, colours) == reference_refine(sp, colours), (
                 sp.table,
                 colours,
             )
             checked += 1
+    assert checked > 300
+
+
+def test_refine_leaves_its_input_alone_and_returns_a_partition(monkeypatch):
+    """Sibling nodes share their parent's cells, so on every input the
+    search makes the kernel leaves the partition as it was, and returns
+    ascending cells that together hold every point once."""
+    refine = space_module._refine
+    checked = 0
+
+    def checking(rows, cells):
+        nonlocal checked
+        before = copy.deepcopy(cells)
+        out = refine(rows, cells)
+        assert cells == before
+        assert all(cell == sorted(cell) for cell in out)
+        assert sorted(v for cell in out for v in cell) == list(range(len(rows)))
+        checked += 1
+        return out
+
+    monkeypatch.setattr(space_module, "_refine", checking)
+    for sp in deep_search_spaces():
+        canonical_form(sp)
     assert checked > 300
 
 
