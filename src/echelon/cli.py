@@ -64,7 +64,7 @@ BOUNDS = {
     # this depth and about 4x more per doubling
     "depth": Bound("--depth", 40, "limit/depth-cap"),
     # `ramsey search` at both caps samples 500 spaces of each size 5..12 and
-    # ends in about 0.6 s (worst case in the README's cap table)
+    # ends in under 1 s (worst case in the README's cap table)
     "size": Bound("--cap", 12, "ramsey/size-cap"),
     "samples": Bound("--samples", 500, "ramsey/samples-cap"),
     # the colourings either `ramsey` subcommand may explore

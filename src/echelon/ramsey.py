@@ -5,14 +5,18 @@ Points carry a total order, so a copy of A inside C is just a point subset
 either it embeds or nothing does).  A pattern is compiled once: its pairs
 sorted by rank.  Each subset of C's points is resolved to the point pairs
 of that chain and walked over C's rank table, dropped at the first pair
-that breaks the pattern.  ``arrow_check`` decides, by exhaustion over
-colourings with early pruning, whether every k-colouring of the A-copies
-of C leaves a monochromatic B-copy.  ``witness_search`` hunts for such a C
-by exhaustive enumeration up to size 4 and seeded random sampling beyond:
-it compiles A and B once per call, tests each candidate's bare rank table,
-lists its B-copies first and skips a candidate with none before the
-colouring budget is consulted, and wraps only the witness it returns as an
-ordered space.
+that breaks the pattern.  ``arrow_check`` decides whether every
+k-colouring of the A-copies of C leaves a monochromatic B-copy, by
+backtracking over colourings: each colour choice updates only the
+B-copies that hold that A-copy, a branch dies as soon as it completes a
+monochromatic B-copy, and colourings that differ only by a permutation of
+the colours are tried once.  ``witness_search`` hunts for such a C by
+exhaustive enumeration up to size 4, over spaces enumerated once per
+process and kept, and by seeded random sampling beyond: it compiles A and
+B once per call, tests each candidate's bare rank table, lists its
+B-copies first and skips a candidate with none before the colouring
+budget is consulted, and wraps only the witness it returns as an ordered
+space.
 
 The translation to ordered edge-coloured simple graphs erases one chosen
 colour class to "non-edge" and keeps the rest; it is inverse to filling
@@ -21,13 +25,14 @@ the non-edges back in, and it changes nothing about embeddings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, ValidationError
 from .prng import SplitMix64Stream
-from .space import EchelonedSpace, PointMap, _compress, enumerate_spaces
+from .space import ENUMERATE_CAP, EchelonedSpace, PointMap, _compress, enumerate_spaces
 
 ARROW_BUDGET = 1 << 20
 
@@ -115,33 +120,66 @@ def copy_set(a: OrderedEchelonedSpace, c: OrderedEchelonedSpace) -> tuple[frozen
 
 def _decide(copies_a: Sequence[frozenset[int]], copies_b: Sequence[frozenset[int]], k: int) -> bool:
     """Whether every k-colouring of ``copies_a`` leaves some B-copy whose
-    A-copies all share a colour: backtracking over colourings in copy
-    order, pruned as soon as the partial colouring settles the answer."""
-    members = [[i for i, ca in enumerate(copies_a) if ca <= cb] for cb in copies_b]
-    if not members:
-        return False
-    colour: list[Optional[int]] = [None] * len(copies_a)
+    A-copies all share a colour.  A B-copy that contains no A-copy counts
+    as monochromatic (its empty set of A-copies shares any colour), so it
+    makes the answer True; with no B-copy at all the answer is False.
 
-    def bad_colouring_exists(i: int) -> bool:
-        alive = False
-        for group in members:
-            seen = {colour[j] for j in group if colour[j] is not None}
-            if len(seen) > 1:
-                continue
-            if all(colour[j] is not None for j in group):
-                return False  # monochromatic B-copy already forced
-            alive = True
-        if not alive:
-            return True  # every B-copy ruined; any completion is a counterexample
-        for col in range(k):
-            colour[i] = col
-            if bad_colouring_exists(i + 1):
-                colour[i] = None
+    Backtracking, in copy order, over the A-copies that lie in some
+    B-copy (the colours of the others cannot matter).  Each B-copy keeps
+    its count of uncoloured A-copies and its one colour so far, or ``k``
+    once it has seen two; colouring an A-copy updates only its own
+    B-copies and is undone on backtrack.  A branch dies when it completes
+    a monochromatic B-copy, and a bad colouring is found once every
+    B-copy has seen two colours.  Permuting the colours of a bad
+    colouring gives another, so each A-copy tries only the colours up to
+    one above the largest used so far.
+    """
+    if not copies_b:
+        return False
+    holders: list[list[int]] = [[] for _ in copies_a]  # holders[i]: the B-copies containing A-copy i
+    left = []  # left[j]: uncoloured A-copies of B-copy j
+    for j, cb in enumerate(copies_b):
+        members = [i for i, ca in enumerate(copies_a) if ca <= cb]
+        if not members:
+            return True
+        for i in members:
+            holders[i].append(j)
+        left.append(len(members))
+    steps = [h for h in holders if h]
+    seen = [-1] * len(copies_b)  # seen[j]: -1 before any colour, then the colour, k once two
+    live = len(copies_b)  # B-copies that have not seen two colours
+
+    def bad_colouring_exists(i: int, top: int) -> bool:
+        nonlocal live
+        step = steps[i]
+        for col in range(min(k, top + 2)):
+            first, ruined, mono = [], [], False
+            for j in step:
+                was = seen[j]
+                left[j] -= 1
+                if was < 0:
+                    seen[j] = col
+                    first.append(j)
+                elif was != col:
+                    if was < k:
+                        seen[j] = k
+                        ruined.append((j, was))
+                    continue
+                if not left[j]:
+                    mono = True
+            live -= len(ruined)
+            if not mono and (not live or bad_colouring_exists(i + 1, max(top, col))):
                 return True
-        colour[i] = None
+            live += len(ruined)
+            for j in step:
+                left[j] += 1
+            for j in first:
+                seen[j] = -1
+            for j, was in ruined:
+                seen[j] = was
         return False
 
-    return not bad_colouring_exists(0)
+    return not bad_colouring_exists(0, -1)
 
 
 def _arrow(
@@ -185,6 +223,14 @@ def _random_ordered_space(m: int, stream: SplitMix64Stream) -> OrderedEchelonedS
     return OrderedEchelonedSpace(_compress(m, values)[0], tuple(range(m)))
 
 
+@functools.lru_cache(maxsize=ENUMERATE_CAP)
+def _exhaustive(m: int) -> tuple[EchelonedSpace, ...]:
+    """Every space on m <= ENUMERATE_CAP points, built on first use and
+    kept for the process (4,698 small tables in all): witness_search's
+    candidates of that size."""
+    return tuple(enumerate_spaces(m))
+
+
 def witness_search(
     a: OrderedEchelonedSpace,
     b: OrderedEchelonedSpace,
@@ -196,10 +242,12 @@ def witness_search(
 ) -> Optional[OrderedEchelonedSpace]:
     """Smallest-first hunt for C with C -> (B) in k colours over A-copies.
 
-    Sizes up to 4 are searched exhaustively (identity order loses nothing:
-    relabelling by the order turns any ordered space into one on the
-    natural order, and distinct tables are distinct types).  Larger sizes,
-    if allowed, are probed by seeded random sampling.
+    Sizes up to ``ENUMERATE_CAP`` (4) are searched exhaustively (identity
+    order loses nothing: relabelling by the order turns any ordered space
+    into one on the natural order, and distinct tables are distinct
+    types); the spaces of each such size are enumerated once per process
+    and kept.  Larger sizes, if allowed, are probed by seeded random
+    sampling.
 
     A and B are compiled once per call, and their subsets of each size are
     resolved once; a candidate is a bare rank table until it arrows, and
@@ -219,8 +267,8 @@ def witness_search(
         points = range(m)
         subsets_a = [(pairs, frozenset(h)) for pairs, h in _subsets(pattern_a, points)]
         subsets_b = [(pairs, frozenset(h)) for pairs, h in _subsets(pattern_b, points)]
-        if m <= 4:
-            candidates = enumerate_spaces(m)
+        if m <= ENUMERATE_CAP:
+            candidates = _exhaustive(m)
         else:
             stream = SplitMix64Stream((seed << 8) ^ m)
             candidates = (_random_ordered_space(m, stream).space for _ in range(samples))

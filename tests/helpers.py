@@ -14,8 +14,8 @@ import numpy as np
 from echelon import (
     EchelonedSpace,
     OrderedEchelonedSpace,
-    arrow_check,
     canonical_form,
+    copy_set,
     embedding_rank_map,
     enumerate_spaces,
     from_rank_table,
@@ -625,12 +625,55 @@ def reference_ordered_embeddings(a, c):
     return out
 
 
+def reference_decide(copies_a, copies_b, k):
+    """Whether every k-colouring of ``copies_a`` leaves some B-copy whose
+    A-copies all share a colour: backtracking over colourings in copy
+    order, every B-copy rescanned at every node, every colour tried for
+    every A-copy.  The kernel ramsey._decide must reproduce."""
+    members = [[i for i, ca in enumerate(copies_a) if ca <= cb] for cb in copies_b]
+    if not members:
+        return False
+    colour = [None] * len(copies_a)
+
+    def bad_colouring_exists(i):
+        alive = False
+        for group in members:
+            seen = {colour[j] for j in group if colour[j] is not None}
+            if len(seen) > 1:
+                continue
+            if all(colour[j] is not None for j in group):
+                return False  # monochromatic B-copy already forced
+            alive = True
+        if not alive:
+            return True  # every B-copy ruined; any completion is a counterexample
+        for col in range(k):
+            colour[i] = col
+            if bad_colouring_exists(i + 1):
+                colour[i] = None
+                return True
+        colour[i] = None
+        return False
+
+    return not bad_colouring_exists(0)
+
+
+def reference_arrow_check(c, a, b, k, budget=ramsey.ARROW_BUDGET):
+    """arrow_check with its refusals, decided by reference_decide."""
+    if k < 1:
+        raise ValidationError("arrow/colours", "at least one colour required")
+    copies_a = copy_set(a, c)
+    n = len(copies_a)
+    if k**n > budget:
+        raise BudgetExceeded("arrow/budget", f"{k}^{n} colourings exceed the budget {budget}")
+    return reference_decide(copies_a, copy_set(b, c), k)
+
+
 def reference_witness_search(a, b, k, size_cap=4, seed=0, samples=200, budget=ramsey.ARROW_BUDGET):
-    """Every candidate wrapped as an ordered space and decided by the public
-    arrow_check, which lists A-copies before B-copies: the search
-    witness_search must reproduce, witness, None and errors included.  It
-    checks k only inside arrow_check, so with fewer than one colour and a cap
-    below |B| it examines nothing and returns None."""
+    """Every candidate wrapped as an ordered space, enumerated afresh, and
+    decided by reference_arrow_check, which lists A-copies before B-copies:
+    the search witness_search must reproduce, witness, None and errors
+    included.  It checks k only inside the arrow check, so with fewer than
+    one colour and a cap below |B| it examines nothing and returns None."""
     if budget < 1:
         raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
     for m in range(b.space.m, size_cap + 1):
@@ -643,7 +686,7 @@ def reference_witness_search(a, b, k, size_cap=4, seed=0, samples=200, budget=ra
             candidates = (ramsey._random_ordered_space(m, stream) for _ in range(samples))
         for cand in candidates:
             try:
-                if arrow_check(cand, a, b, k, budget=budget):
+                if reference_arrow_check(cand, a, b, k, budget=budget):
                     return cand
             except BudgetExceeded:
                 continue

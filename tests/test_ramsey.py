@@ -1,7 +1,10 @@
 """Ordered spaces, arrow checks, and the graph translation.
 
 The arrow oracle below enumerates every colouring with no pruning, so it
-only runs on tiny instances; arrow_check must agree with it exactly."""
+only runs on tiny instances; arrow_check must agree with it exactly.
+Beyond them, flat cliques have closed-form answers (pigeonhole, and
+R(3,3) = 6), and the decision kernel is pinned to the reference kernel
+in helpers, which rescans every B-copy and tries every colour."""
 
 import itertools
 
@@ -25,9 +28,12 @@ from echelon import (
 from echelon import ramsey
 from echelon.errors import BudgetExceeded, EchelonError, ValidationError
 from echelon.prng import SplitMix64Stream
+from echelon.space import ENUMERATE_CAP
 
 from helpers import (
     random_space,
+    reference_arrow_check,
+    reference_decide,
     reference_enumerate_spaces,
     reference_ordered_embeddings,
     reference_witness_search,
@@ -91,7 +97,9 @@ def graph_emb_oracle(a, c):
 
 
 def arrow_oracle(c, a, b, k):
-    """Try literally every colouring of the A-copies."""
+    """Try literally every colouring of the A-copies.  A B-copy's A-copies
+    share a colour when they use at most one, so a B-copy that contains no
+    A-copy is monochromatic under every colouring."""
     copies_a = copy_set(a, c)
     copies_b = [
         frozenset(img) for img in ordered_embeddings(b, c)
@@ -106,7 +114,7 @@ def arrow_oracle(c, a, b, k):
                 for i, cset in enumerate(copies_a)
                 if cset <= bset
             }
-            if len(cols) == 1:
+            if len(cols) <= 1:
                 good = True
                 break
         if not good:
@@ -157,6 +165,92 @@ def test_arrow_check_matches_oracle_on_random_instances():
         k = stream.randrange(2) + 2
         want = arrow_oracle(c, POINT, b, k)
         assert arrow_check(c, POINT, b, k) == want
+
+
+def _budgeted_sizes(k, top=20):
+    """Every m up to top whose k^m point colourings fit ARROW_BUDGET."""
+    return [m for m in range(1, top + 1) if k**m <= ramsey.ARROW_BUDGET]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_flat_clique_arrows_the_edge_over_points_exactly_past_k(k):
+    """Pigeonhole: k colours on the points of flat K_m force a
+    monochromatic pair exactly when m >= k + 1.  Colourings with up to k
+    colours in use take the colour-symmetry path for k >= 3."""
+    for m in _budgeted_sizes(k):
+        assert arrow_check(ident(flat(m)), POINT, EDGE, k) == (m >= k + 1), (m, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_flat_clique_arrows_the_triangle_over_points_exactly_past_2k(k):
+    """Pigeonhole: k colours on the points of flat K_m force three points of
+    one colour exactly when m >= 2k + 1."""
+    triangle = ident(flat(3))
+    for m in _budgeted_sizes(k):
+        assert arrow_check(ident(flat(m)), POINT, triangle, k) == (m >= 2 * k + 1), (m, k)
+
+
+def test_two_colourings_of_the_edges_of_k6_force_a_triangle():
+    """R(3,3) = 6 (Greenwood & Gleason 1955): flat K5 has a 2-colouring of
+    its edges with no monochromatic triangle, flat K6 has none."""
+    triangle = ident(flat(3))
+    assert not arrow_check(ident(flat(5)), EDGE, triangle, 2)
+    assert arrow_check(ident(flat(6)), EDGE, triangle, 2)
+
+
+def test_a_b_copy_with_no_a_copy_is_monochromatic():
+    """The A-copies of a B-copy that contains none share every colour, so
+    one such B-copy makes C arrow, whatever the colouring."""
+    assert arrow_check(POINT, EDGE, POINT, 2)
+    arrows, copies_a, copies_b = ramsey._arrow(EDGE, EDGE, POINT, 2, ramsey.ARROW_BUDGET)
+    assert arrows and len(copies_a) == 1 and len(copies_b) == 2
+    for c, a, b in ((POINT, EDGE, POINT), (EDGE, EDGE, POINT)):
+        assert reference_arrow_check(c, a, b, 2) and arrow_oracle(c, a, b, 2)
+    assert ramsey._decide([], [frozenset({0})], 3) and not ramsey._decide([frozenset({0})], [], 3)
+
+
+def _subsets(pattern, m):
+    return [(pairs, frozenset(h)) for pairs, h in ramsey._subsets(pattern, range(m))]
+
+
+def test_decide_matches_the_reference_kernel_exhaustively():
+    """Every 4-point C under the identity order, A a point or an edge, every
+    B of 2 or 3 points, k = 1..3; then seeded C of 5 and 6 points with
+    seeded A and B wherever k^(A-copies) <= 2^12.  The same answer as the
+    kernel that rescans every B-copy at every node and tries every colour
+    (computed once per distinct input)."""
+    known = {}
+
+    def pin(copies_a, copies_b, k):
+        key = copies_a, copies_b, k
+        if key not in known:
+            known[key] = reference_decide(copies_a, copies_b, k)
+        assert ramsey._decide(copies_a, copies_b, k) == known[key], key
+        return known[key]
+
+    subsets_a = [_subsets(ramsey._pattern(a), 4) for a in (POINT, EDGE)]
+    subsets_b = [_subsets(ramsey._pattern(ident(sp)), 4) for m in (2, 3) for sp in enumerate_spaces(m)]
+    decided = 0
+    for c in enumerate_spaces(4):
+        for s_a in subsets_a:
+            copies_a = tuple(ramsey._walk(s_a, c.table))
+            for s_b in subsets_b:
+                copies_b = tuple(ramsey._walk(s_b, c.table))
+                for k in (1, 2, 3):
+                    pin(copies_a, copies_b, k)
+                    decided += 1
+    assert decided == 4683 * 2 * 14 * 3
+    stream = SplitMix64Stream(2121)
+    answers = set()
+    for _ in range(300):
+        c = ident(random_space(stream, stream.randrange(2) + 5))
+        a = ident(random_space(stream, stream.randrange(3) + 1))
+        b = ident(random_space(stream, stream.randrange(2) + 2))
+        k = stream.randrange(3) + 1
+        copies_a = copy_set(a, c)
+        if k ** len(copies_a) <= 1 << 12:
+            answers.add(pin(copies_a, copy_set(b, c), k))
+    assert answers == {True, False}
 
 
 def test_arrow_check_rejects_bad_colour_count():
@@ -401,6 +495,8 @@ def test_ordered_embeddings_match_the_reference_exhaustively():
 
 
 def test_witness_search_matches_the_reference_kernels(monkeypatch):
+    """The same witnesses with the kept candidates replaced by the reference
+    enumeration and the decision by the reference kernel."""
     stream = SplitMix64Stream(808)
     triangle = ident(flat(3))
     cases = [(POINT, EDGE, 2, 4, 0), (EDGE, triangle, 2, 5, 3), (POINT, triangle, 2, 5, 1)]
@@ -418,9 +514,30 @@ def test_witness_search_matches_the_reference_kernels(monkeypatch):
         return out
 
     got = answers()
-    monkeypatch.setattr(ramsey, "enumerate_spaces", reference_enumerate_spaces)
+    monkeypatch.setattr(ramsey, "_exhaustive", lambda m: tuple(reference_enumerate_spaces(m)))
+    monkeypatch.setattr(ramsey, "_decide", reference_decide)
     assert got == answers()
     assert any(w is None for w in got) and any(w is not None for w in got)
+
+
+def test_witness_search_enumerates_each_size_once(monkeypatch):
+    """The spaces of each size up to ENUMERATE_CAP are enumerated on first
+    use and kept across searches; larger sizes are sampled, never kept."""
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return enumerate_spaces(m)
+
+    monkeypatch.setattr(ramsey, "enumerate_spaces", counting)
+    ramsey._exhaustive.cache_clear()
+    exhaustive = list(range(EDGE.m, ENUMERATE_CAP + 1))
+    found = witness_search(POINT, EDGE, 4, size_cap=6, samples=5)  # no C of 4 points arrows
+    assert found.m == 5 and calls == exhaustive
+    assert witness_search(EDGE, ident(flat(3)), 2) is None
+    assert witness_search(POINT, EDGE, 2).m == 3
+    assert calls == exhaustive
+    assert ramsey._exhaustive.cache_info().currsize == len(exhaustive)  # sizes 5 and 6 were sampled
 
 
 def test_random_ordered_space_keeps_the_draw_order():
