@@ -59,8 +59,6 @@ from .space import EchelonedSpace, _colex_pairs, _compress, _is_int
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
-# Most (candidate, entry) pairs a random witness scan colours at once.
-_SCAN_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -254,13 +252,13 @@ class RandomLimitModel(LimitModel):
         """Sorted distinct labels among materialized pairs.
 
         The colour kernel colours the pairs in blocks of rows, at most
-        ``_SCAN_PAIRS`` pairs a block, and each colour seen marks its
+        ``prng.BLOCK_PAIRS`` pairs a block, and each colour seen marks its
         alphabet label.  The work is still quadratic in ``size``, so a
         prefix left at the witness cap (2^20 points) stays out of reach."""
         alphabet = _alphabet(self.p)
         seen = np.zeros(len(alphabet.labels), dtype=bool)
         points = np.arange(self.size, dtype=np.int64)
-        rows = max(1, _SCAN_PAIRS // max(self.size, 1))
+        rows = max(1, prng.BLOCK_PAIRS // max(self.size, 1))
         for start in range(1, self.size, rows):
             greater = points[start : start + rows, None]
             lesser = points[None, : start + rows - 1]
@@ -291,7 +289,7 @@ class RandomLimitModel(LimitModel):
         ).reshape(-1, 2)
         admits = (alphabet.rank >= bounds[:, :1]) & (alphabet.rank < bounds[:, 1:])
         rows = np.arange(len(entries))
-        widest = max(GROW_BLOCK, _SCAN_PAIRS // max(len(entries), 1))
+        widest = max(GROW_BLOCK, prng.BLOCK_PAIRS // max(len(entries), 1))
         width = min(max(self.size, GROW_BLOCK), widest)
         start, end = 0, max(self.size, self.cap)
         while start < end:

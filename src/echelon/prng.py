@@ -10,7 +10,11 @@ The kernel takes arrays of pairs.  The first two finalizer rounds of
 they are a per-point key.  The kernel computes that key once per point and
 gathers it (``all_edge_colours``) or broadcasts it (``pair_colours``) to
 the pairs, and the greater endpoint's term likewise; only the last round
-and the inversion run once per pair.
+and the inversion run once per pair.  ``all_edge_colours`` walks the rows
+of its flat layout in blocks of about ``BLOCK_PAIRS`` pairs and writes
+each block's colours into its slice of the output, so its peak memory is
+about the output plus one block.  The scalar path keeps the seed's round,
+the first, in a small cache and runs the other two inline.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
@@ -29,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +42,9 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# Most pairs the colour kernels colour at once: all_edge_colours per block
+# of rows, and the random limit model per witness or label scan.
+BLOCK_PAIRS = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -47,18 +55,29 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=256)
+def _seed_key(seed: int) -> int:
+    """The first finalizer round of :func:`edge_bits`, which reads only the
+    seed."""
+    return mix64((seed & MASK64) ^ GOLDEN)
+
+
 def edge_bits(seed: int, u: int, v: int) -> int:
     """64 uniform bits for the unordered pair {u, v} under ``seed``.
 
     Scheme "splitmix64/edge-v1": normalize u < v, then three chained
     finalizer rounds absorbing seed and both endpoints.  Pure function, so
-    generation order and thread scheduling cannot change a graph.
+    generation order and thread scheduling cannot change a graph.  The
+    last two rounds are :func:`mix64` written out.
     """
     a, b = (u, v) if u < v else (v, u)
-    z = mix64((seed & MASK64) ^ GOLDEN)
-    z = mix64(z ^ (((a + 1) * GOLDEN) & MASK64))
-    z = mix64(z ^ (((b + 1) * MIX1) & MASK64))
-    return z
+    z = _seed_key(seed) ^ (((a + 1) * GOLDEN) & MASK64)
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    z ^= (z >> 31) ^ (((b + 1) * MIX1) & MASK64)
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
 
 
 @lru_cache(maxsize=None)
@@ -194,17 +213,27 @@ def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
 def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
     """Colours for every pair {i, j} of range(n), i < j.
 
-    Flat layout: pair (i, j) at index j*(j-1)//2 + i.  Matches the scalar
+    Flat layout: pair (i, j) at index j*(j-1)//2 + i, so row j is the
+    slice from j*(j-1)//2 of the j pairs below j.  Matches the scalar
     :func:`edge_colour` entry by entry.  Both endpoints' terms are computed
-    once per point and gathered to the pairs.
+    once per point; the rows are coloured in blocks of at most
+    ``BLOCK_PAIRS`` pairs (or one row, if longer), each gathering the
+    lesser keys of its rows and repeating their greater terms.
     """
     points = np.arange(n, dtype=np.int64)
-    i = np.arange(n * (n - 1) // 2, dtype=np.int64)
-    i -= np.repeat(points * (points - 1) // 2, points)  # row j holds the j pairs below it
-    z = _point_keys(seed, points)[i]
-    del i
-    z ^= np.repeat(_greater_terms(points), points)
-    return _invert(p, _mix64_vec(z))
+    keys = _point_keys(seed, points)
+    terms = _greater_terms(points)
+    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    j = 1
+    while j < n:
+        lo = j * (j - 1) // 2
+        # the greatest stop with rows j..stop-1 in BLOCK_PAIRS pairs, past j
+        stop = min(max(j + 1, (1 + isqrt(1 + 8 * (lo + BLOCK_PAIRS))) // 2), n)
+        z = np.concatenate([keys[:row] for row in range(j, stop)])
+        z ^= np.repeat(terms[j:stop], points[j:stop])
+        out[lo : lo + z.size] = _invert(p, _mix64_vec(z))
+        j = stop
+    return out
 
 
 class SplitMix64Stream:

@@ -123,6 +123,8 @@ def _decide(copies_a: Sequence[frozenset[int]], copies_b: Sequence[frozenset[int
     A-copies all share a colour.  A B-copy that contains no A-copy counts
     as monochromatic (its empty set of A-copies shares any colour), so it
     makes the answer True; with no B-copy at all the answer is False.
+    With one colour every B-copy is monochromatic, so the answer is True
+    before any search.
 
     Backtracking, in copy order, over the A-copies that lie in some
     B-copy (the colours of the others cannot matter).  Each B-copy keeps
@@ -136,6 +138,8 @@ def _decide(copies_a: Sequence[frozenset[int]], copies_b: Sequence[frozenset[int
     """
     if not copies_b:
         return False
+    if k == 1:
+        return True
     holders: list[list[int]] = [[] for _ in copies_a]  # holders[i]: the B-copies containing A-copy i
     left = []  # left[j]: uncoloured A-copies of B-copy j
     for j, cb in enumerate(copies_b):

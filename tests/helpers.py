@@ -348,6 +348,16 @@ def reference_geometric_thresholds(p):
     return tuple(out)
 
 
+def reference_edge_bits(seed, u, v):
+    """Scheme "splitmix64/edge-v1" as three chained ``mix64`` calls: the
+    scalar edge bits before their rounds were written out."""
+    a, b = (u, v) if u < v else (v, u)
+    z = prng.mix64((seed & prng.MASK64) ^ prng.GOLDEN)
+    z = prng.mix64(z ^ (((a + 1) * prng.GOLDEN) & prng.MASK64))
+    z = prng.mix64(z ^ (((b + 1) * prng.MIX1) & prng.MASK64))
+    return z
+
+
 def _reference_colours(p, keys, greater):
     """The last finalizer round on each pair, then one binary search over
     the thresholds per pair."""

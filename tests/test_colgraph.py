@@ -33,6 +33,7 @@ from echelon.space import _colex_pairs
 from helpers import (
     deadline,
     reference_all_edge_colours,
+    reference_edge_bits,
     reference_geometric_thresholds,
     reference_pair_colours,
 )
@@ -45,6 +46,23 @@ def test_edge_bits_symmetric_and_deterministic():
     assert prng.edge_bits(7, 3, 11) == prng.edge_bits(7, 3, 11)
     assert prng.edge_bits(7, 3, 11) != prng.edge_bits(8, 3, 11)
     assert prng.edge_bits(7, 3, 11) != prng.edge_bits(7, 3, 12)
+
+
+def test_edge_bits_match_the_three_round_chain():
+    """Bit for bit against three chained ``mix64`` calls: seeds at both
+    ends of 64 bits and past them (masked), pairs in either order, and
+    pairs with endpoint 0; the colour is the inversion of those bits."""
+    stream = prng.SplitMix64Stream(41)
+    seeds = [0, 2**64 - 1, 2**64 + 5, 7] + [stream.next_u64() for _ in range(4)]
+    pairs = [(0, 1), (1, 0), (0, 999), (999, 0), (5, 3), (3, 5), (2**20, 17)]
+    pairs += [(stream.randrange(5000), stream.randrange(5000)) for _ in range(40)]
+    for seed in seeds:
+        for u, v in pairs:
+            want = reference_edge_bits(seed, u, v)
+            assert prng.edge_bits(seed, u, v) == want, (seed, u, v)
+            for p in (Fraction(1, 2), Fraction(1, 256)):
+                assert prng.edge_colour(p, seed, u, v) == prng.geometric_colour(p, want)
+    assert prng.edge_bits(2**64 + 5, 3, 9) == prng.edge_bits(5, 3, 9)
 
 
 def test_thresholds_match_geometric_cdf():
@@ -149,22 +167,45 @@ def test_kernel_equals_the_binary_search_kernel():
             got = prng.pair_colours(p, seed, u, v)
             want = reference_pair_colours(p, seed, u, v)
             assert got.shape == (200, 4) and got.dtype == want.dtype and np.array_equal(got, want)
-    got = prng.all_edge_colours(Fraction(1, 2), 7, 1024)
-    assert np.array_equal(got, reference_all_edge_colours(Fraction(1, 2), 7, 1024))
+    # many blocks of rows, up to the CLI's cap, and the --p floor, where
+    # the most draws miss the guide table
+    for p, n in ((Fraction(1, 2), 1024), (Fraction(1, 2), 2048), (Fraction(1, 256), 1024)):
+        assert np.array_equal(prng.all_edge_colours(p, 7, n), reference_all_edge_colours(p, 7, n))
 
 
 def test_bulk_kernel_peak_memory():
-    """All 523,776 pair colours of 1,024 points at a peak of at most 3.5
-    times the output's bytes."""
+    """All pair colours of 1,024 points (523,776) and of the CLI's cap of
+    2,048 (2,096,128) at a peak of at most 1.5 times the output's bytes:
+    the output and one block of rows."""
     p = Fraction(1, 2)
-    out = prng.all_edge_colours(p, 11, 1024)
-    tracemalloc.start()
-    try:
-        prng.all_edge_colours(p, 11, 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * out.nbytes
+    for n in (1024, 2048):
+        out = prng.all_edge_colours(p, 11, n)
+        tracemalloc.start()
+        try:
+            prng.all_edge_colours(p, 11, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes, n
+
+
+def test_bulk_kernel_block_boundaries():
+    """The first and last pair of every block of rows against the scalar
+    colour, at the CLI's cap."""
+    p, n = Fraction(1, 3), 2048
+    got = prng.all_edge_colours(p, 3, n)
+    blocks, j = 0, 1
+    while j < n:
+        lo = j * (j - 1) // 2
+        stop = j + 1  # rows j..stop-1 while they fit in one block, at least one
+        while stop < n and stop * (stop + 1) // 2 - lo <= prng.BLOCK_PAIRS:
+            stop += 1
+        hi = stop * (stop - 1) // 2
+        assert got[lo] == prng.edge_colour(p, 3, 0, j)
+        assert got[hi - 1] == prng.edge_colour(p, 3, stop - 2, stop - 1)
+        blocks += 1
+        j = stop
+    assert blocks > 1
 
 
 def test_graph_determinism_and_structure():

@@ -253,6 +253,16 @@ def test_decide_matches_the_reference_kernel_exhaustively():
     assert answers == {True, False}
 
 
+def test_one_colour_arrows_as_soon_as_there_is_a_b_copy():
+    """With k = 1 every B-copy is monochromatic: flat K13 arrows flat K6
+    into flat K13 without a search over its 1,716 A-copies, and a C with
+    no B-copy still does not arrow."""
+    c = ident(flat(13))
+    arrows, copies_a, copies_b = ramsey._arrow(c, ident(flat(6)), c, 1, ramsey.ARROW_BUDGET)
+    assert arrows and len(copies_a) == 1716 and len(copies_b) == 1
+    assert not arrow_check(ident(flat(3)), POINT, ident(flat(4)), 1)
+
+
 def test_arrow_check_rejects_bad_colour_count():
     with pytest.raises(ValidationError):
         arrow_check(POINT, POINT, POINT, 0)
