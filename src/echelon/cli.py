@@ -202,15 +202,7 @@ def _cmd_jep(args) -> dict:
 def _cmd_katetov(args) -> dict:
     base = _read_space(args.space)
     kx = katetov_space(base)
-    doc = jsonio._document(
-        "katetov",
-        base=jsonio.space_to_json(base),
-        points=kx.m,
-        ranks=kx.n,
-        width=kx.width,
-        chain=jsonio.chain_to_json(kx.chain),
-        **{"lambda": list(kx.identity_embedding())},
-    )
+    doc = jsonio._document("katetov", base=jsonio.space_to_json(base), **jsonio._derived(kx))
     if kx.m <= args.materialize_cap:
         doc["space"] = jsonio.space_to_json(kx.materialize(cap=args.materialize_cap))
     if args.map is not None:

@@ -2,7 +2,11 @@
 
 Every document carries the format tag ``echelon/1`` and a ``kind``.
 Ranks and colours travel as integers, rationals as "p/q" strings, so no
-value ever passes through floating point.
+value ever passes through floating point.  Every table a document holds
+(a space's ``eta``, a graph's ``chi``, a metric's ``d``, a weights
+document's ``w``) is a strict lower triangle, and one reader, ``_rows``,
+reads them all, with the row parser as its parameter; a square table is
+made only by ``space._colex_reader``.
 
 ``_KINDS`` covers ``space`` (ordered when it has an ``order`` key),
 ``metric``, ``graph``, ``weights`` and the composite kinds: ``space-list``
@@ -25,12 +29,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
 from .errors import ValidationError
-from .katetov import KatetovChain, katetov_map, katetov_space
+from .katetov import KatetovChain, KatetovSpace, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .rationals import exact_rational
@@ -82,42 +85,40 @@ def _integer(x: Any) -> int:
     raise ValidationError("json/schema", f"expected an integer entry, got {x!r}")
 
 
-def _table(doc: dict, size: str, key: str, cell: Callable[[Any], Any], zero: Any) -> list[list]:
-    """The symmetric table a document stores as a strict lower triangle:
-    row i of ``doc[key]`` lists the entries against points 0..i-1."""
+def _int_row(row: list) -> list:
+    """A row of ``eta`` or ``chi``: an all-int row as it is, or refused at
+    its first entry that is not an int."""
+    if {*map(type, row)} <= {int}:
+        return row
+    return [_integer(x) for x in row]
+
+
+def _fraction_row(row: list) -> list[Fraction]:
+    return [fraction_from_str(x) for x in row]
+
+
+def _rows(doc: dict, size: str, key: str, parse: Callable[[list], list]) -> tuple[int, list]:
+    """The one table reader: the point count ``doc[size]`` and the rows of
+    ``doc[key]``, a strict lower triangle whose row i lists the entries
+    against points 0..i-1, each parsed by ``parse`` and concatenated in
+    ``_colex_pairs`` order: (0,1), (0,2), (1,2), (0,3), ...  Shapes and
+    entries are checked row by row, so the first fault is the one refused."""
     m = doc.get(size)
     _require(_is_int(m) and m >= 1, f"{size} must be a positive integer")
     rows = doc.get(key)
     _require(isinstance(rows, list) and len(rows) == m - 1, f"{key} needs {m - 1} rows")
-    table = [[zero] * m for _ in range(m)]
+    values: list = []
     for i, row in enumerate(rows, start=1):
-        _require(isinstance(row, list) and len(row) == i, f"{key} row {i} needs {i} entries")
-        for j, x in enumerate(row):
-            table[i][j] = table[j][i] = cell(x)
-    return table
-
-
-def _integer_rows(doc: dict, size: str, key: str) -> tuple[int, list[int]]:
-    """The point count ``doc[size]`` and the rows of ``doc[key]``, a strict
-    lower triangle of integers, concatenated: the pairs (0,1), (0,2), (1,2),
-    (0,3), ... in order.  Refused at the same first fault as ``_table``."""
-    m = doc.get(size)
-    _require(_is_int(m) and m >= 1, f"{size} must be a positive integer")
-    rows = doc.get(key)
-    _require(isinstance(rows, list) and len(rows) == m - 1, f"{key} needs {m - 1} rows")
-    for i, row in enumerate(rows, start=1):
-        if not (isinstance(row, list) and len(row) == i):
+        if not (isinstance(row, list) and len(row) == i):  # not _require: no message formatted per row
             raise ValidationError("json/schema", f"{key} row {i} needs {i} entries")
-        if not {*map(type, row)} <= {int}:
-            for x in row:
-                _integer(x)  # raises at the row's first entry that is not an int
-    return m, [*chain.from_iterable(rows)]
+        values += parse(row)
+    return m, values
 
 
 def _space(doc: dict) -> EchelonedSpace:
-    """The one check a space document gets: ``_integer_rows`` checks the
-    shape and the entries, and the ranks must be exactly 1..n."""
-    m, eta = _integer_rows(doc, "points", "eta")
+    """The one check a space document gets: ``_rows`` checks the shape and
+    the entries, and the ranks must be exactly 1..n."""
+    m, eta = _rows(doc, "points", "eta", _int_row)
     ranks = {*eta}
     n = len(ranks)
     table = _colex_reader(m)(eta)
@@ -169,7 +170,7 @@ def metric_to_json(d: Metric) -> dict:
 
 
 def _graph(doc: dict) -> ColouredGraph:
-    return ColouredGraph(*_integer_rows(doc, "v", "chi"))
+    return ColouredGraph(*_rows(doc, "v", "chi", _int_row))
 
 
 def graph_to_json(g: ColouredGraph) -> dict:
@@ -178,8 +179,10 @@ def graph_to_json(g: ColouredGraph) -> dict:
     return _document("graph", v=g.v, colours=list(g.colours), chi=chi)
 
 
-def _weights(doc: dict, key: str = "w") -> list[list[Fraction]]:
-    return _table(doc, "points", key, fraction_from_str, Fraction(0))
+def _weights(doc: dict, key: str = "w") -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric table of a weights (or metric) document; its diagonal is the int 0."""
+    m, values = _rows(doc, "points", key, _fraction_row)
+    return _colex_reader(m)(values)
 
 
 def weights_to_json(w: Sequence[Sequence[Fraction]]) -> dict:
@@ -213,6 +216,18 @@ def _claim(doc: dict, key: str, expected: Any, where: str = "") -> None:
         raise ValidationError("katetov/claim", f"{where}{key} is not what the base gives")
 
 
+def _derived(kx: KatetovSpace) -> dict:
+    """The fields a katetov document derives from its base alone, in the
+    order its validator checks them: chain, width, ranks, points, lambda."""
+    return {
+        "chain": chain_to_json(kx.chain),
+        "width": kx.width,
+        "ranks": kx.n,
+        "points": kx.m,
+        "lambda": list(kx.identity_embedding()),
+    }
+
+
 def _katetov(doc: dict) -> dict:
     """A katetov document passed through, after each claim it makes is
     re-derived from its base: the chain, width, ranks and point count of
@@ -221,11 +236,8 @@ def _katetov(doc: dict) -> dict:
     from the target and the images of the base points, and an extension's g."""
     out = _composite(doc)
     kx = katetov_space(space_from_json(out.get("base")))
-    _claim(out, "chain", chain_to_json(kx.chain))
-    _claim(out, "width", kx.width)
-    _claim(out, "ranks", kx.n)
-    _claim(out, "points", kx.m)
-    _claim(out, "lambda", list(kx.identity_embedding()))
+    for key, expected in _derived(kx).items():
+        _claim(out, key, expected)
     if out.get("space") is not None:
         _claim(out["space"], "points", kx.m, "space ")
     action = out.get("map")

@@ -251,19 +251,14 @@ class RandomLimitModel(LimitModel):
     def existing_labels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs.
 
-        The colour kernel colours the pairs in blocks of rows, at most
-        ``prng.BLOCK_PAIRS`` pairs a block, and each colour seen marks its
+        ``prng._colour_blocks``, the row walk behind ``all_edge_colours``,
+        colours the pairs in blocks of rows, and each colour seen marks its
         alphabet label.  The work is still quadratic in ``size``, so a
         prefix left at the witness cap (2^20 points) stays out of reach."""
         alphabet = _alphabet(self.p)
         seen = np.zeros(len(alphabet.labels), dtype=bool)
-        points = np.arange(self.size, dtype=np.int64)
-        rows = max(1, prng.BLOCK_PAIRS // max(self.size, 1))
-        for start in range(1, self.size, rows):
-            greater = points[start : start + rows, None]
-            lesser = points[None, : start + rows - 1]
-            colours = prng.pair_colours(self.p, self.seed, lesser, greater)
-            seen[colours[lesser < greater]] = True
+        for _, colours in prng._colour_blocks(self.p, self.seed, self.size):
+            seen[colours] = True
         return sorted(alphabet.labels[c] for c in np.flatnonzero(seen).tolist())
 
     def colour_index(self, u: int, v: int) -> int:

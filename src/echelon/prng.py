@@ -8,13 +8,15 @@ pinned to the scalar path by tests.
 The kernel takes arrays of pairs.  The first two finalizer rounds of
 ``edge_bits`` absorb only the seed and the lesser endpoint, so together
 they are a per-point key.  The kernel computes that key once per point and
-gathers it (``all_edge_colours``) or broadcasts it (``pair_colours``) to
+gathers it (``_colour_blocks``) or broadcasts it (``pair_colours``) to
 the pairs, and the greater endpoint's term likewise; only the last round
-and the inversion run once per pair.  ``all_edge_colours`` walks the rows
-of its flat layout in blocks of about ``BLOCK_PAIRS`` pairs and writes
-each block's colours into its slice of the output, so its peak memory is
-about the output plus one block.  The scalar path keeps the seed's round,
-the first, in a small cache and runs the other two inline.
+and the inversion run once per pair.  ``_colour_blocks`` is the one walk
+over the rows of the flat layout, in blocks of about ``BLOCK_PAIRS``
+pairs: ``all_edge_colours`` writes each block's colours into its slice of
+the output, so its peak memory is about the output plus one block, and
+the random limit model marks the colours it sees.  Both paths read the
+seed's round, the first, from one small cache (``_seed_key``); the scalar
+path runs the other two inline.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
@@ -34,7 +36,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,8 +44,9 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-# Most pairs the colour kernels colour at once: all_edge_colours per block
-# of rows, and the random limit model per witness or label scan.
+# Most pairs the colour kernels colour at once: _colour_blocks per block of
+# rows, the one row walk behind all_edge_colours and the random limit
+# model's label scan, and the random limit model per witness scan.
 BLOCK_PAIRS = 1 << 16
 
 
@@ -173,9 +176,8 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
     """The first two finalizer rounds of :func:`edge_bits` for each point
     as the lesser endpoint; they read nothing else."""
-    z0 = np.uint64(mix64((seed & MASK64) ^ GOLDEN))
     with np.errstate(over="ignore"):
-        return _mix64_vec(z0 ^ ((points.astype(np.uint64) + _ONE) * _G))
+        return _mix64_vec(np.uint64(_seed_key(seed)) ^ ((points.astype(np.uint64) + _ONE) * _G))
 
 
 def _greater_terms(points: np.ndarray) -> np.ndarray:
@@ -210,20 +212,15 @@ def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
     return _invert(p, _mix64_vec(z))
 
 
-def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
-    """Colours for every pair {i, j} of range(n), i < j.
-
-    Flat layout: pair (i, j) at index j*(j-1)//2 + i, so row j is the
-    slice from j*(j-1)//2 of the j pairs below j.  Matches the scalar
-    :func:`edge_colour` entry by entry.  Both endpoints' terms are computed
-    once per point; the rows are coloured in blocks of at most
-    ``BLOCK_PAIRS`` pairs (or one row, if longer), each gathering the
-    lesser keys of its rows and repeating their greater terms.
-    """
+def _colour_blocks(p: Fraction, seed: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The colours of every pair {i, j} of range(n), i < j, in the flat
+    layout of :func:`all_edge_colours`, as (offset, colours) blocks of
+    whole rows: at most ``BLOCK_PAIRS`` pairs a block (or one row, if
+    longer).  Both endpoints' terms are computed once per point; a block
+    gathers the lesser keys of its rows and repeats their greater terms."""
     points = np.arange(n, dtype=np.int64)
     keys = _point_keys(seed, points)
     terms = _greater_terms(points)
-    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
     j = 1
     while j < n:
         lo = j * (j - 1) // 2
@@ -231,8 +228,22 @@ def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
         stop = min(max(j + 1, (1 + isqrt(1 + 8 * (lo + BLOCK_PAIRS))) // 2), n)
         z = np.concatenate([keys[:row] for row in range(j, stop)])
         z ^= np.repeat(terms[j:stop], points[j:stop])
-        out[lo : lo + z.size] = _invert(p, _mix64_vec(z))
+        yield lo, _invert(p, _mix64_vec(z))
         j = stop
+
+
+def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
+    """Colours for every pair {i, j} of range(n), i < j.
+
+    Flat layout: pair (i, j) at index j*(j-1)//2 + i, so row j is the
+    slice from j*(j-1)//2 of the j pairs below j.  Matches the scalar
+    :func:`edge_colour` entry by entry.  Each block of rows from
+    ``_colour_blocks`` is written into its slice of the output.
+    """
+    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    for lo, colours in _colour_blocks(p, seed, n):
+        out[lo : lo + colours.size] = colours
+        del colours  # so the next block is coloured without this one alive
     return out
 
 

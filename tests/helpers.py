@@ -768,10 +768,27 @@ def reference_dumps(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def reference_table(doc, size, key, cell, zero):
+    """The table reader before ``jsonio._rows``: the symmetric table a
+    document stores as a strict lower triangle, row i of ``doc[key]``
+    listing the entries against points 0..i-1, built square here."""
+    m = doc.get(size)
+    jsonio._require(jsonio._is_int(m) and m >= 1, f"{size} must be a positive integer")
+    rows = doc.get(key)
+    jsonio._require(isinstance(rows, list) and len(rows) == m - 1, f"{key} needs {m - 1} rows")
+    table = [[zero] * m for _ in range(m)]
+    for i, row in enumerate(rows, start=1):
+        jsonio._require(isinstance(row, list) and len(row) == i, f"{key} row {i} needs {i} entries")
+        for j, x in enumerate(row):
+            table[i][j] = table[j][i] = cell(x)
+    return table
+
+
 def reference_space_from_json(doc):
-    """The space reader before the one-check reader: ``_table`` parses the
-    rows, then ``from_rank_table`` and ``__post_init__`` check the table."""
-    table = jsonio._table(doc, "points", "eta", jsonio._integer, 0)
+    """The space reader before the one-check reader: ``reference_table``
+    parses the rows, then ``from_rank_table`` and ``__post_init__`` check
+    the table."""
+    table = reference_table(doc, "points", "eta", jsonio._integer, 0)
     space = from_rank_table(tuple(tuple(row) for row in table))
     declared = doc.get("ranks")
     if declared is not None and not (jsonio._is_int(declared) and declared == space.n):
@@ -781,5 +798,5 @@ def reference_space_from_json(doc):
 
 def reference_graph_from_json(doc):
     """The graph reader before it read ``chi`` row by row: a v x v table first."""
-    chi = jsonio._table(doc, "v", "chi", jsonio._integer, 0)
+    chi = reference_table(doc, "v", "chi", jsonio._integer, 0)
     return ColouredGraph(len(chi), tuple(chi[i][j] for i in range(1, len(chi)) for j in range(i)))

@@ -796,6 +796,18 @@ def test_validate_refuses_a_false_katetov_claim(invoke, tmp_path, claim, corrupt
     assert error == {"code": "katetov/claim", "message": f"{claim} is not what the base gives"}
 
 
+def test_validate_names_the_first_of_several_false_katetov_claims(invoke, tmp_path):
+    """The fields derived from the base alone are checked in the order
+    chain, width, ranks, points, lambda."""
+    order = ["chain", "width", "ranks", "points", "lambda"]
+    true_doc = full_katetov_doc(invoke, tmp_path)
+    for first, claim in enumerate(order):
+        doc = {**true_doc, **dict.fromkeys(order[first:], "false")}
+        code, out, err = invoke(["validate", "-"], stdin=json.dumps(doc))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == f"{claim} is not what the base gives"
+
+
 @pytest.mark.parametrize(
     "corrupt, code",
     [

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in it, every private
 module-level name is read somewhere in the package, only ``rationals``
 parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
-decides how a rank string becomes a table.
+decides how a rank string becomes a table and allocates square tables.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
@@ -103,6 +103,33 @@ def test_only_space_reads_rank_strings_into_tables(path):
     """``space._colex_reader`` is the reader the other modules share; one
     that names ``_table_reader`` is choosing a pair order of its own."""
     assert not names_table_reader(path.read_text(encoding="utf-8"))
+
+
+def allocates_square_table(source: str) -> bool:
+    """Whether ``source`` builds a table of rows as ``[[x] * n for _ in range(n)]``."""
+    return any(
+        isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.Mult)
+        and ast.List in (type(node.elt.left), type(node.elt.right))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_check_sees_a_square_table():
+    assert allocates_square_table("table = [[zero] * m for _ in range(m)]\n")
+    assert allocates_square_table("slot = [m * [0] for _ in range(m)]\n")
+    assert not allocates_square_table("copies = [[] for _ in copies_a]\n")
+    assert not allocates_square_table("row = [0] * m\n")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "space.py"], ids=lambda p: p.name
+)
+def test_only_space_allocates_square_tables(path):
+    """``space._colex_reader`` turns pair values into a square table; a
+    module that allocates one fills it in a pair order of its own."""
+    assert not allocates_square_table(path.read_text(encoding="utf-8"))
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:

@@ -15,8 +15,9 @@ from echelon import (
     from_weights,
     jsonio,
     metrize_dull,
+    validate_metric,
 )
-from echelon.errors import MetricError, ValidationError
+from echelon.errors import EchelonError, MetricError, ValidationError
 from echelon.jsonio import (
     FORMAT,
     dumps,
@@ -37,7 +38,13 @@ from echelon.jsonio import (
 )
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_space, reference_dumps, reference_graph_from_json, reference_space_from_json
+from helpers import (
+    random_space,
+    reference_dumps,
+    reference_graph_from_json,
+    reference_space_from_json,
+    reference_table,
+)
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 
@@ -376,6 +383,76 @@ GRAPH_CASES = {
 def test_graph_reader_matches_the_table_path(fields):
     doc = {"kind": "graph", **fields}
     assert _outcome(jsonio._graph, doc) == _outcome(reference_graph_from_json, doc)
+
+
+def _table_outcome(read, doc):
+    """A table read as a list of lists, so tuples and lists compare, or the
+    code and message it is refused with."""
+    try:
+        return [list(row) for row in read(doc)]
+    except EchelonError as exc:
+        return exc.code, exc.message
+
+
+def _reference_weights(doc, key):
+    return reference_table(doc, "points", key, fraction_from_str, Fraction(0))
+
+
+# (document fields, the code it is refused with or None)
+METRIC_CASES = {
+    "m=1": ({"points": 1, "d": []}, None),
+    "m=3": ({"points": 3, "d": [["2"], ["4", "4/1"]]}, None),
+    "int entry": ({"points": 2, "d": [[3]]}, None),
+    "bool entry": ({"points": 2, "d": [[True]]}, "json/rational"),
+    "float entry": ({"points": 3, "d": [["1"], ["1", 1.0]]}, "json/rational"),
+    "non-string entry": ({"points": 2, "d": [[None]]}, "json/rational"),
+    "zero denominator": ({"points": 2, "d": [["1/0"]]}, "json/rational"),
+    "exponent": ({"points": 2, "d": [["1e3"]]}, "json/rational"),
+    "short row": ({"points": 3, "d": [["1"], ["1"]]}, "json/schema"),
+    "row not a list": ({"points": 3, "d": [["1"], "1"]}, "json/schema"),
+    "entry before a later short row": ({"points": 4, "d": [["1"], ["1", "x"], ["1"]]}, "json/rational"),
+    "points 0": ({"points": 0, "d": []}, "json/schema"),
+    "points true": ({"points": True, "d": []}, "json/schema"),
+    "too few rows": ({"points": 3, "d": [["1"]]}, "json/schema"),
+    "missing d": ({"points": 2}, "json/schema"),
+    "zero distance": ({"points": 2, "d": [["0"]]}, "metric/positivity"),
+    "triangle": ({"points": 3, "d": [["1"], ["5", "1"]]}, "metric/triangle"),
+}
+
+
+@pytest.mark.parametrize("fields, code", METRIC_CASES.values(), ids=METRIC_CASES)
+def test_metric_reader_matches_the_table_path(fields, code):
+    doc = {"kind": "metric", **fields}
+    got = _table_outcome(jsonio._metric, doc)
+    assert got == _table_outcome(lambda doc: validate_metric(_reference_weights(doc, "d")), doc)
+    assert (got[0] if isinstance(got, tuple) else None) == code
+
+
+WEIGHTS_CASES = {
+    "m=1": ({"points": 1, "w": []}, None),
+    "m=3, no metric": ({"points": 3, "w": [["1/2"], ["5", "0"]]}, None),
+    "int entry": ({"points": 2, "w": [[-3]]}, None),
+    "bool entry": ({"points": 2, "w": [[False]]}, "json/rational"),
+    "float entry": ({"points": 2, "w": [[0.5]]}, "json/rational"),
+    "non-string entry": ({"points": 2, "w": [[["1"]]]}, "json/rational"),
+    "zero denominator": ({"points": 3, "w": [["1"], ["1/0", "1"]]}, "json/rational"),
+    "exponent": ({"points": 2, "w": [["1e3"]]}, "json/rational"),
+    "short row": ({"points": 3, "w": [["1"], []]}, "json/schema"),
+    "row not a list": ({"points": 2, "w": [{"0": "1"}]}, "json/schema"),
+    "entry before a later short row": ({"points": 4, "w": [["1"], [None, "1"], ["1", "1"]]}, "json/rational"),
+    "points 0": ({"points": 0, "w": []}, "json/schema"),
+    "points true": ({"points": True, "w": []}, "json/schema"),
+    "too few rows": ({"points": 4, "w": [["1"], ["1", "1"]]}, "json/schema"),
+    "missing w": ({"points": 3}, "json/schema"),
+}
+
+
+@pytest.mark.parametrize("fields, code", WEIGHTS_CASES.values(), ids=WEIGHTS_CASES)
+def test_weights_reader_matches_the_table_path(fields, code):
+    doc = {"kind": "weights", **fields}
+    got = _table_outcome(jsonio._weights, doc)
+    assert got == _table_outcome(lambda doc: _reference_weights(doc, "w"), doc)
+    assert (got[0] if isinstance(got, tuple) else None) == code
 
 
 def test_validate_of_the_enumerated_spaces_runs_no_space_check(monkeypatch):

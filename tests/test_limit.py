@@ -495,6 +495,17 @@ def test_random_existing_labels_match_the_pairwise_loop(p):
             assert model.existing_labels() == LimitModel.existing_labels(model), (seed, size)
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 256)])
+def test_random_existing_labels_across_a_block_boundary(p):
+    """362 points fill one block of rows (65,341 pairs); 363 add a second
+    block, which starts at row 362."""
+    for size, offsets in ((362, [0]), (363, [0, 361 * 362 // 2])):
+        model = RandomLimitModel(3, p)
+        model.limit_points(size)
+        assert [lo for lo, _ in prng._colour_blocks(p, 3, size)] == offsets
+        assert model.existing_labels() == LimitModel.existing_labels(model), size
+
+
 def test_random_existing_labels_at_a_thousand_points():
     model = RandomLimitModel(0)
     model.limit_points(1000)
