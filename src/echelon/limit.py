@@ -36,9 +36,12 @@ uncovered point, which only moves forward because covered sets only grow.
 One step body serves both sides.  The label bijection between the two
 sides is one dict per direction, extended by the k new pairs after each
 witness, so a demand reads the correspondence instead of rebuilding it.
-Beside each dict the side keeps its known labels sorted, and a new label's
-gap is found by bisection: the bijection is an order isomorphism, so the
-bounds are the images of the label's neighbours.
+The moving side's new labels are the ones its demand read, and only the
+witness side's are read after the witness, so during the search each side
+reads each matched pair once.  Beside each dict the side keeps its known
+labels sorted, and a new label's gap is found by bisection: the bijection
+is an order isomorphism, so the bounds are the images of the label's
+neighbours.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -232,13 +235,15 @@ class RandomLimitModel(LimitModel):
         self.p = as_probability(p)
         self.cap = cap
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[Fraction, ...]:
-        """The label of each colour index; index 0 is the diagonal's 0."""
+        """The label of each colour index; index 0 is the diagonal's 0.
+        Read from ``_alphabet`` once per model and kept on the instance, so
+        a pair's label is one tuple lookup by its colour."""
         return _alphabet(self.p).labels
 
     def _label(self, u: int, v: int) -> Fraction:
-        return nth_rational(prng.edge_colour(self.p, self.seed, u, v))
+        return self.alphabet[prng.edge_colour(self.p, self.seed, u, v)]
 
     def _prefix_values(self, n: int) -> list[int]:
         """Each pair's label rank within the alphabet, from the colour
@@ -311,6 +316,14 @@ class RandomLimitModel(LimitModel):
         )
 
 
+class _SortedLabels(list):
+    """Distinct labels in ascending order, whose ``in`` bisects."""
+
+    def __contains__(self, label: object) -> bool:
+        i = bisect_left(self, label)
+        return i < len(self) and self[i] == label
+
+
 class DeterministicLimitModel(LimitModel):
     """Constructed labels: every demand is realized by appending a point.
 
@@ -318,12 +331,13 @@ class DeterministicLimitModel(LimitModel):
     with a point whose label to point 0 falls in the bottom gap, between
     the two least labels.
 
-    The distinct labels are indexed incrementally: a sorted list plus a
-    membership set, updated as each pair label is written (fresh labels are
-    appended at the top, in-gap and exact labels are inserted by bisection).
-    Nothing is rebuilt per point, so growth to n points costs O(n^2) label
-    writes.  The pair labels are one flat list in ``_colex_pairs`` order:
-    each new point appends its row, and a prefix's labels are a slice."""
+    The distinct labels are indexed incrementally in one sorted list,
+    updated as each pair label is written: fresh labels are appended at the
+    top, in-gap and exact labels are inserted by bisection, and membership
+    is a bisection too.  Nothing is rebuilt per point, so growth to n
+    points costs O(n^2) label writes.  The pair labels are one flat list in
+    ``_colex_pairs`` order: each new point appends its row, and a prefix's
+    labels are a slice."""
 
     mode = "deterministic"
 
@@ -331,8 +345,7 @@ class DeterministicLimitModel(LimitModel):
         super().__init__()
         self.seed = seed  # recorded; the construction is canonical
         self._labels: list[Fraction] = []
-        self._sorted: list[Fraction] = []
-        self._label_set: set[Fraction] = set()
+        self._sorted = _SortedLabels()
         self._schedule_step = 0
 
     def _label(self, u: int, v: int) -> Fraction:
@@ -345,11 +358,6 @@ class DeterministicLimitModel(LimitModel):
     def existing_labels(self) -> list[Fraction]:
         return list(self._sorted)
 
-    def _add_label(self, label: Fraction) -> None:
-        if label not in self._label_set:
-            self._label_set.add(label)
-            insort(self._sorted, label)
-
     def _extend(self) -> None:
         self._schedule_step += 1
         demand = Demand(())
@@ -361,8 +369,9 @@ class DeterministicLimitModel(LimitModel):
         entries = _validate_demand(demand, self.size)
         # One fresh label per (bounds, tier), tiers ascending within bounds.
         # Each is indexed as soon as it is chosen, so later choices in this
-        # call avoid it; exact labels are indexed after every in-gap choice,
-        # which they never displace.
+        # call avoid it; ``rational_between`` has already probed it, so it
+        # goes straight in.  Exact labels are probed and indexed after every
+        # in-gap choice, which they never displace.
         interval_keys: dict[tuple, list[int]] = {}
         for point, entry in entries:
             if isinstance(entry, OpenInterval):
@@ -371,15 +380,16 @@ class DeterministicLimitModel(LimitModel):
         for (lo, hi), tiers in interval_keys.items():
             cur_lo = lo
             for tier in sorted(set(tiers)):
-                lab = rational_between(cur_lo, hi, self._label_set)
-                self._add_label(lab)
+                lab = rational_between(cur_lo, hi, self._sorted)
+                insort(self._sorted, lab)
                 interval_labels[(lo, hi, tier)] = lab
                 cur_lo = lab
         chosen: dict[int, Fraction] = {}
         for point, entry in entries:
             if isinstance(entry, ExactLabel):
                 chosen[point] = entry.value
-                self._add_label(entry.value)
+                if entry.value not in self._sorted:
+                    insort(self._sorted, entry.value)
             else:
                 chosen[point] = interval_labels[(entry.lo, entry.hi, entry.tier)]
         z = self.size
@@ -390,7 +400,6 @@ class DeterministicLimitModel(LimitModel):
                 self._labels.append(chosen[v])
             else:
                 self._labels.append(next_fresh)
-                self._label_set.add(next_fresh)
                 self._sorted.append(next_fresh)
                 next_fresh += 1
         return z
@@ -407,7 +416,12 @@ def limit_new(mode: str, seed: int, p: object = Fraction(1, 2)) -> LimitModel:
 
 @dataclass(frozen=True)
 class BackAndForthCertificate:
-    """A verified finite partial isomorphism between two models."""
+    """A verified finite partial isomorphism between two models.
+
+    ``left_labels`` and ``right_labels`` list the labels of the matched
+    pairs in lexicographic pair order, (0, 1), (0, 2), ..., (0, k-1),
+    (1, 2), ..., the one exception to the row-by-row ``_colex_pairs``
+    order of flat pair values; the ``bnf`` document keeps it."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
@@ -424,10 +438,12 @@ def _build_demand(
     src_matched: Sequence[int],
     tgt_matched: Sequence[int],
     u: int,
-) -> Demand:
+) -> tuple[Demand, list[Fraction]]:
     """Transport u's label classes along the current correspondence, an
     order isomorphism: a new label's gap lies between the images of its
-    neighbours among the known labels, ``src_to_tgt``'s keys in order."""
+    neighbours among the known labels, ``src_to_tgt``'s keys in order.
+    Returns the demand with the labels it read, u's to each of
+    ``src_matched`` in order."""
     labels = [source.rank_label(u, v) for v in src_matched]
     new_labels = sorted({lab for lab in labels if lab not in src_to_tgt})
     gap_tiers: dict[Fraction, tuple[Fraction, Optional[Fraction], int]] = {}
@@ -445,7 +461,7 @@ def _build_demand(
             entries.append((target_point, ExactLabel(src_to_tgt[lab])))
         else:
             entries.append((target_point, OpenInterval(*gap_tiers[lab])))
-    return Demand(tuple(entries))
+    return Demand(tuple(entries)), labels
 
 
 def back_and_forth(
@@ -460,8 +476,10 @@ def back_and_forth(
     witnesses to cover them and is force-grown only when both sides would
     otherwise stall.  The label bijection is kept as one dict per direction,
     beside each side's known labels in order, and extended by the new pairs
-    after each witness.  The finished correspondence is re-verified before
-    returning: the two sides' matched points must induce the same table.
+    after each witness: the moving side's labels are those its demand read,
+    and the witness side's are read once.  The finished correspondence is
+    re-verified before returning: the two sides' matched points must
+    induce the same table.
     """
     if depth < 1:
         raise ValidationError("limit/depth", "depth must be at least 1")
@@ -479,25 +497,22 @@ def back_and_forth(
         other = 1 - side
         u = cursor[side]
         models[side].limit_points(u + 1)
-        demand = _build_demand(
+        demand, labels = _build_demand(
             models[side], maps[side], known[side], matched[side], matched[other], u
         )
         z = models[other].ensure_witness(demand)
+        for a, b in zip(labels, [models[other].rank_label(v, z) for v in matched[other]]):
+            if a not in maps[side] and b not in maps[other]:
+                maps[side][a], maps[other][b] = b, a
+                insort(known[side], a)
+                insort(known[other], b)
+            elif maps[side].get(a) != b:  # the dicts stay inverse, so this checks both
+                raise EchelonError("limit/certificate", "correspondence lost label classes")
         for s, point in ((side, u), (other, z)):
             matched[s].append(point)
             covered[s].add(point)
             while cursor[s] in covered[s]:
                 cursor[s] += 1
-        new_left, new_right = matched[0][-1], matched[1][-1]
-        for v_left, v_right in zip(matched[0][:-1], matched[1][:-1]):
-            a = first.rank_label(v_left, new_left)
-            b = second.rank_label(v_right, new_right)
-            if a not in maps[0] and b not in maps[1]:
-                maps[0][a], maps[1][b] = b, a
-                insort(known[0], a)
-                insort(known[1], b)
-            elif maps[0].get(a) != b:  # the dicts stay inverse, so this checks both
-                raise EchelonError("limit/certificate", "correspondence lost label classes")
         turn += 1
 
     k = len(matched[0])

@@ -13,10 +13,10 @@ monochromatic B-copy, and colourings that differ only by a permutation of
 the colours are tried once.  ``witness_search`` hunts for such a C by
 exhaustive enumeration up to size 4, over spaces enumerated once per
 process and kept, and by seeded random sampling beyond: it compiles A and
-B once per call, tests each candidate's bare rank table, lists its
-B-copies first and skips a candidate with none before the colouring
-budget is consulted, and wraps only the witness it returns as an ordered
-space.
+B once per call, tests each candidate's bare rank table, and wraps only
+the witness it returns as an ordered space.  A C without B-copies cannot
+arrow, so neither consults the colouring budget for it: ``arrow_check``
+answers False and ``witness_search`` skips it.
 
 The translation to ordered edge-coloured simple graphs erases one chosen
 colour class to "non-edge" and keeps the rest; it is inverse to filling
@@ -186,6 +186,16 @@ def _decide(copies_a: Sequence[frozenset[int]], copies_b: Sequence[frozenset[int
     return not bad_colouring_exists(0, -1)
 
 
+def _refuse_bad_arguments(k: int, budget: int) -> None:
+    """The refusals of ``arrow_check`` and ``witness_search``, made before
+    any copy is listed: a budget below 1, which no colouring fits, then
+    fewer than one colour."""
+    if budget < 1:
+        raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
+    if k < 1:
+        raise ValidationError("arrow/colours", "at least one colour required")
+
+
 def _arrow(
     c: OrderedEchelonedSpace,
     a: OrderedEchelonedSpace,
@@ -193,14 +203,14 @@ def _arrow(
     k: int,
     budget: int,
 ) -> tuple[bool, tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """``arrow_check``'s answer with the A-copies and B-copies it decided it on."""
-    if k < 1:
-        raise ValidationError("arrow/colours", "at least one colour required")
-    copies_a = copy_set(a, c)
+    """``arrow_check``'s answer with the A-copies and B-copies it decided it
+    on.  The budget binds only when C has a B-copy: without one the answer
+    is False, whatever the number of colourings."""
+    _refuse_bad_arguments(k, budget)
+    copies_a, copies_b = copy_set(a, c), copy_set(b, c)
     n = len(copies_a)
-    if k**n > budget:
+    if copies_b and k**n > budget:
         raise BudgetExceeded("arrow/budget", f"{k}^{n} colourings exceed the budget {budget}")
-    copies_b = copy_set(b, c)
     return _decide(copies_a, copies_b, k), copies_a, copies_b
 
 
@@ -212,8 +222,10 @@ def arrow_check(
     budget: int = ARROW_BUDGET,
 ) -> bool:
     """Whether every k-colouring of the A-copies of C has a B-copy all of
-    whose A-copies share a colour.  Exhaustive with pruning; instances
-    with more than ``budget`` colourings are refused."""
+    whose A-copies share a colour.  Exhaustive with pruning.  A C with no
+    B-copy answers False at once; one that has a B-copy and more than
+    ``budget`` colourings is refused, and so are a budget below 1 and
+    fewer than one colour, before any copy is listed."""
     return _arrow(c, a, b, k, budget)[0]
 
 
@@ -260,12 +272,9 @@ def witness_search(
     the budget is consulted, since it cannot arrow.  A candidate whose
     k^(A-copies) colourings exceed the budget is skipped, not decided.  A
     budget below 1, which every candidate would exceed, and fewer than one
-    colour are refused before the search.
+    colour are refused before the search, as ``arrow_check`` refuses them.
     """
-    if budget < 1:
-        raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
-    if k < 1:
-        raise ValidationError("arrow/colours", "at least one colour required")
+    _refuse_bad_arguments(k, budget)
     pattern_a, pattern_b = _pattern(a), _pattern(b)
     for m in range(b.space.m, size_cap + 1):
         points = range(m)

@@ -427,6 +427,31 @@ def test_ramsey_search_emits_the_witness(invoke, tmp_path):
     assert "order" in doc
 
 
+@pytest.mark.parametrize("k, budget", [(3, 5), (3, None), (1, None)])
+def test_ramsey_check_answers_a_c_without_b_copies(invoke, tmp_path, k, budget):
+    """A 6-point C with 15 distinct ranks has no flat triangle: it answers
+    false, with its A-copies counted, although 3^15 colourings exceed the
+    budget.  A flat C of 6 points has flat triangles, so there the budget
+    still binds at k = 3."""
+    pairs = list(itertools.combinations(range(6), 2))
+    distinct = from_weights(6, {p: i + 1 for i, p in enumerate(pairs)})
+    c = write_doc(tmp_path, "c.json", space_to_json(distinct, order=tuple(range(6))))
+    a = write_doc(tmp_path, "a.json", space_to_json(EDGE, order=(0, 1)))
+    b = write_doc(tmp_path, "b.json", space_to_json(FLAT3, order=(0, 1, 2)))
+    options = ["--a", a, "--b", b, "--k", str(k)] + ([] if budget is None else ["--budget", str(budget)])
+    code, out, err = invoke(["ramsey", "check", "--c", c, *options])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"format": FORMAT, "kind": "report", "arrow": False, "k": k, "a_copies": 15, "b_copies": 0}
+    flat6 = from_weights(6, dict.fromkeys(pairs, 1))
+    c = write_doc(tmp_path, "flat.json", space_to_json(flat6, order=tuple(range(6))))
+    code, out, err = invoke(["ramsey", "check", "--c", c, *options])
+    if k == 1:
+        assert code == 0 and json.loads(out)["arrow"] is True
+    else:
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "arrow/budget"
+
+
 @pytest.mark.parametrize("subcommand", ["check", "search"])
 @pytest.mark.parametrize("budget", [0, -1])
 def test_ramsey_budget_below_one_is_refused(invoke, tmp_path, subcommand, budget):

@@ -203,6 +203,30 @@ def test_deterministic_witness_interval_tiers():
     assert det.rank_label(v, 0) > 50
 
 
+def test_deterministic_witness_steps_over_an_existing_label():
+    """2, the simplest rational in (1, 3), is already a label, so the
+    bisecting membership probe sends the tier-0 choice past it to 5/2;
+    tier 1 lies above tier 0, the exact label 7/2 joins the index, and the
+    undemanded point gets the next fresh label."""
+    one, three = Fraction(1), Fraction(3)
+    demand = Demand(
+        (
+            (0, OpenInterval(one, three)),
+            (1, OpenInterval(one, three, 1)),
+            (2, ExactLabel(Fraction(7, 2))),
+        )
+    )
+    want = [Fraction(5, 2), Fraction(8, 3), Fraction(7, 2), Fraction(26)]
+    det, ref = DeterministicLimitModel(), ReferenceDeterministicLimitModel()
+    for model in (det, ref):
+        model.limit_points(8)
+        assert Fraction(2) in model.existing_labels()
+        z = model.ensure_witness(demand)
+        assert [model.rank_label(z, v) for v in range(4)] == want
+    assert det.existing_labels() == ref.existing_labels()
+    assert set(want) <= set(det.existing_labels())
+
+
 def test_density_between_adjacent_labels():
     det = DeterministicLimitModel()
     det.limit_points(8)
@@ -612,6 +636,37 @@ def test_deterministic_back_and_forth_at_depth_80():
         cert = back_and_forth(DeterministicLimitModel(0), DeterministicLimitModel(100), 80)
     assert set(range(80)) <= set(cert.left) and set(range(80)) <= set(cert.right)
     assert cert.left_space == cert.right_space
+
+
+def _count_rank_label_reads(model):
+    """Wrap the model's rank_label; the list's one entry counts the calls."""
+    calls = [0]
+    read = model.rank_label
+
+    def counted(u, v):
+        calls[0] += 1
+        return read(u, v)
+
+    model.rank_label = counted
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_pair, depth, reads",
+    [
+        (lambda: (RandomLimitModel(3), DeterministicLimitModel()), 8, 56),
+        (lambda: (DeterministicLimitModel(), DeterministicLimitModel()), 40, 1560),
+    ],
+    ids=["random-deterministic-8", "deterministic-deterministic-40"],
+)
+def test_back_and_forth_reads_each_pair_once_per_pass(make_pair, depth, reads):
+    """Each side reads every matched pair once during the search and once
+    in the final re-verification: 2 * C(k, 2) reads per side."""
+    models = make_pair()
+    counts = [_count_rank_label_reads(model) for model in models]
+    cert = back_and_forth(*models, depth)
+    k = len(cert.left)
+    assert counts == [[k * (k - 1)], [k * (k - 1)]] == [[reads], [reads]]
 
 
 class _DemandIgnoringModel(LimitModel):

@@ -274,6 +274,48 @@ def test_arrow_budget():
         arrow_check(c, POINT, EDGE, 2, budget=2)
 
 
+def distinct(m):
+    """Every pair at its own rank: no two pairs share one."""
+    return from_weights(m, {p: i + 1 for i, p in enumerate(itertools.combinations(range(m), 2))})
+
+
+def test_a_c_without_b_copies_answers_false_whatever_the_budget():
+    """A 6-point C with 15 distinct ranks holds no flat triangle, so it
+    cannot arrow: 3^15 colourings of its edge copies exceed both budgets,
+    yet the budget is never consulted.  With a B-copy it still binds."""
+    c, triangle = ident(distinct(6)), ident(flat(3))
+    for k, budget in ((3, 5), (3, ramsey.ARROW_BUDGET), (1, ramsey.ARROW_BUDGET)):
+        arrows, copies_a, copies_b = ramsey._arrow(c, EDGE, triangle, k, budget)
+        assert (arrows, len(copies_a), len(copies_b)) == (False, 15, 0)
+    with pytest.raises(BudgetExceeded) as info:
+        arrow_check(ident(flat(6)), EDGE, triangle, 3, 5)
+    assert info.value.message == "3^15 colourings exceed the budget 5"
+
+
+@pytest.mark.parametrize("k, budget", [(0, 0), (0, -1), (-2, 0), (0, 1)])
+def test_arrow_check_refuses_as_witness_search_does(monkeypatch, k, budget):
+    """One check, in one order, before any copy is listed: a budget below
+    1 is refused before fewer than one colour."""
+
+    def no_copies(*args):
+        raise AssertionError("copies listed before the arguments were checked")
+
+    monkeypatch.setattr(ramsey, "copy_set", no_copies)
+    monkeypatch.setattr(ramsey, "_walk", no_copies)
+    want = (
+        ("arrow/budget", f"the budget {budget} admits no colouring")
+        if budget < 1
+        else ("arrow/colours", "at least one colour required")
+    )
+    for call in (
+        lambda: arrow_check(EDGE, POINT, EDGE, k, budget),
+        lambda: witness_search(POINT, EDGE, k, budget=budget),
+    ):
+        with pytest.raises((BudgetExceeded, ValidationError)) as info:
+            call()
+        assert (info.value.code, info.value.message) == want
+
+
 def test_arrow_fails_when_c_is_b_itself():
     # colour the two points differently
     assert not arrow_check(EDGE, POINT, EDGE, 2)
