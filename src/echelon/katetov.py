@@ -26,9 +26,11 @@ every one-point extension of X embeds into K(X) over the identical
 embedding of X, so the extensions are read off K(X).
 
 An extension point's code (its id minus |X|) has one digit per base point,
-the first most significant: ``position - 1`` in base ``width = (n+1)(m+1)``.
-So K(phi) maps a code to |Y| (points outside phi's image take ``apart``,
-digit 0) plus one term per base point, read from the transported digits.
+the first most significant: ``position - 1`` in base ``width = (n+1)(m+1)``,
+at the place value ``width ** (m - 1 - x)`` for base point x.  So the rank
+between x and an extension point reads that point's one digit, and K(phi)
+maps a code to |Y| (points outside phi's image take ``apart``, digit 0)
+plus one term per base point, read from the transported digits.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .space import (
     _colex_pairs,
     _compress,
     embedding_rank_map,
-    induced_subspace,
 )
 
 Label = tuple
@@ -84,13 +85,14 @@ class KatetovChain:
 
     def position(self, label: Label) -> int:
         """The chain position of a label; KeyError for a label not on the chain."""
-        kind = label[0]
-        j = label[-1] if kind in ("rank", "slot") else 0
-        k = label[1] if kind == "slot" else 0
-        pos = 0 if label == BOT else 1 + j * (self.m + 1) + k
-        if not 0 <= pos < len(self) or self.label_at(pos) != label:
-            raise KeyError(label)
-        return pos
+        nums = label[1:]  # (j,) for rank(j), (k, j) for slot(k, j)
+        if all(type(v) is int for v in nums):
+            j = nums[-1] if nums else 0
+            k = nums[0] if len(nums) > 1 else 0
+            pos = 0 if label == BOT else 1 + j * (self.m + 1) + k
+            if 0 <= pos < len(self) and self.label_at(pos) == label:
+                return pos
+        raise KeyError(label)
 
     def label_at(self, pos: int) -> Label:
         if not 0 <= pos < len(self):
@@ -118,13 +120,15 @@ class KatetovSpace:
     is exponential in |X|.
     """
 
-    __slots__ = ("base", "width", "m", "n")
+    __slots__ = ("base", "width", "m", "n", "_place")
 
     def __init__(self, base: EchelonedSpace):
         self.base = base
         # the nonbottom chain positions, which are also the ranks of K(X)
         self.width = self.n = (base.n + 1) * (base.m + 1)
         self.m = base.m + self.width**base.m
+        # the place value of each base point's digit, the first most significant
+        self._place = tuple(self.width ** (base.m - 1 - x) for x in range(base.m))
 
     @property
     def chain(self) -> KatetovChain:
@@ -133,16 +137,16 @@ class KatetovSpace:
     def function_count(self) -> int:
         return self.width**self.base.m
 
-    def function_values(self, point: int) -> tuple[int, ...]:
-        """Chain positions (1..width) of an extension point's values."""
+    def _code(self, point: int) -> int:
         code = point - self.base.m
         if not (0 <= code < self.function_count()):
             raise MorphismError("katetov/point", f"{point} is not an extension point")
-        out = []
-        for _ in range(self.base.m):
-            out.append(code % self.width + 1)
-            code //= self.width
-        return tuple(reversed(out))
+        return code
+
+    def function_values(self, point: int) -> tuple[int, ...]:
+        """Chain positions (1..width) of an extension point's values."""
+        code = self._code(point)
+        return tuple(code // place % self.width + 1 for place in self._place)
 
     def function_point(self, values: Sequence[int]) -> int:
         """Point id of the extension function with the given value tuple."""
@@ -164,7 +168,7 @@ class KatetovSpace:
         if u >= base_m and v >= base_m:
             return 1  # apart
         x, f = (u, v) if u < base_m else (v, u)
-        return self.function_values(f)[x]
+        return self._code(f) // self._place[x] % self.width + 1
 
     def identity_embedding(self) -> PointMap:
         return tuple(range(self.base.m))
@@ -228,10 +232,9 @@ def katetov_map(
     digits = [p - 1 for p in _transport(w, x.m, y.m)]
     if not all(0 <= d < ky.width for d in digits):
         raise MorphismError("katetov/point", "a transported chain position is out of range")
-    place = [ky.width ** (y.m - 1 - py) for py in range(y.m)]
     codes = [y.m]
     for px in range(x.m):
-        step = [d * place[phi[px]] for d in digits]
+        step = [d * ky._place[phi[px]] for d in digits]
         codes = [c + t for c in codes for t in step]
     return phi + tuple(codes)
 
@@ -252,10 +255,11 @@ def realize_extension(space: EchelonedSpace, extension: EchelonedSpace) -> Reali
     """
     if extension.m != space.m + 1:
         raise MorphismError("extend/shape", "extension must add exactly one point")
-    sub = induced_subspace(extension, range(space.m))
-    if sub.space != space:
+    # the identity embeds X exactly when the extension restricts to X, and
+    # its rank map sends X's rank i to the extension's, increasing
+    e_hat = embedding_rank_map(space, extension, range(space.m))
+    if e_hat is None:
         raise MorphismError("extend/restriction", "extension does not restrict to the space")
-    e_hat = sub.rank_map  # space rank i -> extension rank, increasing
     # Walk the extension's ranks upward: the rank e_hat[i] of X opens gap i,
     # and each rank the new point introduces takes the next slot of its gap.
     position = [0]

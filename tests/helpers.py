@@ -26,7 +26,7 @@ from echelon import (
 from echelon import jsonio, prng, ramsey
 from echelon.colgraph import ColouredGraph, as_probability
 from echelon.errors import BudgetExceeded, CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
-from echelon.katetov import APART, BOT, rank_label, slot
+from echelon.katetov import APART, BOT, Realization, katetov_space, rank_label, slot
 from echelon.limit import (
     GROW_BLOCK,
     WITNESS_CAP,
@@ -761,6 +761,32 @@ def reference_katetov_map(kx, ky, phi):
             image_values[phi[px]] = pos_map[values[px]]
         out.append(ky.function_point(image_values))
     return tuple(out)
+
+
+def reference_realize_extension(space, extension):
+    """A one-point extension embedded into K(X) over the identity, with the
+    restriction checked by comparing the induced subspace on X's points
+    with X and e-hat read from that subspace's rank map."""
+    if extension.m != space.m + 1:
+        raise MorphismError("extend/shape", "extension must add exactly one point")
+    sub = induced_subspace(extension, range(space.m))
+    if sub.space != space:
+        raise MorphismError("extend/restriction", "extension does not restrict to the space")
+    e_hat = sub.rank_map  # space rank i -> extension rank, increasing
+    # Walk the extension's ranks upward: the rank e_hat[i] of X opens gap i,
+    # and each rank the new point introduces takes the next slot of its gap.
+    position = [0]
+    gap = k = 0
+    for d in range(1, extension.n + 1):
+        opens = gap < space.n and e_hat[gap + 1] == d
+        gap, k = (gap + 1, 0) if opens else (gap, k + 1)
+        position.append(1 + gap * (space.m + 1) + k)
+
+    kx = katetov_space(space)
+    values = [position[extension.rank(space.m, px)] for px in range(space.m)]
+    g = tuple(range(space.m)) + (kx.function_point(values),)
+    assert embedding_rank_map(extension, kx, g) is not None
+    return Realization(kx, g)
 
 
 def reference_dumps(doc):

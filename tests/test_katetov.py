@@ -6,7 +6,8 @@ on a worked example, then swept exhaustively for small bases.  The
 position formulas are pinned against the label-list code kept in
 ``helpers``: the chain, the label transport on every embedding between
 small spaces, the one-point extensions against the enumeration filter,
-and the digit-table K(phi) against the per-point loop."""
+the digit-table K(phi) against the per-point loop, and the realization's
+one rank map against the induced-subspace check."""
 
 import hashlib
 import itertools
@@ -39,6 +40,7 @@ from helpers import (
     reference_chain_labels,
     reference_katetov_map,
     reference_one_point_extensions,
+    reference_realize_extension,
 )
 
 SMALL = [next(iter(enumerate_spaces(1)))] + list(enumerate_spaces(2)) + list(
@@ -79,7 +81,9 @@ def test_chain_positions_equal_the_label_list():
             for pos, label in enumerate(labels):
                 assert chain.position(label) == pos
                 assert chain.label_at(pos) == label
-            for off in (slot(m + 1, 0), slot(1, n + 1), rank_label(0), rank_label(n + 1), ("top",)):
+            off_chain = (slot(m + 1, 0), slot(1, n + 1), rank_label(0), rank_label(n + 1), ("top",))
+            malformed = (("rank",), ("slot", "a", 1), (), ("rank", 1.0))
+            for off in off_chain + malformed:
                 with pytest.raises(KeyError):
                     chain.position(off)
             for pos in (-1, len(labels)):
@@ -170,6 +174,54 @@ def test_every_extension_realizes_over_identity():
             kx, g = realize_extension(sp, ext)
             assert tuple(g[: sp.m]) == tuple(range(sp.m))
             assert is_embedding(ext, kx, g)
+
+
+def test_rank_reads_one_digit(monkeypatch):
+    """A rank between a base point and an extension point reads that
+    point's one digit: realizing every four-point space over its first
+    three points decodes no code, and the digit read agrees with the
+    decoded value tuple on every extension point of every small base."""
+    decodes = []
+    decode = katetov.KatetovSpace.function_values
+    monkeypatch.setattr(
+        katetov.KatetovSpace, "function_values", lambda kx, f: decodes.append(f) or decode(kx, f)
+    )
+    for ext in enumerate_spaces(4):
+        realize_extension(induced_subspace(ext, range(3)).space, ext)
+    assert decodes == []
+    monkeypatch.undo()
+    points = 0
+    for sp in SMALL:
+        kx = katetov_space(sp)
+        for f in range(sp.m, kx.m):
+            values = kx.function_values(f)
+            assert kx.function_point(values) == f
+            for x in range(sp.m):
+                assert kx.rank(x, f) == kx.rank(f, x) == values[x]
+            points += 1
+    assert len(SMALL) == 15 and points == 2 + 36 + 35456
+
+
+def outcome(realize, space, extension):
+    """What a realization gives: its base and g, or its error."""
+    try:
+        kx, g = realize(space, extension)
+    except MorphismError as err:
+        return err.code, err.message
+    return kx.base, g
+
+
+def test_realize_extension_equals_the_induced_subspace_check():
+    """The identity's rank map decides the restriction as the induced
+    subspace comparison did, on every base of at most 3 points against every
+    space one point larger."""
+    counts = {"ok": 0, "extend/restriction": 0}
+    for sp in SMALL:
+        for ext in enumerate_spaces(sp.m + 1):
+            got = outcome(realize_extension, sp, ext)
+            assert got == outcome(reference_realize_extension, sp, ext), (sp.table, ext.table)
+            counts["ok" if got[0] == sp else got[0]] += 1
+    assert counts == {"ok": 1 + 13 + 4683, "extend/restriction": 12 * 4683}
 
 
 def test_realize_extension_rejects_wrong_restriction():

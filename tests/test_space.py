@@ -10,6 +10,7 @@ import time
 
 import networkx as nx
 import pytest
+from sympy.functions.combinatorial.numbers import stirling
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -829,6 +830,51 @@ def test_isomorphism_agrees_with_networkx():
                 assert is_embedding(x, y, witness)
             agreed[expected] += 1
     assert agreed[True] >= 48 and agreed[False] > 0
+
+
+# --- class counts against Burnside's lemma as an independent oracle ---
+
+
+def burnside_count(m, n):
+    """Isomorphism classes of spaces on m points with exactly n ranks.
+
+    Such a space is a surjection from the pairs onto 1..n, and a point
+    permutation fixes one exactly when it is constant on the permutation's
+    cycles on the pairs, so (1/m!) * sum over sigma of n! * S(c(sigma), n)."""
+    pairs = list(itertools.combinations(range(m), 2))
+    total = 0
+    for sigma in itertools.permutations(range(m)):
+        image = {p: tuple(sorted((sigma[p[0]], sigma[p[1]]))) for p in pairs}
+        seen, cycles = set(), 0
+        for p in pairs:
+            if p not in seen:
+                cycles += 1
+                while p not in seen:
+                    seen.add(p)
+                    p = image[p]
+        total += math.factorial(n) * int(stirling(cycles, n))
+    assert total % math.factorial(m) == 0
+    return total // math.factorial(m)
+
+
+def test_class_counts_at_m4_equal_burnside():
+    reps = list(enumerate_spaces(4, up_to_iso=True))
+    by_n = [sum(1 for sp in reps if sp.n == n) for n in range(1, 7)]
+    assert by_n == [burnside_count(4, n) for n in range(1, 7)] == [1, 9, 36, 74, 75, 30]
+
+
+def test_canonical_forms_at_m5_count_the_burnside_classes():
+    """Every labelled 5-point space with 2 and with 3 ranks, canonicalized:
+    the distinct canonical tables are the classes Burnside's lemma counts."""
+    read = space_module._colex_reader(5)
+    for n, labelled, classes in ((2, 1022, 32), (3, 55980, 693)):
+        tables, count = set(), 0
+        for ranks in itertools.product(range(1, n + 1), repeat=10):
+            if len(set(ranks)) == n:
+                tables.add(canonical_form(EchelonedSpace(5, n, read(ranks))).space.table)
+                count += 1
+        assert count == labelled
+        assert len(tables) == burnside_count(5, n) == classes
 
 
 def test_are_isomorphic_uniform_m10_is_fast():
