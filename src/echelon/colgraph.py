@@ -102,10 +102,10 @@ def star_demand(sets: Sequence[Sequence[int]], colours: Sequence[object]) -> Sta
 def check_star(graph: ColouredGraph, demand: StarDemand) -> Optional[int]:
     """First vertex z outside all demand sets seeing U_i in colour c_i for
     every i, or None.  An empty demand is satisfied by vertex 0."""
-    for p in demand.vertices():
+    taken = demand.vertices()
+    for p in taken:
         if not (0 <= p < graph.v):
             raise DemandError("demand/range", f"vertex {p} is not in the graph")
-    taken = demand.vertices()
     for z in range(graph.v):
         if z in taken:
             continue

@@ -160,6 +160,11 @@ class KatetovSpace:
         return self.base.m + code
 
     def rank(self, u: int, v: int) -> int:
+        """The rank of the pair (u, v) in K(X).  Points 0..m-1 are taken
+        unchecked: a negative point counts as a base point and reads from
+        the end, as Python's indexing does, and only an extension point's
+        code is range-checked.  Callers check outside point maps with
+        ``space._check_point_map`` first, as the CLI does."""
         if u == v:
             return 0
         base_m = self.base.m

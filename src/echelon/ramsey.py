@@ -21,6 +21,9 @@ answers False and ``witness_search`` skips it.
 The translation to ordered edge-coloured simple graphs erases one chosen
 colour class to "non-edge" and keeps the rest; it is inverse to filling
 the non-edges back in, and it changes nothing about embeddings.
+``graph_embeddings`` is the same subset walk with colour equality in place
+of rank rise: graphs match colours exactly, while spaces accept any rising
+rank map, so the two share the walk and not the step test.
 """
 
 from __future__ import annotations
@@ -60,15 +63,18 @@ def _pattern(a: OrderedEchelonedSpace) -> tuple[int, list[tuple[int, int, bool]]
         (at[a.order[p]][a.order[q]], p, q) for p, q in itertools.combinations(range(k), 2)
     )
     steps = [(p, q, i > 0 and r == chain[i - 1][0]) for i, (r, p, q) in enumerate(chain)]
-    position = [0] * k  # position[x]: where point x of a stands in a's order
-    for p, x in enumerate(a.order):
-        position[x] = p
-    return k, steps, position
+    return k, steps, _positions(a.order)
 
 
-def _subsets(pattern, points) -> list[tuple[tuple[tuple[int, int, bool], ...], PointMap]]:
+def _positions(order: Sequence[int]) -> list[int]:
+    """The inverse permutation: entry x is where x stands in ``order``."""
+    return sorted(range(len(order)), key=order.__getitem__)
+
+
+def _subsets(pattern, points) -> list[tuple[tuple[tuple[int, int, object], ...], PointMap]]:
     """Each k-subset of ``points`` (taken in the given order) with the
-    pattern's steps resolved to point pairs, and the point map it would be."""
+    pattern's steps (p, q, test) resolved to point pairs (u, v, test), and
+    the point map it would be."""
     k, steps, position = pattern
     return [
         (
@@ -349,29 +355,24 @@ def phi_translate(g: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeCol
 
 def phi_inverse(h: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeColouredGraph:
     """Fill every non-edge with the erased colour."""
-    present = {pair for pair, _ in h.edges}
-    filled = list(h.edges)
-    for pair in itertools.combinations(range(h.v), 2):
-        if pair not in present:
-            filled.append((pair, colour))
-    filled.sort(key=lambda e: e[0])
-    return OrderedEdgeColouredGraph(h.v, h.order, tuple(filled))
+    edges = tuple(
+        (pair, h._colours.get(pair, colour)) for pair in itertools.combinations(range(h.v), 2)
+    )
+    return OrderedEdgeColouredGraph(h.v, h.order, edges)
 
 
-def graph_embeddings(
-    a: OrderedEdgeColouredGraph, c: OrderedEdgeColouredGraph
-) -> list[PointMap]:
-    """Order-preserving injections matching edge colours and non-edges."""
-    out = []
-    labels_a = {
-        pair: a.colour(*pair) for pair in itertools.combinations(range(a.v), 2)
-    }
-    for combo in itertools.combinations(range(c.v), a.v):
-        h = [0] * a.v
-        for i in range(a.v):
-            h[a.order[i]] = c.order[combo[i]]
-        if all(
-            c.colour(h[i], h[j]) == lab for (i, j), lab in labels_a.items()
-        ):
-            out.append(tuple(h))
-    return out
+def graph_embeddings(a: OrderedEdgeColouredGraph, c: OrderedEdgeColouredGraph) -> list[PointMap]:
+    """Order-preserving injections matching edge colours and non-edges, in
+    lexicographic order of the sets of c-positions they use.
+
+    The subset walk of ``ordered_embeddings`` with colour equality in place
+    of rank rise: a's position pairs are compiled once with their colours,
+    each position subset of c resolves them to point pairs, and a subset
+    passes when c gives every pair the same colour (None at a non-edge).
+    """
+    steps = [
+        (p, q, a.colour(a.order[p], a.order[q]))
+        for p, q in itertools.combinations(range(a.v), 2)
+    ]
+    subsets = _subsets((a.v, steps, _positions(a.order)), c.order)
+    return [h for pairs, h in subsets if all(c.colour(u, v) == colour for u, v, colour in pairs)]

@@ -93,6 +93,11 @@ class EchelonedSpace:
             )
 
     def rank(self, x: int, y: int) -> int:
+        """The rank of the pair (x, y).  Points 0..m-1 are taken unchecked: a
+        negative index reads from the end of the table, as Python's does.
+        Callers check outside point maps with ``_check_point_map`` first, as
+        the CLI does; no check is made here, where every rank witness reads
+        each of its pairs."""
         return self.table[x][y]
 
     def pairs(self) -> Iterator[Pair]:

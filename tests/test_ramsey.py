@@ -506,6 +506,61 @@ def test_graph_embeddings_agree_on_shared_scale():
     assert sorted(ordered_embeddings(a, c)) == sorted(graph_embeddings(ga, gc))
 
 
+def partial_graph(stream, v):
+    """A graph on v vertices under a shuffled order: each pair a non-edge,
+    an edge coloured None, or an edge coloured 1 or 2, and the edges listed
+    in a shuffled order."""
+    drawn = [
+        (pair, stream.randrange(4)) for pair in itertools.combinations(range(v), 2)
+    ]
+    edges = [(pair, (None, 1, 2)[d - 1]) for pair, d in drawn if d]
+    listing = shuffled(stream, len(edges))
+    return OrderedEdgeColouredGraph(v, shuffled(stream, v), tuple(edges[i] for i in listing))
+
+
+def test_graph_embeddings_match_the_oracle_on_partial_shuffled_graphs():
+    stream = SplitMix64Stream(26)
+    found = 0
+    for a_v in range(5):
+        for c_v in range(6):
+            for _ in range(8):
+                a, c = partial_graph(stream, a_v), partial_graph(stream, c_v)
+                got = graph_embeddings(a, c)
+                assert sorted(got) == graph_emb_oracle(a, c)
+                assert len(set(got)) == len(got)
+                found += len(got)
+                if a_v > c_v:
+                    assert got == []
+                if a_v == 0:
+                    assert got == [()]
+    assert found > 100
+
+
+def test_graph_embeddings_list_c_position_subsets_in_order():
+    c = OrderedEdgeColouredGraph(4, (2, 0, 3, 1), ())
+    a = OrderedEdgeColouredGraph(2, (1, 0), ())
+    got = graph_embeddings(a, c)
+    # position subsets (0,1), (0,2), ... of c, a's point 1 first in a's order
+    assert got == [(c.order[q], c.order[p]) for p, q in itertools.combinations(range(4), 2)]
+
+
+def test_phi_inverse_lists_its_edges_in_pair_order():
+    h = OrderedEdgeColouredGraph(4, (3, 1, 0, 2), (((2, 3), 5), ((0, 2), 4), ((1, 3), 5)))
+    back = phi_inverse(h, 7)
+    assert [pair for pair, _ in back.edges] == list(itertools.combinations(range(4), 2))
+    assert dict(back.edges) == {
+        (0, 1): 7, (0, 2): 4, (0, 3): 7, (1, 2): 7, (1, 3): 5, (2, 3): 5
+    }
+    assert back.order == h.order and back.is_complete()
+
+
+def test_an_edge_coloured_none_stays_an_edge_through_phi_inverse():
+    h = OrderedEdgeColouredGraph(3, (0, 1, 2), (((1, 2), None), ((0, 1), 1)))
+    back = phi_inverse(h, 3)
+    assert back.edges == (((0, 1), 1), ((0, 2), 3), ((1, 2), None))
+    assert phi_inverse(OrderedEdgeColouredGraph(0, (), ()), 3).edges == ()
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         OrderedEdgeColouredGraph(2, (0, 1), (((1, 0), 1),))
