@@ -104,7 +104,7 @@ def check_star(graph: ColouredGraph, demand: StarDemand) -> Optional[int]:
     every i, or None.  An empty demand is satisfied by vertex 0."""
     taken = demand.vertices()
     for p in taken:
-        if not (0 <= p < graph.v):
+        if not (_is_int(p) and 0 <= p < graph.v):
             raise DemandError("demand/range", f"vertex {p} is not in the graph")
     for z in range(graph.v):
         if z in taken:

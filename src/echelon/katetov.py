@@ -183,8 +183,8 @@ class KatetovSpace:
             raise CapExceeded(
                 "katetov/materialize", f"{self.m} points exceed the table cap {cap}"
             )
-        table = [[self.rank(u, v) for v in range(self.m)] for u in range(self.m)]
-        return EchelonedSpace(self.m, self.n, tuple(tuple(row) for row in table))
+        # every chain position is a rank of K(X), so compressing keeps them
+        return _compress(self.m, [self.rank(u, v) for u, v in _colex_pairs(self.m)])[0]
 
 
 def katetov_space(space: EchelonedSpace) -> KatetovSpace:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .errors import MetricError, MorphismError
 from .rationals import exact_rational
-from .space import EchelonedSpace, _compress
+from .space import EchelonedSpace, _compress, _is_int
 
 Metric = tuple[tuple[Fraction, ...], ...]
 
@@ -28,17 +28,20 @@ def _as_fraction(value: object, i: int, j: int) -> Fraction:
     raise MetricError("metric/shape", f"{where}: exact rational required, got {shown}")
 
 
-def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, tuple[tuple[int, ...], ...]]:
-    """Validate a metric once: its normalized Fraction table, and the same
-    table times the lcm of its denominators, as integers.
+def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, list[int], bool]:
+    """Validate a metric once: its normalized Fraction table, its distances
+    times the lcm of their denominators as integers in ``_colex_pairs``
+    order, and whether it is dull.
 
     Scaling by a positive constant keeps every equality and comparison, so
     the axioms are checked on the integer table, in the order shape,
-    diagonal, symmetry, positivity, triangle.  The triangle check runs over
-    i < k only: once the first four hold, a triple with a repeated index
-    cannot fail, and a failure at (i, j, k) with i > k mirrors one at
-    (k, j, i) that comes earlier, so the failure reported is still the
-    first in i-j-k order."""
+    diagonal, symmetry, positivity, triangle.  Once the first four hold, a
+    dull table (every distance at most twice the least) has no failing
+    triple: d(x,z) <= max <= 2 min <= d(x,y) + d(y,z), and a triple with a
+    repeated index cannot fail.  So the triangle check runs only on a table
+    that is not dull, and over i < k only: a failure at (i, j, k) with
+    i > k mirrors one at (k, j, i) that comes earlier, so the failure
+    reported is still the first in i-j-k order."""
     m = len(d)
     if m < 1 or any(len(row) != m for row in d):
         raise MetricError("metric/shape", "distance table must be square and non-empty")
@@ -55,17 +58,20 @@ def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, tuple[tuple[int, ..
                 raise MetricError("metric/symmetry", f"d({i},{j}) != d({j},{i})")
             if s[i][j] <= 0:
                 raise MetricError("metric/positivity", f"d({i},{j}) must be positive")
-    for i in range(m):
-        si = s[i]
-        for j in range(m):
-            sij, sj = si[j], s[j]
-            for k in range(i + 1, m):
-                if si[k] > sij + sj[k]:
-                    raise MetricError(
-                        "metric/triangle",
-                        f"d({i},{k}) > d({i},{j}) + d({j},{k})",
-                    )
-    return t, s
+    values = [x for j, row in enumerate(s) for x in row[:j]]
+    dull = not values or max(values) <= 2 * min(values)
+    if not dull:
+        for i in range(m):
+            si = s[i]
+            for j in range(m):
+                sij, sj = si[j], s[j]
+                for k in range(i + 1, m):
+                    if si[k] > sij + sj[k]:
+                        raise MetricError(
+                            "metric/triangle",
+                            f"d({i},{k}) > d({i},{j}) + d({j},{k})",
+                        )
+    return t, values, dull
 
 
 def validate_metric(d: Sequence[Sequence[object]]) -> Metric:
@@ -76,8 +82,7 @@ def validate_metric(d: Sequence[Sequence[object]]) -> Metric:
 
 def from_metric(d: Sequence[Sequence[object]]) -> EchelonedSpace:
     """Echelon a metric: pairs ordered by distance, ties merged."""
-    s = _checked(d)[1]
-    return _compress(len(s), [x for j, row in enumerate(s) for x in row[:j]])[0]
+    return _compress(len(d), _checked(d)[1])[0]
 
 
 def metrize_dull(space: EchelonedSpace) -> Metric:
@@ -98,10 +103,7 @@ def is_dull(d: Sequence[Sequence[object]]) -> bool:
 
     Validates the metric first.  Equivalent form used here: with t the
     smallest nonzero value, all values lie in [t, 2t]."""
-    values = [v for row in _checked(d)[1] for v in row if v]
-    if not values:
-        return True
-    return max(values) <= 2 * min(values)
+    return _checked(d)[2]
 
 
 def is_one_lipschitz(
@@ -113,7 +115,7 @@ def is_one_lipschitz(
     s = validate_metric(d_source)
     t = validate_metric(d_target)
     h = tuple(h)
-    if len(h) != len(s) or any(not (0 <= y < len(t)) for y in h):
+    if len(h) != len(s) or any(not (_is_int(y) and 0 <= y < len(t)) for y in h):
         raise MorphismError("morphism/map", "point map does not fit the two metrics")
     m = len(s)
     return all(

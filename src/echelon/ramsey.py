@@ -235,14 +235,14 @@ def arrow_check(
     return _arrow(c, a, b, k, budget)[0]
 
 
-def _random_ordered_space(m: int, stream: SplitMix64Stream) -> OrderedEchelonedSpace:
+def _random_space(m: int, stream: SplitMix64Stream) -> EchelonedSpace:
     pairs = m * (m - 1) // 2
     levels = stream.randrange(pairs) + 1
     values = [0] * pairs
     # draws in lexicographic pair order, each written to its _colex_pairs slot
     for i, j in itertools.combinations(range(m), 2):
         values[j * (j - 1) // 2 + i] = stream.randrange(levels)
-    return OrderedEchelonedSpace(_compress(m, values)[0], tuple(range(m)))
+    return _compress(m, values)[0]
 
 
 @functools.lru_cache(maxsize=ENUMERATE_CAP)
@@ -290,7 +290,7 @@ def witness_search(
             candidates = _exhaustive(m)
         else:
             stream = SplitMix64Stream((seed << 8) ^ m)
-            candidates = (_random_ordered_space(m, stream).space for _ in range(samples))
+            candidates = (_random_space(m, stream) for _ in range(samples))
         for sp in candidates:
             copies_b = _walk(subsets_b, sp.table)
             if not copies_b:

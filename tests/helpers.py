@@ -693,7 +693,10 @@ def reference_witness_search(a, b, k, size_cap=4, seed=0, samples=200, budget=ra
             )
         else:
             stream = SplitMix64Stream((seed << 8) ^ m)
-            candidates = (ramsey._random_ordered_space(m, stream) for _ in range(samples))
+            candidates = (
+                OrderedEchelonedSpace(ramsey._random_space(m, stream), tuple(range(m)))
+                for _ in range(samples)
+            )
         for cand in candidates:
             try:
                 if reference_arrow_check(cand, a, b, k, budget=budget):

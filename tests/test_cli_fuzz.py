@@ -11,7 +11,13 @@ integer by one, or grows a list by one entry.
 Every run must end in 0, 2, 64 or 65.  A failing run prints nothing on
 stdout and exactly one ``{"error": {"code", "message"}}`` document on
 stderr; a successful one prints a document that ``validate`` prints back
-byte for byte."""
+byte for byte.
+
+A size axis, which random mutation cannot reach, runs one valid document
+at each cap the documents themselves set and one just past it: the base
+of ``katetov``, the input of ``extend`` and the C of ``ramsey check``.
+Metric documents have no cap; a large dull one must be accepted and
+round-trip byte for byte."""
 
 import json
 import random
@@ -22,10 +28,12 @@ from pathlib import Path
 
 import pytest
 
+from echelon import from_weights, jsonio, metrize_dull
 from echelon.cli import main
+from echelon.prng import SplitMix64Stream
 from echelon.space import _is_int
 
-from helpers import deadline
+from helpers import deadline, random_space
 
 SEED = 26
 MUTATIONS_PER_KIND = 200
@@ -168,3 +176,36 @@ def test_every_mutated_document_keeps_the_exit_contract(clirun, sources):
             codes.add(check_contract(clirun, argv, json.dumps(mutated), what))
         # each kind's mutations reach both a refusal and an accepted document
         assert 0 in codes and codes - {0}, kind
+
+
+def _space_text(space, order=None):
+    return jsonio.dumps(jsonio.space_to_json(space, order))
+
+
+def test_documents_at_and_past_each_cap_keep_the_exit_contract(clirun, tmp_path):
+    stream = SplitMix64Stream(SEED)
+    point, edge = tmp_path / "point.json", tmp_path / "edge.json"
+    point.write_text(_space_text(from_weights(1, {}), (0,)))
+    edge.write_text(_space_text(from_weights(2, {(0, 1): 1}), (0, 1)))
+    ramsey = ["ramsey", "check", "--c", "-", "--a", str(point), "--b", str(edge), "--k", "2"]
+    for argv, size, code in (
+        (["katetov", "--space", "-"], 3, "katetov/cap"),
+        (["extend", "-"], 3, "enumerate/cap"),
+        (ramsey, 12, "ramsey/size-cap"),
+    ):
+        for m in (size, size + 1):
+            space = random_space(stream, m)
+            text = _space_text(space, tuple(range(m)) if argv is ramsey else None)
+            what = f"{argv[:2]} on {m} points"
+            if m == size:
+                assert check_contract(clirun, argv, text, what) == 0, what
+            else:
+                assert check_contract(clirun, argv, text, what) == 2, what
+                err = clirun.invoke(main, argv, text)[2]
+                assert json.loads(err)["error"]["code"] == code, what
+    # metric documents have no cap: a large dull one is accepted and round-trips
+    space = random_space(stream, 200)
+    text = jsonio.dumps(jsonio.metric_to_json(metrize_dull(space)))
+    for argv, out in ((["validate", "-"], text), (["from-metric", "-"], _space_text(space))):
+        assert check_contract(clirun, argv, text, f"{argv[0]} on 200 points") == 0
+        assert clirun.invoke(main, argv, text) == (0, out, ""), argv[0]

@@ -273,6 +273,16 @@ def test_star_demand_validation():
         check_star(g, star_demand([[5]], [1]))
 
 
+@pytest.mark.parametrize("vertex", [0.5, "a", True])
+def test_check_star_refuses_a_vertex_that_is_not_an_int(vertex):
+    """A float or a string is no vertex, and True is not vertex 1."""
+    g = ColouredGraph(3, [1, 1, 1])
+    with pytest.raises(DemandError) as err:
+        check_star(g, star_demand([[vertex]], [1]))
+    assert err.value.code == "demand/range"
+    assert str(err.value) == f"vertex {vertex} is not in the graph"
+
+
 def test_witness_failure_probability_exact_values():
     per_vertex, total = witness_failure_probability(Fraction(1, 2), (1, 2), (2, 2), 1024)
     assert per_vertex == Fraction(63, 64)

@@ -105,13 +105,35 @@ def test_only_space_reads_rank_strings_into_tables(path):
     assert not names_table_reader(path.read_text(encoding="utf-8"))
 
 
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp)
+
+
+def _square_comprehension(node: ast.AST) -> bool:
+    """A comprehension whose element is a comprehension, both loops running
+    over the same ``range(...)`` expression: ``[[f(u, v) for v in range(n)]
+    for u in range(n)]``, a square table filled pair by ordered pair."""
+    if not (isinstance(node, COMPREHENSIONS) and isinstance(node.elt, COMPREHENSIONS)):
+        return False
+    outer, inner = node.generators[0].iter, node.elt.generators[0].iter
+    return (
+        isinstance(outer, ast.Call)
+        and isinstance(outer.func, ast.Name)
+        and outer.func.id == "range"
+        and ast.dump(outer) == ast.dump(inner)
+    )
+
+
 def allocates_square_table(source: str) -> bool:
-    """Whether ``source`` builds a table of rows as ``[[x] * n for _ in range(n)]``."""
+    """Whether ``source`` builds a table of rows as ``[[x] * n for _ in range(n)]``,
+    or as a comprehension of comprehensions over the same ``range(n)``."""
     return any(
-        isinstance(node, ast.ListComp)
-        and isinstance(node.elt, ast.BinOp)
-        and isinstance(node.elt.op, ast.Mult)
-        and ast.List in (type(node.elt.left), type(node.elt.right))
+        (
+            isinstance(node, ast.ListComp)
+            and isinstance(node.elt, ast.BinOp)
+            and isinstance(node.elt.op, ast.Mult)
+            and ast.List in (type(node.elt.left), type(node.elt.right))
+        )
+        or _square_comprehension(node)
         for node in ast.walk(ast.parse(source))
     )
 
@@ -119,8 +141,12 @@ def allocates_square_table(source: str) -> bool:
 def test_the_check_sees_a_square_table():
     assert allocates_square_table("table = [[zero] * m for _ in range(m)]\n")
     assert allocates_square_table("slot = [m * [0] for _ in range(m)]\n")
+    assert allocates_square_table("t = [[self.rank(u, v) for v in range(self.m)] for u in range(self.m)]\n")
     assert not allocates_square_table("copies = [[] for _ in copies_a]\n")
     assert not allocates_square_table("row = [0] * m\n")
+    # _fraction_rows' triangle: the inner range is not the outer one
+    triangle = "[[f(t[i][j]) for j in range(i)] for i in range(1, len(t))]\n"
+    assert not allocates_square_table(triangle)
 
 
 @pytest.mark.parametrize(

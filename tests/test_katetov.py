@@ -113,6 +113,22 @@ def test_katetov_materializes_to_a_valid_space():
             assert table.rank(u, v) == kx.rank(u, v)
 
 
+def test_materialize_matches_rank_on_small_bases():
+    """The table K(X) is materialized to is a valid space, and it agrees
+    with ``rank`` on every ordered pair; the uniform 3-point base gives 515
+    points."""
+    uniform = from_weights(3, {p: 1 for p in itertools.combinations(range(3), 2)})
+    for base in SMALL[:2] + [uniform]:
+        kx = katetov_space(base)
+        space = kx.materialize(cap=1024)
+        assert EchelonedSpace(space.m, space.n, space.table) == space
+        assert (space.m, space.n) == (kx.m, kx.n)
+        for u in range(kx.m):
+            row = space.table[u]
+            assert all(row[v] == kx.rank(u, v) for v in range(kx.m)), (base, u)
+    assert space.m == 515
+
+
 def test_materialize_cap():
     sp = next(sp for sp in enumerate_spaces(3) if sp.n == 3)
     with pytest.raises(CapExceeded):

@@ -268,6 +268,55 @@ def test_metric_functions_match_the_fraction_loops():
     }
 
 
+def _band_edge(stream, m):
+    """A symmetric table whose distances sit at the dull band's edge: the
+    least a, exactly 2a, or 2a plus a little, so some tables are dull at
+    max = 2a exactly, and others leave the band with or without a failing
+    triangle."""
+    a = Fraction(stream.randrange(9) + 1, stream.randrange(4) + 1)
+    eps = Fraction(1, PRIMES[stream.randrange(len(PRIMES))] * 1000)
+    edge = (a, 2 * a, 2 * a, 2 * a + eps, 3 * a / 2)
+    d = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        d[i][j] = d[j][i] = edge[stream.randrange(len(edge))]
+    d[0][1] = d[1][0] = a
+    return d
+
+
+def test_metrics_at_the_band_edge_match_the_fraction_loops():
+    one, two, more = Fraction(1), Fraction(2), Fraction(2001, 1000)
+    cases = [
+        grid([[0, 1, 2], [1, 0, 2], [2, 2, 0]]),  # max = 2 min exactly
+        grid([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),  # and the triangle tight
+        [[0, one, more], [one, 0, more], [more, more, 0]],  # past the band, triangle holds
+        [[0, one, more], [one, 0, one], [more, one, 0]],  # past the band, triangle fails
+        [[0, two, more, 1], [two, 0, 1, 1], [more, 1, 0, 1], [1, 1, 1, 0]],  # fails via point 3
+    ]
+    stream = SplitMix64Stream(608)
+    cases += [_band_edge(stream, m) for m in range(2, 8) for _ in range(60)]
+    outcomes = set()
+    for d in cases:
+        for new, ref in (
+            (validate_metric, reference_validate_metric),
+            (from_metric, reference_from_metric),
+            (is_dull, reference_is_dull),
+        ):
+            got = _outcome(new, d)
+            assert got == _outcome(ref, d), (new.__name__, d)
+        outcomes.add(got[1:3] if got[0] == "raised" else got[1])
+    assert outcomes == {True, False, ("MetricError", "metric/triangle")}
+
+
+@pytest.mark.parametrize("image", [0.0, True, "1"])
+def test_one_lipschitz_refuses_a_point_that_is_not_an_int(image):
+    """A float or a string is no point, and True is not point 1."""
+    d = grid([[0, 1], [1, 0]])
+    with pytest.raises(MorphismError) as err:
+        is_one_lipschitz(d, d, (image, 1))
+    assert err.value.code == "morphism/map"
+    assert str(err.value) == "point map does not fit the two metrics"
+
+
 def test_metrize_dull_matches_the_pairwise_loop():
     stream = SplitMix64Stream(607)
     for m in range(1, 7):

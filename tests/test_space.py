@@ -39,7 +39,7 @@ from echelon import space as space_module
 from echelon.errors import CapExceeded, ValidationError
 from echelon.katetov import katetov_space
 from echelon.prng import SplitMix64Stream
-from echelon.ramsey import _random_ordered_space
+from echelon.ramsey import _random_space
 from helpers import (
     random_amalgam_triple,
     random_space,
@@ -167,7 +167,7 @@ def test_unchecked_builders_make_valid_spaces():
             canonical_form(sp).space,
             induced_subspace(sp, points).space,
             amalgamate(*random_amalgam_triple(stream)).space,
-            _random_ordered_space(stream.randrange(7) + 2, stream).space,
+            _random_space(stream.randrange(7) + 2, stream),
         ]
     for seed in range(3):
         for model in (RandomLimitModel(seed), DeterministicLimitModel(seed)):
