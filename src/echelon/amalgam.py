@@ -9,10 +9,11 @@ forced to grow: amalgamation here is always strong.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import MorphismError, ValidationError
-from .space import EchelonedSpace, PointMap, RankMap, _colex_pairs, _compress, embedding_rank_map
+from .space import EchelonedSpace, PointMap, RankMap, _colex_pairs, _compress, _is_int, embedding_rank_map
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class AmalgamResult:
 
 
 def _check_chain_map(size_src: int, size_dst: int, h: RankMap, name: str) -> None:
+    if not all(map(_is_int, h)):
+        raise ValidationError("chain/map", f"{name} must list int chain positions")
     if len(h) != size_src:
         raise ValidationError("chain/map", f"{name} must place all {size_src} chain elements")
     if h[0] != 0:
@@ -60,25 +63,23 @@ def chain_amalgam(
     chain precede elements of the second, each side in its native order;
     a fresh top is appended at the end.
     """
+    if not all(map(_is_int, (size_a, size_b1, size_b2))):
+        raise ValidationError("chain/map", "chain sizes must be ints")
     if size_a < 1:
         raise ValidationError("chain/map", "the shared chain cannot be empty")
-    _check_chain_map(size_a, size_b1, tuple(h1), "first chain map")
-    _check_chain_map(size_a, size_b2, tuple(h2), "second chain map")
-    g1: list[int] = [0] * size_b1
-    g2: list[int] = [0] * size_b2
+    h1, h2 = tuple(h1), tuple(h2)
+    _check_chain_map(size_a, size_b1, h1, "first chain map")
+    _check_chain_map(size_a, size_b2, h2, "second chain map")
+    g1, g2 = [0] * size_b1, [0] * size_b2
+    sides = ((g1, (*h1, size_b1)), (g2, (*h2, size_b2)))  # each map, closed by its chain's end
     pos = 0
     for a in range(size_a):
-        g1[h1[a]] = pos
-        g2[h2[a]] = pos
+        g1[h1[a]] = g2[h2[a]] = pos
         pos += 1
-        hi1 = h1[a + 1] if a + 1 < size_a else size_b1
-        hi2 = h2[a + 1] if a + 1 < size_a else size_b2
-        for r in range(h1[a] + 1, hi1):
-            g1[r] = pos
-            pos += 1
-        for r in range(h2[a] + 1, hi2):
-            g2[r] = pos
-            pos += 1
+        for g, h in sides:
+            for r in range(h[a] + 1, h[a + 1]):
+                g[r] = pos
+                pos += 1
     return ChainAmalgam(pos + 1, tuple(g1), tuple(g2), pos)
 
 
@@ -104,33 +105,18 @@ def amalgamate(
         raise MorphismError("amalgam/not-embedding", "second map is not an embedding")
     chain = chain_amalgam(shared.n + 1, left.n + 1, right.n + 1, w1, w2)
 
-    f1 = tuple(f1)
-    f2 = tuple(f2)
-    shared_image = {f2[x]: f1[x] for x in range(shared.m)}
-    g2_list: list[int] = []
-    next_id = left.m
-    into_right: dict[int, int] = {}  # carrier id -> point of the right space
-    for y in range(right.m):
-        if y in shared_image:
-            g2_list.append(shared_image[y])
-        else:
-            g2_list.append(next_id)
-            next_id += 1
-        into_right[g2_list[-1]] = y
-    g1 = tuple(range(left.m))
-    g2 = tuple(g2_list)
-    total = next_id
-
-    values: list[int] = []
-    for u, v in _colex_pairs(total):
-        if v < left.m:
-            values.append(chain.g1[left.rank(u, v)])
-        elif u in into_right and v in into_right:
-            values.append(chain.g2[right.rank(into_right[u], into_right[v])])
-        else:
-            values.append(chain.top)
-    space = _compress(total, values)[0]
-    return AmalgamResult(space, g1, g2, chain)
+    into_left = dict(zip(f2, f1))  # shared point of the right space -> its left point
+    fresh = itertools.count(left.m)
+    g2 = tuple(into_left[y] if y in into_left else next(fresh) for y in range(right.m))
+    into_right = {z: y for y, z in enumerate(g2)}  # carrier point -> point of the right space
+    m = left.m + right.m - shared.m
+    values = [
+        chain.g1[left.rank(u, v)] if v < left.m
+        else chain.g2[right.rank(into_right[u], into_right[v])] if u in into_right
+        else chain.top
+        for u, v in _colex_pairs(m)
+    ]
+    return AmalgamResult(_compress(m, values)[0], tuple(range(left.m)), g2, chain)
 
 
 def jep(left: EchelonedSpace, right: EchelonedSpace) -> AmalgamResult:

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -155,12 +155,7 @@ def _amalgam_doc(result: AmalgamResult) -> dict:
         space=jsonio.space_to_json(result.space),
         g1=list(result.g1),
         g2=list(result.g2),
-        chain={
-            "size": result.chain.size,
-            "g1": list(result.chain.g1),
-            "g2": list(result.chain.g2),
-            "top": result.chain.top,
-        },
+        chain=asdict(result.chain),
     )
 
 

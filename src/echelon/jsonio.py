@@ -43,7 +43,9 @@ FORMAT = "echelon/1"
 
 
 def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    """An exact rational, a ``Fraction`` or an int, as "p/q".  It is not
+    converted first: every caller holds an exact value, and documents
+    never hold floats."""
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -46,6 +46,7 @@ from .space import (
     PointMap,
     _colex_pairs,
     _compress,
+    _is_int,
     embedding_rank_map,
 )
 
@@ -154,7 +155,7 @@ class KatetovSpace:
             raise MorphismError("katetov/point", "one value per base point required")
         code = 0
         for pos in values:
-            if not (1 <= pos <= self.width):
+            if not (_is_int(pos) and 1 <= pos <= self.width):
                 raise MorphismError("katetov/point", f"chain position {pos} out of range")
             code = code * self.width + (pos - 1)
         return self.base.m + code

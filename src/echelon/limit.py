@@ -134,8 +134,8 @@ class LimitModel:
 
     def limit_points(self, n: int) -> tuple[int, ...]:
         """Materialize (at least) the first n points; returns their ids."""
-        if n < 0:
-            raise ValidationError("limit/count", "point count must be non-negative")
+        if not _is_int(n) or n < 0:
+            raise ValidationError("limit/count", "point count must be a non-negative int")
         while self.size < n:
             self._extend()
         return tuple(range(n))
@@ -149,8 +149,8 @@ class LimitModel:
 
     def sample_prefix(self, n: int) -> EchelonedSpace:
         """The echeloned space on the first n points (rank-compressed)."""
-        if n < 1:
-            raise ValidationError("limit/count", "a prefix needs at least one point")
+        if not _is_int(n) or n < 1:
+            raise ValidationError("limit/count", "a prefix needs a positive int point count")
         self.limit_points(n)
         return _compress(n, self._prefix_values(n))[0]
 
@@ -481,8 +481,8 @@ def back_and_forth(
     re-verified before returning: the two sides' matched points must
     induce the same table.
     """
-    if depth < 1:
-        raise ValidationError("limit/depth", "depth must be at least 1")
+    if not _is_int(depth) or depth < 1:
+        raise ValidationError("limit/depth", "depth must be an int of at least 1")
     models = (first, second)
     matched: tuple[list[int], list[int]] = ([], [])
     covered: tuple[set[int], set[int]] = (set(), set())

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, ValidationError
 from .prng import SplitMix64Stream
-from .space import ENUMERATE_CAP, EchelonedSpace, PointMap, _compress, enumerate_spaces
+from .space import ENUMERATE_CAP, EchelonedSpace, PointMap, _compress, _is_int, enumerate_spaces
 
 ARROW_BUDGET = 1 << 20
 
@@ -46,7 +46,7 @@ class OrderedEchelonedSpace:
     order: tuple[int, ...]  # every point once, in increasing precedence
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(self.space.m)):
+        if not all(map(_is_int, self.order)) or sorted(self.order) != list(range(self.space.m)):
             raise ValidationError("ordered/shape", "order must list every point exactly once")
 
     @property
@@ -196,9 +196,9 @@ def _refuse_bad_arguments(k: int, budget: int) -> None:
     """The refusals of ``arrow_check`` and ``witness_search``, made before
     any copy is listed: a budget below 1, which no colouring fits, then
     fewer than one colour."""
-    if budget < 1:
+    if not _is_int(budget) or budget < 1:
         raise BudgetExceeded("arrow/budget", f"the budget {budget} admits no colouring")
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError("arrow/colours", "at least one colour required")
 
 
@@ -319,11 +319,11 @@ class OrderedEdgeColouredGraph:
     edges: tuple[tuple[tuple[int, int], object], ...]
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(self.v)):
+        if not all(map(_is_int, (self.v, *self.order))) or sorted(self.order) != list(range(self.v)):
             raise ValidationError("ordered/shape", "order must list every vertex exactly once")
         colours = {}
         for (i, j), c in self.edges:
-            if not (0 <= i < j < self.v):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.v):
                 raise ValidationError("graph/shape", f"bad edge ({i},{j})")
             if (i, j) in colours:
                 raise ValidationError("graph/shape", f"edge ({i},{j}) listed twice")

@@ -237,6 +237,9 @@ def induced_subspace(space: EchelonedSpace, points: Iterable[int]) -> Subspace:
     an embedding witness: rank r of the subspace comes from rank
     ``rank_map[r]`` of the ambient space.
     """
+    points = tuple(points)
+    if not all(map(_is_int, points)):
+        raise ValidationError("space/shape", "subspace points must be ints")
     ids = tuple(sorted(set(points)))
     if not ids:
         raise ValidationError("space/shape", "a subspace needs at least one point")

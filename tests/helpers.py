@@ -12,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from echelon import (
+    AmalgamResult,
+    ChainAmalgam,
     EchelonedSpace,
     OrderedEchelonedSpace,
     canonical_form,
@@ -40,6 +42,7 @@ from echelon.limit import (
 )
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import nth_rational, rational_between
+from echelon.space import _colex_pairs, _compress
 
 
 @contextlib.contextmanager
@@ -829,3 +832,82 @@ def reference_graph_from_json(doc):
     """The graph reader before it read ``chi`` row by row: a v x v table first."""
     chi = reference_table(doc, "v", "chi", jsonio._integer, 0)
     return ColouredGraph(len(chi), tuple(chi[i][j] for i in range(1, len(chi)) for j in range(i)))
+
+
+def reference_chain_amalgam(size_a, size_b1, size_b2, h1, h2):
+    """The chain amalgam before one gap loop served both sides: each side
+    fills its own gap after each shared position, first side first."""
+    if size_a < 1:
+        raise ValidationError("chain/map", "the shared chain cannot be empty")
+    for size_b, h, name in ((size_b1, tuple(h1), "first chain map"), (size_b2, tuple(h2), "second chain map")):
+        if len(h) != size_a:
+            raise ValidationError("chain/map", f"{name} must place all {size_a} chain elements")
+        if h[0] != 0:
+            raise ValidationError("chain/map", f"{name} must fix the bottom")
+        for a in range(1, size_a):
+            if h[a] <= h[a - 1]:
+                raise ValidationError("chain/map", f"{name} must be strictly increasing")
+        if h[-1] >= size_b:
+            raise ValidationError("chain/map", f"{name} runs past the target chain")
+    g1 = [0] * size_b1
+    g2 = [0] * size_b2
+    pos = 0
+    for a in range(size_a):
+        g1[h1[a]] = pos
+        g2[h2[a]] = pos
+        pos += 1
+        hi1 = h1[a + 1] if a + 1 < size_a else size_b1
+        hi2 = h2[a + 1] if a + 1 < size_a else size_b2
+        for r in range(h1[a] + 1, hi1):
+            g1[r] = pos
+            pos += 1
+        for r in range(h2[a] + 1, hi2):
+            g2[r] = pos
+            pos += 1
+    return ChainAmalgam(pos + 1, tuple(g1), tuple(g2), pos)
+
+
+def reference_amalgamate(shared, left, right, f1, f2):
+    """The amalgam before one carrier map: the shared image, the right
+    side's ids and their inverse kept apart, and a membership test of both
+    points of every pair past the left side."""
+    w1 = embedding_rank_map(shared, left, f1)
+    if w1 is None:
+        raise MorphismError("amalgam/not-embedding", "first map is not an embedding")
+    w2 = embedding_rank_map(shared, right, f2)
+    if w2 is None:
+        raise MorphismError("amalgam/not-embedding", "second map is not an embedding")
+    chain = reference_chain_amalgam(shared.n + 1, left.n + 1, right.n + 1, w1, w2)
+
+    f1 = tuple(f1)
+    f2 = tuple(f2)
+    shared_image = {f2[x]: f1[x] for x in range(shared.m)}
+    g2_list = []
+    next_id = left.m
+    into_right = {}  # carrier id -> point of the right space
+    for y in range(right.m):
+        if y in shared_image:
+            g2_list.append(shared_image[y])
+        else:
+            g2_list.append(next_id)
+            next_id += 1
+        into_right[g2_list[-1]] = y
+    g1 = tuple(range(left.m))
+    g2 = tuple(g2_list)
+    total = next_id
+
+    values = []
+    for u, v in _colex_pairs(total):
+        if v < left.m:
+            values.append(chain.g1[left.rank(u, v)])
+        elif u in into_right and v in into_right:
+            values.append(chain.g2[right.rank(into_right[u], into_right[v])])
+        else:
+            values.append(chain.top)
+    space = _compress(total, values)[0]
+    return AmalgamResult(space, g1, g2, chain)
+
+
+def reference_jep(left, right):
+    """``jep`` over ``reference_amalgamate``."""
+    return reference_amalgamate(EchelonedSpace(1, 0, ((0,),)), left, right, (0,), (0,))

@@ -4,6 +4,9 @@ Chain arithmetic is pinned on worked examples (values derived by hand
 from the interleaving rule); the square properties are then checked on
 seeded random triples."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,14 @@ from echelon import (
 from echelon.errors import MorphismError, ValidationError
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_amalgam_triple, random_space, random_superspace
+from helpers import (
+    random_amalgam_triple,
+    random_space,
+    random_superspace,
+    reference_amalgamate,
+    reference_chain_amalgam,
+    reference_jep,
+)
 
 
 def test_chain_amalgam_no_gaps():
@@ -150,3 +160,68 @@ def test_jep_overlaps_in_one_point():
         assert is_embedding(left, result.space, result.g1)
         assert is_embedding(right, result.space, result.g2)
         assert len(set(result.g1) & set(result.g2)) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 3, 3, (0, "a"), (0, 1)),
+        (2, 3, 3, (0, 1), (0, 1.0)),
+        (2, 3, 3, (False, True), (0, 1)),
+        ("2", 3, 3, (0, 1), (0, 1)),
+        (2, 3.0, 3, (0, 1), (0, 1)),
+        (True, 2, 2, (0,), (0,)),
+    ],
+    ids=["map-str", "map-float", "map-bool", "size-str", "size-float", "size-bool"],
+)
+def test_chain_amalgam_refuses_values_that_are_not_ints(args):
+    """A float or a string is no chain position or size, and False is not
+    the bottom."""
+    with pytest.raises(ValidationError) as err:
+        chain_amalgam(*args)
+    assert err.value.code == "chain/map"
+
+
+def _strict_chain_maps(size_a, size_b):
+    return [(0, *rest) for rest in itertools.combinations(range(1, size_b), size_a - 1)]
+
+
+def test_chain_amalgam_matches_the_two_loop_reference_exhaustively():
+    """Every strict chain map of a shared chain of at most 4 elements into
+    two chains of at most 6."""
+    cases = 0
+    for size_a in range(1, 5):
+        for size_b1, size_b2 in itertools.product(range(size_a, 7), repeat=2):
+            for h1, h2 in itertools.product(_strict_chain_maps(size_a, size_b1), _strict_chain_maps(size_a, size_b2)):
+                args = (size_a, size_b1, size_b2, h1, h2)
+                assert chain_amalgam(*args) == reference_chain_amalgam(*args), args
+                cases += 1
+    assert cases == sum(math.comb(6, size_a) ** 2 for size_a in range(1, 5))
+
+
+def test_amalgamate_and_jep_match_the_reference_on_seeded_triples():
+    stream = SplitMix64Stream(28)
+    for trial in range(3000):
+        shared, b1, b2, f1, f2 = random_amalgam_triple(stream)
+        assert amalgamate(shared, b1, b2, f1, f2) == reference_amalgamate(shared, b1, b2, f1, f2), trial
+        assert jep(b1, b2) == reference_jep(b1, b2), trial
+
+
+def test_amalgamate_matches_the_reference_on_named_shapes():
+    shared = from_weights(2, {(0, 1): 1})
+    left = from_weights(3, {(0, 1): 2, (0, 2): 1, (1, 2): 3})
+    # the right side lies wholly inside the shared image: no fresh point,
+    # so the fresh top labels no pair and the amalgam is the left side
+    inside = amalgamate(shared, left, shared, (2, 0), (0, 1))
+    assert inside == reference_amalgamate(shared, left, shared, (2, 0), (0, 1))
+    assert inside.space == left and inside.g2 == (2, 0) and inside.space.n < inside.chain.top
+    # the left side is the shared space: the right side's points follow it
+    right = from_weights(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+    equal = amalgamate(shared, shared, right, (0, 1), (1, 2))
+    assert equal == reference_amalgamate(shared, shared, right, (0, 1), (1, 2))
+    assert equal.g1 == (0, 1) and equal.g2 == (2, 0, 1)
+    # joint embedding of two points is the point itself
+    point = from_weights(1, {})
+    joint = jep(point, point)
+    assert joint == reference_jep(point, point)
+    assert joint.space == point and joint.g1 == joint.g2 == (0,)

@@ -2,12 +2,15 @@
 module-level name is read somewhere in the package, only ``rationals``
 parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
 decides how a rank string becomes a table and allocates square tables.
+``code_lines`` is the one count of code lines that CHANGES.md cites.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
 somewhere in the module, or be listed in its ``__all__``."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -202,3 +205,59 @@ def test_every_private_name_is_read():
     """A private helper that nothing in the package reads is dead code."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+NON_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """The lines that hold a token other than a comment, a line break, an
+    indent or the end marker, outside module, class and function
+    docstrings.  A token that spans lines, such as a multi-line string,
+    holds every line it spans."""
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, SCOPES) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NON_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_the_count_sees_only_code_lines():
+    source = "\n".join(
+        [
+            '"""Module docstring,',  # docstring
+            'over two lines."""',  # docstring
+            "",
+            "# a comment",
+            "def f(x):",  # 1
+            "    '''Function docstring.'''",  # docstring
+            "    y = g(",  # 2
+            "        x,  # a trailing comment",  # 3
+            "    )",  # 4
+            "",
+            '    text = """one',  # 5
+            "",  # 6, inside the string
+            'two"""',  # 7
+            "    return y, text",  # 8
+            "",
+            "class C:",  # 9
+            '    """Class docstring."""',  # docstring
+            "    z = 1",  # 10
+            "",
+        ]
+    )
+    assert code_lines(source) == 10
+    assert code_lines("") == 0
+
+
+if __name__ == "__main__":  # python tests/test_imports.py: the count of each module and of the package
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{name:16}{count:6}")
+    print(f"{'src/echelon':16}{sum(counts.values()):6}")

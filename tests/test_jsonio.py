@@ -52,6 +52,8 @@ FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 def test_fraction_strings():
     assert fraction_to_str(Fraction(3, 2)) == "3/2"
     assert fraction_to_str(Fraction(5)) == "5/1"
+    assert fraction_to_str(Fraction(-6, 4)) == "-3/2"
+    assert fraction_to_str(5) == "5/1"  # an int is an exact rational with denominator 1
     assert fraction_from_str("7/4") == Fraction(7, 4)
     # whole numbers are tolerated on input, never produced on output
     assert fraction_from_str("7") == Fraction(7)

@@ -391,3 +391,13 @@ def test_realizations_of_all_small_extensions_are_pinned():
             count += 1
     assert count == 4697
     assert digest.hexdigest() == "752b644ac9e581b3143ad47676a73e7d1341336cedae4a613d488e2478eed8ac"
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "a"], ids=["float", "bool", "str"])
+def test_function_point_refuses_a_position_that_is_not_an_int(bad):
+    """A float or a string is no chain position, and True is not position 1."""
+    kx = katetov_space(from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2}))
+    with pytest.raises(MorphismError) as err:
+        kx.function_point((bad, 1, 1))
+    assert err.value.code == "katetov/point"
+    assert str(err.value) == f"chain position {bad} out of range"

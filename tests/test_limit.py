@@ -713,3 +713,17 @@ def test_back_and_forth_refuses_a_broken_correspondence(impl, make_pair):
     with pytest.raises(EchelonError) as info:
         impl(*make_pair(), 4)
     assert info.value.code == "limit/certificate"
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_counts_and_depths_must_be_ints(bad):
+    """A point count, a prefix size or a depth that is not an int is
+    refused with the code of its range check."""
+    for call, code in (
+        (lambda: limit_new("deterministic", 0).limit_points(bad), "limit/count"),
+        (lambda: limit_new("random", 0).sample_prefix(bad), "limit/count"),
+        (lambda: back_and_forth(RandomLimitModel(0), DeterministicLimitModel(), bad), "limit/depth"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == code

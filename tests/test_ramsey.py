@@ -657,3 +657,46 @@ def test_random_ordered_space_keeps_the_draw_order():
             levels = want.randrange(len(pairs)) + 1
             weights = {p: want.randrange(levels) for p in pairs}
             assert ramsey._random_space(m, got) == from_weights(m, weights)
+
+
+@pytest.mark.parametrize("order", [(0.0, 1, 2), (False, 1, 2), ("a", 1, 2)], ids=["float", "bool", "str"])
+def test_an_order_must_list_int_points(order):
+    """A float or a string is no point, and False is not point 0: the
+    ordered space and the ordered graph refuse them before any walk."""
+    x = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+    with pytest.raises(ValidationError) as err:
+        OrderedEchelonedSpace(x, order)
+    assert err.value.code == "ordered/shape"
+    with pytest.raises(ValidationError) as err:
+        OrderedEdgeColouredGraph(3, order, ())
+    assert err.value.code == "ordered/shape"
+
+
+@pytest.mark.parametrize("edge", [(0.0, 1), (0, True), ("a", 1)], ids=["float", "bool", "str"])
+def test_a_graph_edge_must_join_int_vertices(edge):
+    with pytest.raises(ValidationError) as err:
+        OrderedEdgeColouredGraph(3, (0, 1, 2), ((edge, 1),))
+    assert err.value.code == "graph/shape"
+
+
+@pytest.mark.parametrize("v, order", [(2.0, (0, 1)), (True, (0,)), ("2", (0, 1))], ids=["float", "bool", "str"])
+def test_a_graph_vertex_count_must_be_an_int(v, order):
+    """A vertex count that is not an int has no order to list."""
+    with pytest.raises(ValidationError) as err:
+        OrderedEdgeColouredGraph(v, order, ())
+    assert err.value.code == "ordered/shape"
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_arrow_arguments_must_be_ints(bad):
+    """A colour count or a budget that is not an int is refused with the
+    code of its range check, by both entry points."""
+    for call, code in (
+        (lambda: arrow_check(EDGE, POINT, EDGE, bad), "arrow/colours"),
+        (lambda: arrow_check(EDGE, POINT, EDGE, 2, bad), "arrow/budget"),
+        (lambda: witness_search(POINT, EDGE, bad), "arrow/colours"),
+        (lambda: witness_search(POINT, EDGE, 2, budget=bad), "arrow/budget"),
+    ):
+        with pytest.raises((BudgetExceeded, ValidationError)) as err:
+            call()
+        assert err.value.code == code

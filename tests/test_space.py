@@ -885,3 +885,12 @@ def test_are_isomorphic_uniform_m10_is_fast():
     elapsed = time.perf_counter() - t0
     assert witness is not None and is_embedding(x, y, witness)
     assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("points", [[0.5, 1], ["a"], [True, 2], [1, True], ["a", 1]])
+def test_induced_subspace_refuses_a_point_that_is_not_an_int(points):
+    """A float or a string is no point, and True is not point 1."""
+    x = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
+    with pytest.raises(ValidationError) as err:
+        induced_subspace(x, points)
+    assert err.value.code == "space/shape"
