@@ -70,6 +70,14 @@ def chain_amalgam(
     h1, h2 = tuple(h1), tuple(h2)
     _check_chain_map(size_a, size_b1, h1, "first chain map")
     _check_chain_map(size_a, size_b2, h2, "second chain map")
+    return _chain_amalgam(size_a, size_b1, size_b2, h1, h2)
+
+
+def _chain_amalgam(
+    size_a: int, size_b1: int, size_b2: int, h1: RankMap, h2: RankMap
+) -> ChainAmalgam:
+    """``chain_amalgam`` on chain maps already known to be strictly
+    increasing int maps that fix the bottom and fit their chains."""
     g1, g2 = [0] * size_b1, [0] * size_b2
     sides = ((g1, (*h1, size_b1)), (g2, (*h2, size_b2)))  # each map, closed by its chain's end
     pos = 0
@@ -103,7 +111,8 @@ def amalgamate(
     w2 = embedding_rank_map(shared, right, f2)
     if w2 is None:
         raise MorphismError("amalgam/not-embedding", "second map is not an embedding")
-    chain = chain_amalgam(shared.n + 1, left.n + 1, right.n + 1, w1, w2)
+    # embedding rank maps are strict int chain maps, so the chain checks would only repeat
+    chain = _chain_amalgam(shared.n + 1, left.n + 1, right.n + 1, w1, w2)
 
     into_left = dict(zip(f2, f1))  # shared point of the right space -> its left point
     fresh = itertools.count(left.m)

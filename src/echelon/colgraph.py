@@ -106,18 +106,9 @@ def check_star(graph: ColouredGraph, demand: StarDemand) -> Optional[int]:
     for p in taken:
         if not (_is_int(p) and 0 <= p < graph.v):
             raise DemandError("demand/range", f"vertex {p} is not in the graph")
+    wanted = [(u, c) for u_set, c in zip(demand.sets, demand.colours) for u in u_set]
     for z in range(graph.v):
-        if z in taken:
-            continue
-        ok = True
-        for u_set, c in zip(demand.sets, demand.colours):
-            for u in u_set:
-                if graph.colour(z, u) != c:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if z not in taken and all(graph.colour(z, u) == c for u, c in wanted):
             return z
     return None
 

@@ -34,30 +34,30 @@ Back-and-forth keeps its state per side, indexed 0 (first model) and 1
 (second): the matched points, the covered set and a cursor on the least
 uncovered point, which only moves forward because covered sets only grow.
 One step body serves both sides.  The label bijection between the two
-sides is one dict per direction, extended by the k new pairs after each
-witness, so a demand reads the correspondence instead of rebuilding it.
-The moving side's new labels are the ones its demand read, and only the
+sides is an order isomorphism, so it is kept as two aligned sorted lists,
+the i-th known label of one side matching the i-th of the other.  One
+bisection of a label answers both whether it is known (and its image) and,
+if not, which gap it falls in: the gap's bounds are the images of its
+neighbours.  The lists grow by the new pairs after each witness.  The
+moving side's new labels are the ones its demand read, and only the
 witness side's are read after the witness, so during the search each side
-reads each matched pair once.  Beside each dict the side keeps its known
-labels sorted, and a new label's gap is found by bisection: the bijection
-is an order isomorphism, so the bounds are the images of the label's
-neighbours.
+reads each matched pair once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import prng
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
-from .rationals import as_probability, exact_rational, nth_rational, rational_between
+from .rationals import as_probability, exact_rational, nth_rational, simplest_between
 from .space import EchelonedSpace, _colex_pairs, _compress, _is_int
 
 WITNESS_CAP = 1 << 20
@@ -177,24 +177,16 @@ class LimitModel:
 
 
 def _tier_pattern_ok(entries: Sequence[tuple[int, Entry]], label_of) -> bool:
-    """Equal (bounds, tier) must agree; within bounds, labels rise with tier."""
-    groups: dict[tuple, dict[int, Fraction]] = {}
+    """Equal (bounds, tier) must agree; within bounds, labels rise with tier.
+
+    The distinct (tier, label) pairs of one bounds group, sorted, must rise
+    strictly in both: a tier with two labels shows as a repeated tier."""
+    groups: dict[tuple, set[tuple[int, Fraction]]] = {}
     for point, entry in entries:
-        if not isinstance(entry, OpenInterval):
-            continue
-        key = (entry.lo, entry.hi)
-        tiers = groups.setdefault(key, {})
-        lab = label_of(point)
-        if entry.tier in tiers:
-            if tiers[entry.tier] != lab:
-                return False
-        else:
-            tiers[entry.tier] = lab
-    for tiers in groups.values():
-        ordered = [tiers[t] for t in sorted(tiers)]
-        if any(a >= b for a, b in zip(ordered, ordered[1:])):
-            return False
-    return True
+        if isinstance(entry, OpenInterval):
+            groups.setdefault((entry.lo, entry.hi), set()).add((entry.tier, label_of(point)))
+    steps = (pairwise(sorted(pairs)) for pairs in groups.values())
+    return all(t < u and a < b for group in steps for (t, a), (u, b) in group)
 
 
 class _Alphabet(NamedTuple):
@@ -231,6 +223,8 @@ class RandomLimitModel(LimitModel):
 
     def __init__(self, seed: int, p: object = Fraction(1, 2), cap: int = WITNESS_CAP):
         super().__init__()
+        if not _is_int(cap) or cap < 1:
+            raise ValidationError("limit/count", "the witness cap must be an int of at least 1")
         self.seed = seed
         self.p = as_probability(p)
         self.cap = cap
@@ -316,12 +310,13 @@ class RandomLimitModel(LimitModel):
         )
 
 
-class _SortedLabels(list):
-    """Distinct labels in ascending order, whose ``in`` bisects."""
-
-    def __contains__(self, label: object) -> bool:
-        i = bisect_left(self, label)
-        return i < len(self) and self[i] == label
+def _insert(ordered: list[Fraction], label: Fraction) -> bool:
+    """Insert label into the ascending distinct list unless it is there
+    already, with one bisection; report whether it was inserted."""
+    i = bisect_left(ordered, label)
+    if absent := i == len(ordered) or ordered[i] != label:
+        ordered.insert(i, label)
+    return absent
 
 
 class DeterministicLimitModel(LimitModel):
@@ -333,11 +328,11 @@ class DeterministicLimitModel(LimitModel):
 
     The distinct labels are indexed incrementally in one sorted list,
     updated as each pair label is written: fresh labels are appended at the
-    top, in-gap and exact labels are inserted by bisection, and membership
-    is a bisection too.  Nothing is rebuilt per point, so growth to n
-    points costs O(n^2) label writes.  The pair labels are one flat list in
-    ``_colex_pairs`` order: each new point appends its row, and a prefix's
-    labels are a slice."""
+    top, and an in-gap or exact label is placed by one bisection, which
+    also tells whether it is there already.  Nothing is rebuilt per point,
+    so growth to n points costs O(n^2) label writes.  The pair labels are
+    one flat list in ``_colex_pairs`` order: each new point appends its
+    row, and a prefix's labels are a slice."""
 
     mode = "deterministic"
 
@@ -345,7 +340,7 @@ class DeterministicLimitModel(LimitModel):
         super().__init__()
         self.seed = seed  # recorded; the construction is canonical
         self._labels: list[Fraction] = []
-        self._sorted = _SortedLabels()
+        self._sorted: list[Fraction] = []
         self._schedule_step = 0
 
     def _label(self, u: int, v: int) -> Fraction:
@@ -367,29 +362,27 @@ class DeterministicLimitModel(LimitModel):
 
     def ensure_witness(self, demand: Demand) -> int:
         entries = _validate_demand(demand, self.size)
-        # One fresh label per (bounds, tier), tiers ascending within bounds.
-        # Each is indexed as soon as it is chosen, so later choices in this
-        # call avoid it; ``rational_between`` has already probed it, so it
-        # goes straight in.  Exact labels are probed and indexed after every
-        # in-gap choice, which they never displace.
-        interval_keys: dict[tuple, list[int]] = {}
+        # One fresh label per (bounds, tier), tiers ascending within bounds:
+        # the simplest rational above the last choice (or the collision it
+        # hit) and below hi that ``_insert`` finds absent, which indexes it
+        # at once, so later choices in this call avoid it.  Exact labels are
+        # indexed after every in-gap choice, which they never displace.
+        groups: dict[tuple, set[int]] = {}
         for point, entry in entries:
             if isinstance(entry, OpenInterval):
-                interval_keys.setdefault((entry.lo, entry.hi), []).append(entry.tier)
+                groups.setdefault((entry.lo, entry.hi), set()).add(entry.tier)
         interval_labels: dict[tuple, Fraction] = {}
-        for (lo, hi), tiers in interval_keys.items():
-            cur_lo = lo
-            for tier in sorted(set(tiers)):
-                lab = rational_between(cur_lo, hi, self._sorted)
-                insort(self._sorted, lab)
+        for (lo, hi), tiers in groups.items():
+            lab = lo
+            for tier in sorted(tiers):
+                while not _insert(self._sorted, lab := simplest_between(lab, hi)):
+                    pass
                 interval_labels[(lo, hi, tier)] = lab
-                cur_lo = lab
         chosen: dict[int, Fraction] = {}
         for point, entry in entries:
             if isinstance(entry, ExactLabel):
                 chosen[point] = entry.value
-                if entry.value not in self._sorted:
-                    insort(self._sorted, entry.value)
+                _insert(self._sorted, entry.value)
             else:
                 chosen[point] = interval_labels[(entry.lo, entry.hi, entry.tier)]
         z = self.size
@@ -433,35 +426,32 @@ class BackAndForthCertificate:
 
 def _build_demand(
     source: LimitModel,
-    src_to_tgt: dict[Fraction, Fraction],
-    known: Sequence[Fraction],
+    src_known: Sequence[Fraction],
+    tgt_known: Sequence[Fraction],
     src_matched: Sequence[int],
     tgt_matched: Sequence[int],
     u: int,
 ) -> tuple[Demand, list[Fraction]]:
-    """Transport u's label classes along the current correspondence, an
-    order isomorphism: a new label's gap lies between the images of its
-    neighbours among the known labels, ``src_to_tgt``'s keys in order.
-    Returns the demand with the labels it read, u's to each of
-    ``src_matched`` in order."""
+    """Transport u's label classes along the current correspondence, the
+    aligned sorted lists ``src_known`` and ``tgt_known``.  One bisection
+    per distinct label finds it among the known labels, or the gap i it
+    opens, whose bounds are the images of its neighbours; the new labels
+    of one gap take tiers 0, 1, ... in ascending order.  Returns the
+    demand with the labels it read, u's to each of ``src_matched`` in
+    order."""
     labels = [source.rank_label(u, v) for v in src_matched]
-    new_labels = sorted({lab for lab in labels if lab not in src_to_tgt})
-    gap_tiers: dict[Fraction, tuple[Fraction, Optional[Fraction], int]] = {}
-    gap_counts: dict[tuple, int] = {}
-    for lab in new_labels:
-        i = bisect_left(known, lab)
-        lo = src_to_tgt[known[i - 1]] if i else Fraction(0)
-        hi = src_to_tgt[known[i]] if i < len(known) else None
-        tier = gap_counts.get((lo, hi), 0)
-        gap_counts[(lo, hi)] = tier + 1
-        gap_tiers[lab] = (lo, hi, tier)
-    entries: list[tuple[int, Entry]] = []
-    for target_point, lab in zip(tgt_matched, labels):
-        if lab in src_to_tgt:
-            entries.append((target_point, ExactLabel(src_to_tgt[lab])))
+    entry_of: dict[Fraction, Entry] = {}
+    placed: dict[int, int] = {}  # gap -> new labels already given a tier in it
+    for lab in sorted(set(labels)):
+        i = bisect_left(src_known, lab)
+        if i < len(src_known) and src_known[i] == lab:
+            entry_of[lab] = ExactLabel(tgt_known[i])
         else:
-            entries.append((target_point, OpenInterval(*gap_tiers[lab])))
-    return Demand(tuple(entries)), labels
+            lo = tgt_known[i - 1] if i else Fraction(0)
+            hi = tgt_known[i] if i < len(tgt_known) else None
+            placed[i] = placed.get(i, -1) + 1
+            entry_of[lab] = OpenInterval(lo, hi, placed[i])
+    return Demand(tuple((t, entry_of[lab]) for t, lab in zip(tgt_matched, labels))), labels
 
 
 def back_and_forth(
@@ -474,12 +464,14 @@ def back_and_forth(
     cursor point is already materialized goes first on its turn; a side
     whose uncovered points only exist by demand waits for the other side's
     witnesses to cover them and is force-grown only when both sides would
-    otherwise stall.  The label bijection is kept as one dict per direction,
-    beside each side's known labels in order, and extended by the new pairs
-    after each witness: the moving side's labels are those its demand read,
-    and the witness side's are read once.  The finished correspondence is
-    re-verified before returning: the two sides' matched points must
-    induce the same table.
+    otherwise stall.  The label bijection is two aligned sorted lists of
+    known labels, one per side, extended by the new pairs after each
+    witness: the moving side's labels are those its demand read, and the
+    witness side's are read once.  A pair whose labels cannot take the same
+    place in both lists breaks the correspondence and raises
+    ``limit/certificate``.  The finished correspondence is re-verified
+    before returning: the two sides' matched points must induce the same
+    table.
     """
     if not _is_int(depth) or depth < 1:
         raise ValidationError("limit/depth", "depth must be an int of at least 1")
@@ -487,8 +479,7 @@ def back_and_forth(
     matched: tuple[list[int], list[int]] = ([], [])
     covered: tuple[set[int], set[int]] = (set(), set())
     cursor = [0, 0]
-    maps: tuple[dict[Fraction, Fraction], dict[Fraction, Fraction]] = ({}, {})
-    known: tuple[list[Fraction], list[Fraction]] = ([], [])  # each dict's keys, sorted
+    known: tuple[list[Fraction], list[Fraction]] = ([], [])  # known[0][i] matches known[1][i]
     turn = 0
     while min(cursor) < depth:
         order = (turn % 2, 1 - turn % 2)
@@ -498,16 +489,23 @@ def back_and_forth(
         u = cursor[side]
         models[side].limit_points(u + 1)
         demand, labels = _build_demand(
-            models[side], maps[side], known[side], matched[side], matched[other], u
+            models[side], known[side], known[other], matched[side], matched[other], u
         )
         z = models[other].ensure_witness(demand)
+        mine, theirs = known[side], known[other]
         for a, b in zip(labels, [models[other].rank_label(v, z) for v in matched[other]]):
-            if a not in maps[side] and b not in maps[other]:
-                maps[side][a], maps[other][b] = b, a
-                insort(known[side], a)
-                insort(known[other], b)
-            elif maps[side].get(a) != b:  # the dicts stay inverse, so this checks both
+            i = bisect_left(mine, a)
+            if i < len(mine) and mine[i] == a:  # a known a keeps its image
+                if theirs[i] != b:
+                    raise EchelonError("limit/certificate", "correspondence lost label classes")
+                continue
+            j = bisect_left(theirs, b)  # a new a needs a new b in the same gap
+            if j < len(theirs) and theirs[j] == b:
                 raise EchelonError("limit/certificate", "correspondence lost label classes")
+            if j != i:
+                raise EchelonError("limit/certificate", "back-and-forth produced a non-isomorphism")
+            mine.insert(i, a)
+            theirs.insert(i, b)
         for s, point in ((side, u), (other, z)):
             matched[s].append(point)
             covered[s].add(point)

@@ -37,7 +37,6 @@ from echelon.limit import (
     ExactLabel,
     LimitModel,
     OpenInterval,
-    _tier_pattern_ok,
     _validate_demand,
 )
 from echelon.prng import SplitMix64Stream
@@ -276,6 +275,30 @@ class ReferenceDeterministicLimitModel(LimitModel):
         return z
 
 
+def reference_tier_pattern_ok(entries, label_of):
+    """The tier check with one dict of labels per tier in each bounds
+    group: a tier seen twice must repeat its label, and the groups' labels
+    must rise strictly in tier order.  Kept as the reference that the
+    sorted (tier, label) pairs of limit._tier_pattern_ok must reproduce."""
+    groups = {}
+    for point, entry in entries:
+        if not isinstance(entry, OpenInterval):
+            continue
+        key = (entry.lo, entry.hi)
+        tiers = groups.setdefault(key, {})
+        lab = label_of(point)
+        if entry.tier in tiers:
+            if tiers[entry.tier] != lab:
+                return False
+        else:
+            tiers[entry.tier] = lab
+    for tiers in groups.values():
+        ordered = [tiers[t] for t in sorted(tiers)]
+        if any(a >= b for a, b in zip(ordered, ordered[1:])):
+            return False
+    return True
+
+
 def _entry_satisfied(entry, label):
     if isinstance(entry, ExactLabel):
         return label == entry.value
@@ -322,7 +345,7 @@ class ReferenceRandomLimitModel(LimitModel):
                 if all(
                     _entry_satisfied(entry, self._label(z, point))
                     for point, entry in entries
-                ) and _tier_pattern_ok(entries, lambda point: self._label(z, point)):
+                ) and reference_tier_pattern_ok(entries, lambda point: self._label(z, point)):
                     return z
             if self.size >= self.cap:
                 raise CapExceeded(

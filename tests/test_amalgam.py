@@ -18,6 +18,7 @@ from echelon import (
     is_embedding,
     jep,
 )
+from echelon import amalgam
 from echelon.errors import MorphismError, ValidationError
 from echelon.prng import SplitMix64Stream
 
@@ -205,6 +206,22 @@ def test_amalgamate_and_jep_match_the_reference_on_seeded_triples():
         shared, b1, b2, f1, f2 = random_amalgam_triple(stream)
         assert amalgamate(shared, b1, b2, f1, f2) == reference_amalgamate(shared, b1, b2, f1, f2), trial
         assert jep(b1, b2) == reference_jep(b1, b2), trial
+
+
+def test_amalgamate_does_not_recheck_the_rank_maps_it_reads(monkeypatch):
+    """The embeddings' rank maps are strict int chain maps already, so
+    ``amalgamate`` builds the chain amalgam without the public checks,
+    which ``chain_amalgam`` still runs once per chain map."""
+    calls = []
+    check = amalgam._check_chain_map
+    monkeypatch.setattr(amalgam, "_check_chain_map", lambda *args: calls.append(args) or check(*args))
+    stream = SplitMix64Stream(29)
+    for trial in range(200):
+        shared, b1, b2, f1, f2 = random_amalgam_triple(stream)
+        assert amalgamate(shared, b1, b2, f1, f2) == reference_amalgamate(shared, b1, b2, f1, f2), trial
+    assert calls == []
+    chain_amalgam(2, 3, 3, (0, 1), (0, 2))
+    assert len(calls) == 2
 
 
 def test_amalgamate_matches_the_reference_on_named_shapes():

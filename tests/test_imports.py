@@ -2,7 +2,9 @@
 module-level name is read somewhere in the package, only ``rationals``
 parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
 decides how a rank string becomes a table and allocates square tables.
-``code_lines`` is the one count of code lines that CHANGES.md cites.
+Every module the tests import is declared in ``pyproject.toml`` unless it
+is the standard library's or this repository's own.  ``code_lines`` is
+the one count of code lines that CHANGES.md cites.
 
 No linter is part of the test dependencies, so unused imports are found
 with the standard library's ast: a name an import binds must be read
@@ -10,6 +12,8 @@ somewhere in the module, or be listed in its ``__all__``."""
 
 import ast
 import io
+import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -254,6 +258,58 @@ def test_the_count_sees_only_code_lines():
     )
     assert code_lines(source) == 10
     assert code_lines("") == 0
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def declared_modules(pyproject: str) -> set[str]:
+    """The module names of the runtime dependencies and the ``test`` extra
+    of a ``pyproject.toml``: each requirement's project name, lower-cased,
+    with dashes read as underscores.  That reading holds for every project
+    this package depends on."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads(pyproject)["project"]
+    requirements = project.get("dependencies", []) + project.get("optional-dependencies", {}).get("test", [])
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
+
+
+def undeclared_imports(sources: dict[str, str], declared: set[str], local: set[str]) -> list[str]:
+    """Top-level modules that ``sources`` import absolutely and that are
+    neither in the standard library nor ``local`` nor ``declared``, as
+    ``file: module``."""
+    out = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for top in (module.split(".")[0] for module in modules):
+                if top not in sys.stdlib_module_names and top not in local | declared:
+                    out.append(f"{name}: {top}")
+    return out
+
+
+def test_the_check_sees_an_undeclared_import():
+    source = "import os.path\nimport numpy as np\nfrom py_test import x\nfrom . import y\nimport helpers\nimport yaml\n"
+    sources = {"a.py": source, "b.py": "def f():\n    from sympy import stirling\n"}
+    assert undeclared_imports(sources, {"numpy", "py_test"}, {"helpers"}) == ["a.py: yaml", "b.py: sympy"]
+    pyproject = '[project]\ndependencies = ["numpy>=1.24"]\n[project.optional-dependencies]\ntest = ["Py-Test"]\n'
+    assert declared_modules(pyproject) == {"numpy", "py_test"}
+
+
+def test_every_test_import_is_declared():
+    """A module the tests import is in the standard library, is this
+    package or a module of tests/ or benchmarks/, or is declared as a
+    runtime dependency or in the ``test`` extra, so that
+    ``pip install -e ".[test]"`` can run every test module."""
+    declared = declared_modules((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    local = {"echelon"} | {p.stem for folder in ("tests", "benchmarks") for p in (ROOT / folder).glob("*.py")}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert undeclared_imports(sources, declared, local) == []
 
 
 if __name__ == "__main__":  # python tests/test_imports.py: the count of each module and of the package

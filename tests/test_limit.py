@@ -31,7 +31,7 @@ from echelon import (
 )
 from echelon import prng
 from echelon.errors import CapExceeded, DemandError, EchelonError, ValidationError
-from echelon.limit import GROW_BLOCK, WITNESS_CAP, LimitModel
+from echelon.limit import GROW_BLOCK, WITNESS_CAP, LimitModel, _tier_pattern_ok
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import exact_rational
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     deadline,
     reference_back_and_forth,
     reference_simplest_between,
+    reference_tier_pattern_ok,
 )
 
 # SHA-256 of the first 64 points' labels, "p/q" joined by commas over pairs
@@ -205,7 +206,8 @@ def test_deterministic_witness_interval_tiers():
 
 def test_deterministic_witness_steps_over_an_existing_label():
     """2, the simplest rational in (1, 3), is already a label, so the
-    bisecting membership probe sends the tier-0 choice past it to 5/2;
+    bisection that would index it finds it there and the tier-0 choice
+    moves past it to 5/2;
     tier 1 lies above tier 0, the exact label 7/2 joins the index, and the
     undemanded point gets the next fresh label."""
     one, three = Fraction(1), Fraction(3)
@@ -302,6 +304,49 @@ def test_deterministic_demands_match_the_reference():
         for u in range(det.size):
             for v in range(u + 1, det.size):
                 assert det.rank_label(u, v) == ref.rank_label(u, v), (seed, u, v)
+
+
+TIER_CASES = [
+    # (entries as (point, bounds group or None for exact, tier), labels by point, want)
+    ([(0, 0, 0), (1, 0, 0)], [2, 2], True),  # a repeated tier with equal labels
+    ([(0, 0, 0), (1, 0, 0)], [2, 3], False),  # a repeated tier with different labels
+    ([(0, 0, 0), (1, 0, 3)], [2, 3], True),  # skipped tier numbers
+    ([(0, 0, 3), (1, 0, 0)], [2, 3], False),  # labels falling as the tier rises
+    ([(0, 0, 1), (1, 1, 0)], [3, 2], True),  # two bounds groups are checked apart
+    ([(0, 0, 0), (1, 1, 0), (2, 0, 0)], [2, 5, 3], False),
+    ([(0, None, 0), (1, 0, 0), (2, None, 0)], [4, 2, 1], True),  # exact entries carry no tier
+    ([(0, None, 0)], [1], True),
+    ([], [], True),
+]
+
+
+def _tier_entries(spec):
+    bounds = [(Fraction(1), Fraction(9)), (Fraction(0), None)]
+    return [
+        (point, ExactLabel(Fraction(point + 1)) if group is None else OpenInterval(*bounds[group], tier))
+        for point, group, tier in spec
+    ]
+
+
+def test_tier_pattern_matches_the_reference():
+    """The sorted (tier, label) pairs of each bounds group give the answer
+    of the per-tier dicts: on named cases, and on seeded entry lists with
+    repeated tiers holding equal or different labels, skipped tier
+    numbers, two bounds groups and exact entries mixed in."""
+    for spec, labels, want in TIER_CASES:
+        entries, label_of = _tier_entries(spec), [Fraction(x) for x in labels].__getitem__
+        assert _tier_pattern_ok(entries, label_of) == reference_tier_pattern_ok(entries, label_of) == want, spec
+    outcomes = set()
+    stream = SplitMix64Stream(29)
+    for _ in range(2000):
+        k = stream.randrange(6)
+        spec = [(point, [None, 0, 1][stream.randrange(3)], [0, 1, 3][stream.randrange(3)]) for point in range(k)]
+        labels = [stream.randrange(4) + 1 for _ in range(k)]
+        entries, label_of = _tier_entries(spec), [Fraction(x) for x in labels].__getitem__
+        got = _tier_pattern_ok(entries, label_of)
+        assert got == reference_tier_pattern_ok(entries, label_of), (spec, labels)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_deterministic_labels_n64_digest():
@@ -403,6 +448,23 @@ def test_random_witness_interval():
     model.limit_points(4)
     z = model.ensure_witness(Demand(((0, OpenInterval(Fraction(1, 2), None)),)))
     assert model.rank_label(z, 0) > Fraction(1, 2)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "8", 0, -3], ids=["float", "bool", "str", "zero", "negative"])
+def test_random_model_refuses_a_witness_cap_below_one_or_not_an_int(cap):
+    """A cap of 2.5 used to stay on the model as its size after the cap
+    error, True read as 1, "8" escaped as a bare TypeError and 0 scanned
+    only the materialized prefix; each is now refused when the model is
+    built."""
+    with pytest.raises(ValidationError) as err:
+        RandomLimitModel(1, cap=cap)
+    assert err.value.code == "limit/count"
+
+
+def test_a_witness_cap_of_one_is_a_model():
+    model = RandomLimitModel(1, cap=1)
+    model.limit_points(1)
+    assert model.ensure_witness(Demand(())) == 0
 
 
 def test_random_witness_cap():
@@ -713,6 +775,32 @@ def test_back_and_forth_refuses_a_broken_correspondence(impl, make_pair):
     with pytest.raises(EchelonError) as info:
         impl(*make_pair(), 4)
     assert info.value.code == "limit/certificate"
+
+
+def test_back_and_forth_stops_at_the_first_pair_out_of_order():
+    """Labels that rise on one side and fall on the other take different
+    gaps of the two known lists, which the step after the witness refuses:
+    the search stops at depth 4 with three points on the first side."""
+    first = _DemandIgnoringModel(lambda u, v: Fraction(_pair_index(u, v)))
+    second = _DemandIgnoringModel(lambda u, v: Fraction(1, _pair_index(u, v)))
+    with pytest.raises(EchelonError) as info:
+        back_and_forth(first, second, 4)
+    assert (info.value.code, info.value.message) == (
+        "limit/certificate",
+        "back-and-forth produced a non-isomorphism",
+    )
+    assert (first.size, second.size) == (3, 3)
+
+
+def test_back_and_forth_refuses_a_new_label_with_a_known_image():
+    """The deterministic side's point 2 brings a new label, but the side
+    that ignores demands answers with its one label, already matched."""
+    with pytest.raises(EchelonError) as info:
+        back_and_forth(DeterministicLimitModel(), _DemandIgnoringModel(lambda u, v: Fraction(1)), 4)
+    assert (info.value.code, info.value.message) == (
+        "limit/certificate",
+        "correspondence lost label classes",
+    )
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
