@@ -8,6 +8,7 @@ different modules and are never unified.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -128,22 +129,32 @@ class GeometricColouring:
     def __post_init__(self):
         object.__setattr__(self, "p", as_probability(self.p))
 
+    @cached_property
+    def _law(self) -> tuple[tuple[int, ...], int]:
+        """The thresholds and the seed's key, read once per colouring."""
+        return prng.geometric_thresholds(self.p), prng.seed_key(self.seed)
+
     def edge_colour(self, u: int, v: int) -> int:
+        """``prng.edge_colour(p, seed, u, v)``, from the colouring's law."""
         if u == v:
             raise ValidationError("graph/loop", "no colour on a loop")
-        return prng.edge_colour(self.p, self.seed, u, v)
+        thresholds, key = self._law
+        return bisect_right(thresholds, prng.keyed_bits(key, u, v)) + 1
 
 
 def random_coloured_graph(n: int, colouring: GeometricColouring) -> ColouredGraph:
     """Materialize the seeded colouring on n vertices.
 
     Bulk path is the vectorized replay of the scalar per-edge function;
-    the two are pinned equal by tests.
+    the two are pinned equal by tests.  ``chi`` is read straight from the
+    kernel's narrow colour array: ``tuple(memoryview(flat))`` gives exact
+    ints with no list in between, and ``ColouredGraph`` keeps that tuple
+    without a copy.
     """
     if not _is_int(n) or n < 1:
         raise ValidationError("graph/shape", "vertex count must be positive")
-    flat = prng.all_edge_colours(colouring.p, colouring.seed, n).tolist()
-    return ColouredGraph(n, flat)
+    flat = prng.all_edge_colours(colouring.p, colouring.seed, n)
+    return ColouredGraph(n, tuple(memoryview(flat)))
 
 
 class WitnessFailure(NamedTuple):

@@ -56,6 +56,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import prng
+from .colgraph import GeometricColouring
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
 from .rationals import as_probability, exact_rational, nth_rational, simplest_between
 from .space import EchelonedSpace, _colex_pairs, _compress, _is_int
@@ -236,8 +237,14 @@ class RandomLimitModel(LimitModel):
         a pair's label is one tuple lookup by its colour."""
         return _alphabet(self.p).labels
 
+    @cached_property
+    def _colouring(self) -> GeometricColouring:
+        """The seeded colouring whose colours index the labels; it reads
+        its law once, so a pair's scalar colour costs no cache lookup."""
+        return GeometricColouring(self.p, self.seed)
+
     def _label(self, u: int, v: int) -> Fraction:
-        return self.alphabet[prng.edge_colour(self.p, self.seed, u, v)]
+        return self.alphabet[self._colouring.edge_colour(u, v)]
 
     def _prefix_values(self, n: int) -> list[int]:
         """Each pair's label rank within the alphabet, from the colour
@@ -264,7 +271,7 @@ class RandomLimitModel(LimitModel):
         """The geometric colour behind a pair's label."""
         if not (0 <= u < self.size and 0 <= v < self.size) or u == v:
             raise ValidationError("limit/unmaterialized", "need two distinct materialized points")
-        return prng.edge_colour(self.p, self.seed, u, v)
+        return self._colouring.edge_colour(u, v)
 
     def ensure_witness(self, demand: Demand) -> int:
         """The least point outside the demand's base that meets it, among

@@ -15,8 +15,14 @@ over the rows of the flat layout, in blocks of about ``BLOCK_PAIRS``
 pairs: ``all_edge_colours`` writes each block's colours into its slice of
 the output, so its peak memory is about the output plus one block, and
 the random limit model marks the colours it sees.  Both paths read the
-seed's round, the first, from one small cache (``_seed_key``); the scalar
-path runs the other two inline.
+seed's round, the first, from one small cache (:func:`seed_key`); the
+scalar path runs the other two in :func:`keyed_bits`, so a caller that
+keeps the key and the thresholds pays for neither cache per pair.
+
+Every kernel colour array has the narrowest unsigned dtype that holds every
+colour of its law, ``np.min_scalar_type(len(thresholds) + 1)``: uint8 at
+p = 1/2, uint16 at p = 1/256.  Its items read back as exact ints through
+``tolist()`` or ``memoryview``.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
@@ -59,7 +65,7 @@ def mix64(z: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _seed_key(seed: int) -> int:
+def seed_key(seed: int) -> int:
     """The first finalizer round of :func:`edge_bits`, which reads only the
     seed."""
     return mix64((seed & MASK64) ^ GOLDEN)
@@ -71,10 +77,17 @@ def edge_bits(seed: int, u: int, v: int) -> int:
     Scheme "splitmix64/edge-v1": normalize u < v, then three chained
     finalizer rounds absorbing seed and both endpoints.  Pure function, so
     generation order and thread scheduling cannot change a graph.  The
-    last two rounds are :func:`mix64` written out.
+    first round is :func:`seed_key`, the other two :func:`keyed_bits`.
     """
+    return keyed_bits(seed_key(seed), u, v)
+
+
+def keyed_bits(key: int, u: int, v: int) -> int:
+    """:func:`edge_bits` for the seed whose :func:`seed_key` is ``key``: the
+    two rounds that absorb the endpoints, :func:`mix64` written out.  A
+    caller that colours many pairs under one seed keeps its key."""
     a, b = (u, v) if u < v else (v, u)
-    z = _seed_key(seed) ^ (((a + 1) * GOLDEN) & MASK64)
+    z = key ^ (((a + 1) * GOLDEN) & MASK64)
     z = ((z ^ (z >> 30)) * MIX1) & MASK64
     z = ((z ^ (z >> 27)) * MIX2) & MASK64
     z ^= (z >> 31) ^ (((b + 1) * MIX1) & MASK64)
@@ -118,7 +131,7 @@ class _Law(NamedTuple):
     thresholds: tuple[int, ...]
     array: np.ndarray  # the thresholds as uint64
     shift: np.uint64  # 64 - b: r >> shift is r's guide bucket
-    guide: np.ndarray  # int64[2^b]: each bucket's colour, 0 where it varies
+    guide: np.ndarray  # [2^b] of the colour dtype: each bucket's colour, 0 where it varies
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +144,8 @@ def _law(num: int, den: int) -> _Law:
     are k, b = clamp(bit_length(T) + 4, 8, 16) for T thresholds.  A bucket
     [first, last] with no threshold in (first, last] has one colour, which
     it stores; the others store 0 and send their draws to the binary
-    search."""
+    search.  The table's dtype is the law's colour dtype, the narrowest
+    unsigned one that holds the greatest colour, len(thresholds) + 1."""
     ts = geometric_thresholds(Fraction(num, den))
     array = np.array(ts, dtype=np.uint64)
     b = min(max(len(ts).bit_length() + 4, 8), 16)
@@ -139,7 +153,7 @@ def _law(num: int, den: int) -> _Law:
     first = np.arange(1 << b, dtype=np.uint64) << shift
     below = np.searchsorted(array, first, side="right")
     upto = np.searchsorted(array, first | np.uint64((1 << (64 - b)) - 1), side="right")
-    guide = np.where(below == upto, below + 1, 0)
+    guide = np.where(below == upto, below + 1, 0).astype(np.min_scalar_type(len(ts) + 1))
     array.setflags(write=False)
     guide.setflags(write=False)
     return _Law(ts, array, shift, guide)
@@ -177,7 +191,7 @@ def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
     """The first two finalizer rounds of :func:`edge_bits` for each point
     as the lesser endpoint; they read nothing else."""
     with np.errstate(over="ignore"):
-        return _mix64_vec(np.uint64(_seed_key(seed)) ^ ((points.astype(np.uint64) + _ONE) * _G))
+        return _mix64_vec(np.uint64(seed_key(seed)) ^ ((points.astype(np.uint64) + _ONE) * _G))
 
 
 def _greater_terms(points: np.ndarray) -> np.ndarray:
@@ -190,7 +204,8 @@ def _invert(p: Fraction, bits: np.ndarray) -> np.ndarray:
     """The colour of each 64-bit draw, any shape: one guide-table gather
     per draw, and the binary search only for the draws in buckets that a
     threshold splits.  Works on flat views, so the shape comes back
-    unchanged."""
+    unchanged, in the law's colour dtype: that of its guide table,
+    ``np.min_scalar_type(len(thresholds) + 1)``."""
     law = _law(p.numerator, p.denominator)
     flat = bits.ravel()
     colours = law.guide[flat >> law.shift]
@@ -201,10 +216,11 @@ def _invert(p: Fraction, bits: np.ndarray) -> np.ndarray:
 
 def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
     """Colours of the pairs {u, v} over broadcast integer arrays of
-    distinct points, in either order.  Matches :func:`edge_colour` entry by
-    entry.  Point keys are computed on u and on v before they broadcast, so
-    a block of candidates against a few fixed points costs one key per
-    candidate and per fixed point."""
+    distinct points, in either order, in the law's colour dtype (see
+    :func:`_invert`).  Matches :func:`edge_colour` entry by entry.  Point
+    keys are computed on u and on v before they broadcast, so a block of
+    candidates against a few fixed points costs one key per candidate and
+    per fixed point."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     z = np.where(u < v, _point_keys(seed, u), _point_keys(seed, v))
@@ -237,10 +253,12 @@ def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
 
     Flat layout: pair (i, j) at index j*(j-1)//2 + i, so row j is the
     slice from j*(j-1)//2 of the j pairs below j.  Matches the scalar
-    :func:`edge_colour` entry by entry.  Each block of rows from
-    ``_colour_blocks`` is written into its slice of the output.
+    :func:`edge_colour` entry by entry.  The dtype is the law's colour
+    dtype, ``np.min_scalar_type(len(thresholds) + 1)``: one byte a pair at
+    p = 1/2, two at p = 1/256.  Each block of rows from ``_colour_blocks``
+    is written into its slice of the output.
     """
-    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    out = np.empty(n * (n - 1) // 2, dtype=_law(p.numerator, p.denominator).guide.dtype)
     for lo, colours in _colour_blocks(p, seed, n):
         out[lo : lo + colours.size] = colours
         del colours  # so the next block is coloured without this one alive

@@ -5,6 +5,8 @@ pinned to it exactly.  Marginals are checked against the geometric law
 with a chi-square test, and the exact threshold table is verified against
 the law's cumulative distribution by integer arithmetic."""
 
+import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from scipy import stats
 from echelon import (
     ColouredGraph,
     GeometricColouring,
+    RandomLimitModel,
     as_probability,
     check_star,
     from_coloured_graph,
@@ -25,9 +28,10 @@ from echelon import (
     to_coloured_graph,
     witness_failure_probability,
 )
-from echelon import prng
+from echelon import jsonio, prng
 from echelon.colgraph import WITNESS_BITS_CAP
 from echelon.errors import CapExceeded, DemandError, ValidationError
+from echelon.rationals import nth_rational
 from echelon.space import _colex_pairs
 
 from helpers import (
@@ -135,7 +139,7 @@ def test_guide_table_inversion_at_every_boundary(p):
     ts = prng.geometric_thresholds(p)
     law = prng._law(p.numerator, p.denominator)
     buckets = np.arange(law.guide.size, dtype=np.uint64) << law.shift
-    assert 0 < law.guide.size <= 1 << 16 and law.guide.dtype == np.int64
+    assert 0 < law.guide.size <= 1 << 16 and law.guide.dtype == np.min_scalar_type(len(ts) + 1)
     draws = sorted(
         {r for t in ts for r in (t - 1, t, t + 1) if 0 <= r < SCALE}
         | set(buckets.tolist())
@@ -146,7 +150,7 @@ def test_guide_table_inversion_at_every_boundary(p):
     want = [prng.geometric_colour(p, r) for r in draws]
     bits = np.array(draws, dtype=np.uint64)
     flat = prng._invert(p, bits)
-    assert flat.dtype == np.int64 and flat.tolist() == want
+    assert flat.dtype == law.guide.dtype and flat.tolist() == want
     block = bits.reshape(2, -1)
     assert prng._invert(p, block).tolist() == np.array(want).reshape(2, -1).tolist()
     assert prng._invert(p, block.T).tolist() == np.array(want).reshape(2, -1).T.tolist()
@@ -154,19 +158,20 @@ def test_guide_table_inversion_at_every_boundary(p):
 
 
 def test_kernel_equals_the_binary_search_kernel():
-    """Entry by entry and dtype for dtype against the kernel that searched
-    the thresholds for every pair."""
+    """Entry by entry against the int64 kernel that searched the thresholds
+    for every pair, in the law's narrow colour dtype."""
     for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)):
+        narrow = np.min_scalar_type(len(prng.geometric_thresholds(p)) + 1)
         for seed in (0, 7, 2**64 - 1):
             for n in (0, 1, 2, 300):
                 got = prng.all_edge_colours(p, seed, n)
                 want = reference_all_edge_colours(p, seed, n)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert want.dtype == np.int64 and got.dtype == narrow and np.array_equal(got, want)
             u = np.arange(200)[:, None]
             v = np.array([0, 5, 199, 4000])
             got = prng.pair_colours(p, seed, u, v)
             want = reference_pair_colours(p, seed, u, v)
-            assert got.shape == (200, 4) and got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.shape == (200, 4) and got.dtype == narrow and np.array_equal(got, want)
     # many blocks of rows, up to the CLI's cap, and the --p floor, where
     # the most draws miss the guide table
     for p, n in ((Fraction(1, 2), 1024), (Fraction(1, 2), 2048), (Fraction(1, 256), 1024)):
@@ -175,18 +180,20 @@ def test_kernel_equals_the_binary_search_kernel():
 
 def test_bulk_kernel_peak_memory():
     """All pair colours of 1,024 points (523,776) and of the CLI's cap of
-    2,048 (2,096,128) at a peak of at most 1.5 times the output's bytes:
-    the output and one block of rows."""
-    p = Fraction(1, 2)
-    for n in (1024, 2048):
-        out = prng.all_edge_colours(p, 11, n)
-        tracemalloc.start()
-        try:
-            prng.all_edge_colours(p, 11, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * out.nbytes, n
+    2,048 (2,096,128), in uint8 (p = 1/2) and in uint16 (p = 1/256), at a
+    peak of at most 12 bytes a pair, and of at most the output plus three
+    int64 arrays of one block of rows."""
+    for p in (Fraction(1, 2), Fraction(1, 256)):
+        for n in (1024, 2048):
+            out = prng.all_edge_colours(p, 11, n)
+            tracemalloc.start()
+            try:
+                prng.all_edge_colours(p, 11, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * out.size, (p, n, peak)
+            assert peak <= out.nbytes + 3 * 8 * prng.BLOCK_PAIRS, (p, n, peak)
 
 
 def test_bulk_kernel_block_boundaries():
@@ -216,6 +223,70 @@ def test_graph_determinism_and_structure():
     assert g1.colour(3, 5) == g1.colour(5, 3)
     assert g1.colour(3, 5) == colouring.edge_colour(3, 5)
     assert min(g1.colours) == 1
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 256)], ids=["uint8", "uint16"])
+def test_chi_holds_exact_ints(p):
+    """``chi`` from the narrow kernel array: exact ints equal to the scalar
+    colour, kept as the tuple given, and rendered by the int-list fast path
+    of ``dumps`` as the standard library renders it."""
+    n = 70
+    g = random_coloured_graph(n, GeometricColouring(p, 5))
+    assert prng.all_edge_colours(p, 5, n).dtype == np.min_scalar_type(len(prng.geometric_thresholds(p)) + 1)
+    assert type(g.chi) is tuple and all(type(c) is int for c in g.chi)
+    assert list(g.chi) == [prng.edge_colour(p, 5, i, j) for i, j in _colex_pairs(n)]
+    if p == Fraction(1, 256):
+        assert max(g.chi) > 255  # colours past one byte
+    t = (1, 2, 1)
+    assert ColouredGraph(3, t).chi is t
+    doc = jsonio.graph_to_json(g)
+    assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
+def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
+    """``GeometricColouring.edge_colour``, ``RandomLimitModel.colour_index``
+    and its ``rank_label`` read the law once per object; each equals
+    ``prng.edge_colour`` in both endpoint orders."""
+    n = 24
+    for seed in (0, 1, 12345, 2**64 - 1):
+        colouring = GeometricColouring(p, seed)
+        model = RandomLimitModel(seed, p)
+        model.limit_points(n)
+        for j in range(1, n):
+            for i in range(j):
+                want = prng.edge_colour(p, seed, i, j)
+                for u, v in ((i, j), (j, i)):
+                    assert colouring.edge_colour(u, v) == want
+                    assert model.colour_index(u, v) == want
+                    assert model.rank_label(u, v) == nth_rational(want)
+    with pytest.raises(ValidationError) as err:
+        GeometricColouring(p, 0).edge_colour(4, 4)
+    assert err.value.code == "graph/loop"
+    # seeds are read mod 2^64, as before the law was cached
+    assert GeometricColouring(p, -1).edge_colour(2, 9) == prng.edge_colour(p, 2**64 - 1, 2, 9)
+    negative = RandomLimitModel(-1, p)
+    negative.limit_points(10)
+    assert negative.colour_index(2, 9) == prng.edge_colour(p, 2**64 - 1, 2, 9)
+
+
+def test_random_graph_peak_memory():
+    """``random_coloured_graph(1024, ...)`` at a traced peak below the
+    ``chi`` tuple, the kernel's output and three int64 blocks of rows: no
+    room for a list of all the colours (8 bytes a pair).  At p = 1/256 the
+    colours past CPython's cached small ints are objects of ``chi`` too."""
+    for p in (Fraction(1, 2), Fraction(1, 256)):
+        colouring = GeometricColouring(p, 11)
+        g = random_coloured_graph(1024, colouring)
+        out = prng.all_edge_colours(p, 11, 1024)
+        tracemalloc.start()
+        try:
+            random_coloured_graph(1024, colouring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        objects = sum(sys.getsizeof(c) for c in g.chi if c > 256)
+        assert peak < sys.getsizeof(g.chi) + objects + out.nbytes + 3 * 8 * prng.BLOCK_PAIRS, (p, peak)
 
 
 def test_marginals_chi_square():
