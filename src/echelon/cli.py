@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -456,8 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _write(text: str, out: Optional[str]) -> None:
     """Print ``text``, or write it to ``out``.  A regular file, or a path
     that names nothing yet, is written through a temporary file beside it
-    and then renamed over it, so a failed write leaves no partial document;
-    any other target, such as a device or a pipe, is written in place."""
+    and then renamed over it, so a failed write leaves no partial document,
+    and a file it replaces keeps its permission bits; any other target,
+    such as a device or a pipe, is written in place."""
     if not out:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -472,6 +474,8 @@ def _write(text: str, out: Optional[str]) -> None:
     try:
         with f:
             f.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, temporary)
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)

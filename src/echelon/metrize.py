@@ -7,7 +7,9 @@ rejected so no binary rounding can sneak into a comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import eq, is_
 from typing import Sequence
 
 from .errors import MetricError, MorphismError
@@ -33,34 +35,60 @@ def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, list[int], bool]:
     times the lcm of their denominators as integers in ``_colex_pairs``
     order, and whether it is dull.
 
-    Scaling by a positive constant keeps every equality and comparison, so
-    the axioms are checked on the integer table, in the order shape,
-    diagonal, symmetry, positivity, triangle.  Once the first four hold, a
-    dull table (every distance at most twice the least) has no failing
-    triple: d(x,z) <= max <= 2 min <= d(x,y) + d(y,z), and a triple with a
-    repeated index cannot fail.  So the triangle check runs only on a table
-    that is not dull, and over i < k only: a failure at (i, j, k) with
-    i > k mirrors one at (k, j, i) that comes earlier, so the failure
-    reported is still the first in i-j-k order."""
+    The axioms are screened a whole table at a time, in the order shape,
+    diagonal, symmetry, positivity, triangle.  A table of exact
+    ``Fraction``s is kept as it is; in any other table each entry that is
+    not one is read by ``_as_fraction``, which refuses the first bad entry
+    in row order.  Symmetry is screened by identity, since the readers put
+    one object on both sides of the diagonal, and by exact
+    ``as_integer_ratio`` pairs only when some mirrored pair is two objects.
+    Only the lower triangle is scaled to integers, by the lcm of its
+    denominators: scaling by a positive constant keeps every equality and
+    comparison, so positivity and dullness compare integers, never two
+    Fractions.  When a screen fails, ``_first_fault`` walks the pairs to
+    name the first fault in row order.
+
+    Once those hold, a dull table (every distance at most twice the least)
+    has no failing triple: d(x,z) <= max <= 2 min <= d(x,y) + d(y,z), and
+    a triple with a repeated index cannot fail.  So the triangle check runs
+    only on a table that is not dull, and over i < k only: a failure at
+    (i, j, k) with i > k mirrors one at (k, j, i) that comes earlier, so
+    the failure reported is still the first in i-j-k order.  It compares
+    integers too: the upper triangle is scaled by the same lcm, which
+    symmetry makes a multiple of every denominator there."""
     m = len(d)
     if m < 1 or any(len(row) != m for row in d):
         raise MetricError("metric/shape", "distance table must be square and non-empty")
-    t = tuple(
-        tuple(_as_fraction(v, i, j) for j, v in enumerate(row)) for i, row in enumerate(d)
+    t = tuple(map(tuple, d))
+    if {*map(type, chain.from_iterable(t))} != {Fraction}:
+        t = tuple(
+            tuple(v if type(v) is Fraction else _as_fraction(v, i, j) for j, v in enumerate(row))
+            for i, row in enumerate(t)
+        )
+    below = [q for i, row in enumerate(t) for q in row[:i]]
+    scale = lcm(*{q.denominator for q in below})
+    values = [a * (scale // b) for a, b in map(Fraction.as_integer_ratio, below)]
+    symmetric = all(map(is_, chain.from_iterable(t), chain.from_iterable(zip(*t)))) or all(
+        map(
+            eq,
+            map(Fraction.as_integer_ratio, below),
+            (q.as_integer_ratio() for i, column in enumerate(zip(*t)) for q in column[:i]),
+        )
     )
-    scale = lcm(*{q.denominator for row in t for q in row})
-    s = tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in t)
-    for i in range(m):
-        if s[i][i] != 0:
-            raise MetricError("metric/diagonal", f"d({i},{i}) must be 0")
-        for j in range(i + 1, m):
-            if s[i][j] != s[j][i]:
-                raise MetricError("metric/symmetry", f"d({i},{j}) != d({j},{i})")
-            if s[i][j] <= 0:
-                raise MetricError("metric/positivity", f"d({i},{j}) must be positive")
-    values = [x for j, row in enumerate(s) for x in row[:j]]
-    dull = not values or max(values) <= 2 * min(values)
+    least = min(values, default=1)
+    if any(row[i] for i, row in enumerate(t)) or not symmetric or least <= 0:
+        _first_fault(t, values)
+    dull = not values or max(values) <= 2 * least
     if not dull:
+        # Row i is its part of ``values``, 0, and d(i,k) for k > i scaled
+        # afresh rather than read back from ``values``: integers that lie in
+        # row order in memory make the cubic loop about a tenth faster at
+        # m = 800.
+        s = [
+            values[i * (i - 1) // 2 : i * (i + 1) // 2] + [0]
+            + [a * (scale // b) for a, b in map(Fraction.as_integer_ratio, row[i + 1 :])]
+            for i, row in enumerate(t)
+        ]
         for i in range(m):
             si = s[i]
             for j in range(m):
@@ -72,6 +100,21 @@ def _checked(d: Sequence[Sequence[object]]) -> tuple[Metric, list[int], bool]:
                             f"d({i},{k}) > d({i},{j}) + d({j},{k})",
                         )
     return t, values, dull
+
+
+def _first_fault(t: Metric, values: list[int]) -> None:
+    """Raise the first fault among the diagonal, symmetry and positivity
+    axioms, pair by pair in row order.  A pair that passes symmetry has
+    d(i,j) = d(j,i), so its sign is read from the scaled lower triangle."""
+    for i, row in enumerate(t):
+        if row[i]:
+            raise MetricError("metric/diagonal", f"d({i},{i}) must be 0")
+        for j in range(i + 1, len(t)):
+            a, b = row[j], t[j][i]
+            if a is not b and a.as_integer_ratio() != b.as_integer_ratio():
+                raise MetricError("metric/symmetry", f"d({i},{j}) != d({j},{i})")
+            if values[j * (j - 1) // 2 + i] <= 0:
+                raise MetricError("metric/positivity", f"d({i},{j}) must be positive")
 
 
 def validate_metric(d: Sequence[Sequence[object]]) -> Metric:

@@ -8,6 +8,7 @@ import json
 import signal
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from echelon.limit import (
     OpenInterval,
     _validate_demand,
 )
+from echelon.metrize import _as_fraction
 from echelon.prng import SplitMix64Stream
 from echelon.rationals import nth_rational, rational_between
 from echelon.space import _colex_pairs, _compress
@@ -581,6 +583,42 @@ def reference_validate_metric(d):
                         f"d({i},{k}) > d({i},{j}) + d({j},{k})",
                     )
     return t
+
+
+def reference_checked(d):
+    """The metric check as one integer pass: every entry read, all m^2
+    distances scaled by the lcm of their denominators, then the axioms pair
+    by pair, kept as the reference that metrize._checked must reproduce,
+    result or first fault.  Entries are read by the library's own reader, so
+    a Fraction subclass stays as it is."""
+    m = len(d)
+    if m < 1 or any(len(row) != m for row in d):
+        raise MetricError("metric/shape", "distance table must be square and non-empty")
+    t = tuple(tuple(_as_fraction(v, i, j) for j, v in enumerate(row)) for i, row in enumerate(d))
+    scale = lcm(*{q.denominator for row in t for q in row})
+    s = tuple(tuple(q.numerator * (scale // q.denominator) for q in row) for row in t)
+    for i in range(m):
+        if s[i][i] != 0:
+            raise MetricError("metric/diagonal", f"d({i},{i}) must be 0")
+        for j in range(i + 1, m):
+            if s[i][j] != s[j][i]:
+                raise MetricError("metric/symmetry", f"d({i},{j}) != d({j},{i})")
+            if s[i][j] <= 0:
+                raise MetricError("metric/positivity", f"d({i},{j}) must be positive")
+    values = [x for j, row in enumerate(s) for x in row[:j]]
+    dull = not values or max(values) <= 2 * min(values)
+    if not dull:
+        for i in range(m):
+            si = s[i]
+            for j in range(m):
+                sij, sj = si[j], s[j]
+                for k in range(i + 1, m):
+                    if si[k] > sij + sj[k]:
+                        raise MetricError(
+                            "metric/triangle",
+                            f"d({i},{k}) > d({i},{j}) + d({j},{k})",
+                        )
+    return t, values, dull
 
 
 def reference_from_metric(d):

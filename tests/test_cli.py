@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -582,6 +583,28 @@ def test_out_replaces_an_existing_document_whole(invoke, tmp_path):
     assert code == 0
     assert target.read_text() == invoke(["metrize", s])[1]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metric.json", "s.json"]
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o600], ids=["640", "600"])
+def test_out_keeps_the_mode_of_the_file_it_replaces(invoke, tmp_path, mode):
+    target = tmp_path / "spaces.json"
+    target.write_text("old")
+    target.chmod(mode)
+    code, _, _ = invoke(["enumerate", "--m", "2", "--out", str(target)])
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert target.read_text() == invoke(["enumerate", "--m", "2"])[1]
+
+
+def test_out_creates_a_new_file_with_the_umask_mode(invoke, tmp_path):
+    target = tmp_path / "spaces.json"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = invoke(["enumerate", "--m", "2", "--out", str(target)])
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def run_cli(argv, stdout):

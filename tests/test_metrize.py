@@ -5,6 +5,7 @@ dullness predicate is pinned against a brute-force pair-of-pairs check."""
 
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,11 +23,13 @@ from echelon import (
     one_lipschitz_not_homomorphism_example,
     validate_metric,
 )
+from echelon import metrize
 from echelon.errors import MetricError, MorphismError
 from echelon.prng import SplitMix64Stream
 
 from helpers import (
     random_space,
+    reference_checked,
     reference_from_metric,
     reference_is_dull,
     reference_is_one_lipschitz,
@@ -235,15 +238,21 @@ def _outcome(f, *args):
     return ("value", out)
 
 
-def test_metric_functions_match_the_fraction_loops():
-    stream = SplitMix64Stream(606)
+def _metric_corpus(stream):
+    """Tables of 1 to 6 points, each also spelled textually, and the
+    shapes that are not square."""
     cases = []
     for m in range(1, 7):
         for _ in range(150):
             d = _corpus_case(stream, m)
             cases.append(d)
             cases.append(_textual(d))
-    cases += [[], [[0, 1]], [[0, 1], [1]], [[0]], [["0"]]]
+    return cases + [[], [[0, 1]], [[0, 1], [1]], [[0]], [["0"]]]
+
+
+def test_metric_functions_match_the_fraction_loops():
+    stream = SplitMix64Stream(606)
+    cases = _metric_corpus(stream)
     codes = set()
     for n, d in enumerate(cases):
         for new, ref in (
@@ -283,7 +292,7 @@ def _band_edge(stream, m):
     return d
 
 
-def test_metrics_at_the_band_edge_match_the_fraction_loops():
+def _band_edge_corpus():
     one, two, more = Fraction(1), Fraction(2), Fraction(2001, 1000)
     cases = [
         grid([[0, 1, 2], [1, 0, 2], [2, 2, 0]]),  # max = 2 min exactly
@@ -293,9 +302,12 @@ def test_metrics_at_the_band_edge_match_the_fraction_loops():
         [[0, two, more, 1], [two, 0, 1, 1], [more, 1, 0, 1], [1, 1, 1, 0]],  # fails via point 3
     ]
     stream = SplitMix64Stream(608)
-    cases += [_band_edge(stream, m) for m in range(2, 8) for _ in range(60)]
+    return cases + [_band_edge(stream, m) for m in range(2, 8) for _ in range(60)]
+
+
+def test_metrics_at_the_band_edge_match_the_fraction_loops():
     outcomes = set()
-    for d in cases:
+    for d in _band_edge_corpus():
         for new, ref in (
             (validate_metric, reference_validate_metric),
             (from_metric, reference_from_metric),
@@ -305,6 +317,115 @@ def test_metrics_at_the_band_edge_match_the_fraction_loops():
             assert got == _outcome(ref, d), (new.__name__, d)
         outcomes.add(got[1:3] if got[0] == "raised" else got[1])
     assert outcomes == {True, False, ("MetricError", "metric/triangle")}
+
+
+class Third(Fraction):
+    """A Fraction subclass: read as it is, like any Fraction."""
+
+
+def _distinct(d):
+    """The same table with every entry its own object."""
+    return [[Fraction(q.numerator, q.denominator) for q in row] for row in d]
+
+
+# each fault, placed early at the pair (0, 1) or the point 1, or late at the
+# pair (3, 4) or the point 4
+FAULTS = {
+    "shape": lambda d, i, k: d[i].__setitem__(k, 1.5),
+    "diagonal": lambda d, i, k: d[k].__setitem__(k, Fraction(1, 3)),
+    "symmetry": lambda d, i, k: d[i].__setitem__(k, d[i][k] + Fraction(1, 7)),
+    "positivity": lambda d, i, k: (d[i].__setitem__(k, Fraction(0)), d[k].__setitem__(i, Fraction(0))),
+    "triangle": lambda d, i, k: (d[i].__setitem__(k, Fraction(10)), d[k].__setitem__(i, Fraction(10))),
+}
+
+
+def _two_faults(early, late):
+    d = _distinct(metrize_dull(from_weights(5, {(i, j): i + 2 * j for i in range(5) for j in range(i + 1, 5)})))
+    FAULTS[late](d, 3, 4)
+    FAULTS[early](d, 0, 1)
+    return d
+
+
+def _checked_outcome(check, d):
+    try:
+        t, values, dull = check(d)
+    except MetricError as err:
+        return ("raised", err.code, str(err))
+    return (
+        tuple(tuple((type(q), q) for q in row) for row in t),
+        [(type(x), x) for x in values],
+        dull,
+    )
+
+
+def test_checked_matches_the_pairwise_integer_check():
+    """The screened check returns what the pairwise integer check returns,
+    or raises its first fault, on both corpora above and on the tables the
+    screens treat apart: mirrored pairs that are two equal objects, one row
+    object repeated, rows of mixed types, entries of every accepted type,
+    and every pair of faults with the first of one kind and a later one of
+    another."""
+    line = [[Fraction(abs(i - j)) for j in range(4)] for i in range(4)]
+    dull = metrize_dull(from_weights(4, {(0, 1): 1, (0, 2): 2, (1, 2): 2, (0, 3): 3, (1, 3): 1, (2, 3): 3}))
+    row = [Fraction(0), Fraction(1), Fraction(1)]
+    cases = _metric_corpus(SplitMix64Stream(606)) + _band_edge_corpus()
+    cases += [_distinct(line), _distinct(dull), [list(r) for r in line], list(dull)]
+    cases += [[row] * 3, [[Fraction(0)] * 3] * 3, [(0,)], [row[:1]]]
+    cases += [
+        [tuple(dull[0]), list(dull[1]), tuple(dull[2]), list(dull[3])],
+        [(0, 1, "2"), [1, 0, Fraction(1)], ["2", Third(1), Fraction(0)]],
+        [[0, Third(1, 3), "2/3"], [Third(1, 3), 0, "1/2"], ["2/3", "1/2", 0]],
+        [[Third(0), Third(1, 3)], [Third(1, 3), Third(0)]],
+        [[0, 2], [Fraction(4, 2), Fraction(0, 5)]],
+    ]
+    cases += [_two_faults(a, b) for a in FAULTS for b in FAULTS if a != b]
+    outcomes = set()
+    for d in cases:
+        got = _checked_outcome(metrize._checked, d)
+        assert got == _checked_outcome(reference_checked, d), d
+        outcomes.add(got[1] if got[0] == "raised" else got[2])
+    assert outcomes == {True, False, *(f"metric/{kind}" for kind in FAULTS)}
+    for a in FAULTS:
+        for b in FAULTS:
+            if a != b:
+                # a shape fault is found before any axiom, and a triangle after
+                first = "shape" if "shape" in (a, b) else b if a == "triangle" else a
+                assert _checked_outcome(metrize._checked, _two_faults(a, b))[1] == f"metric/{first}", (a, b)
+
+
+def test_a_valid_metric_is_checked_without_comparing_fractions(monkeypatch):
+    """No two Fractions are compared, even when every mirrored pair is two
+    objects: the screens compare types, identities, ratios and integers.
+    The first table is not dull, so its triangle loop runs too."""
+    stream = SplitMix64Stream(609)
+    tables = [_distinct(_closure(stream, 8)), _distinct(metrize_dull(random_space(stream, 8)))]
+    calls = []
+    for name in ("__eq__", "__lt__", "__le__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, _m=method, _n=name: calls.append(_n) or _m(a, b))
+    assert [is_dull(d) for d in tables] == [False, True]
+    for d in tables:
+        validate_metric(d)
+        from_metric(d)
+    assert calls == []
+
+
+def test_coprime_denominators_scale_only_the_lower_triangle():
+    """Pairwise coprime denominators make the lcm as long as all of them
+    together; only the m(m-1)/2 distances below the diagonal are scaled by
+    it.  Scaling all m^2 entries traces a peak of about 35 MB."""
+    m = 80
+    primes = [p for p in range(2, 30_000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    d = [[Fraction(0)] * m for _ in range(m)]
+    for (i, j), p in zip(itertools.combinations(range(m), 2), primes):
+        d[i][j] = d[j][i] = Fraction(p + 1, p)
+    tracemalloc.start()
+    try:
+        assert is_dull(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6, peak
 
 
 @pytest.mark.parametrize("image", [0.0, True, "1"])
