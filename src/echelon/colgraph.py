@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import prng
 from .errors import CapExceeded, DemandError, ValidationError
 from .rationals import as_probability
-from .space import EchelonedSpace, _colex_pairs, _is_int, from_weights
+from .space import _is_int
 
 
 def pair_index(i: int, j: int) -> int:
@@ -61,16 +61,6 @@ class ColouredGraph:
             raise ValidationError(
                 "graph/colours", "edge colours are not mutually comparable"
             ) from None
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    v: int
-    edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
-
-    def adjacent(self, u: int, w: int) -> bool:
-        a, b = (u, w) if u < w else (w, u)
-        return (a, b) in self.edges
 
 
 @dataclass(frozen=True)
@@ -201,21 +191,3 @@ def witness_failure_probability(
     success = (1 - pf) ** exp_q * pf**exp_p
     per_vertex = 1 - success
     return WitnessFailure(per_vertex, per_vertex**n)
-
-
-def rado_slice(graph: ColouredGraph, colour: object) -> SimpleGraph:
-    """Simple graph keeping exactly the edges of one colour."""
-    edges = frozenset(p for p, c in zip(_colex_pairs(graph.v), graph.chi) if c == colour)
-    return SimpleGraph(graph.v, edges)
-
-
-def to_coloured_graph(space: EchelonedSpace) -> ColouredGraph:
-    """View a space as a complete graph coloured by ranks 1..n."""
-    return ColouredGraph(space.m, [r for j, row in enumerate(space.table) for r in row[:j]])
-
-
-def from_coloured_graph(graph: ColouredGraph) -> EchelonedSpace:
-    """Echelon a complete coloured graph by the order of its colours.
-
-    Fails if the colour labels are not mutually comparable."""
-    return from_weights(graph.v, dict(zip(_colex_pairs(graph.v), graph.chi)))

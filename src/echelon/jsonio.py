@@ -170,10 +170,6 @@ def _dump_metric(d: Metric) -> dict:
     return _document("metric", points=len(d), d=_fraction_rows(d))
 
 
-def metric_to_json(d: Metric) -> dict:
-    return _dump_metric(validate_metric(d))
-
-
 def _graph(doc: dict) -> ColouredGraph:
     return ColouredGraph(*_rows(doc, "v", "chi", _int_row))
 
@@ -311,19 +307,11 @@ def ordered_space_from_json(doc: Any) -> OrderedEchelonedSpace:
     return _ordered_space(doc)
 
 
-def metric_from_json(doc: Any) -> Metric:
-    return _load(doc, ("metric",))[1]
-
-
 def space_from_metric_json(doc: Any) -> EchelonedSpace:
     """The echelon of a ``metric`` document; ``from_metric`` validates the
     distances, so they are checked once."""
     _header(doc, ("metric",))
     return from_metric(_weights(doc, "d"))
-
-
-def graph_from_json(doc: Any) -> ColouredGraph:
-    return _load(doc, ("graph",))[1]
 
 
 def weights_from_json(doc: Any) -> tuple[int, dict]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, MorphismError
 from .space import (
@@ -106,11 +106,6 @@ class KatetovChain:
         return rank_label(j) if j else APART
 
 
-def katetov_chain(space: EchelonedSpace) -> KatetovChain:
-    """The extension chain of a space."""
-    return KatetovChain.of(space.m, space.n)
-
-
 class KatetovSpace:
     """The extension space K(X), with ranks computed on demand.
 
@@ -133,7 +128,7 @@ class KatetovSpace:
 
     @property
     def chain(self) -> KatetovChain:
-        return katetov_chain(self.base)
+        return KatetovChain.of(self.base.m, self.base.n)
 
     def function_count(self) -> int:
         return self.width**self.base.m
@@ -198,21 +193,6 @@ def katetov_space(space: EchelonedSpace) -> KatetovSpace:
 def _transport(w: Sequence[int], m: int, target_m: int) -> list[int]:
     """The images of the positions 1..width of an m-point space's chain."""
     return [1 + wj * (target_m + 1) + k for wj in w for k in range(m + 1)]
-
-
-def chain_label_map(
-    source: EchelonedSpace, target: EchelonedSpace, phi: Sequence[int]
-) -> Optional[dict[Label, Label]]:
-    """How an embedding transports extension-chain labels, or None.
-
-    bot and apart are fixed, gap-0 slots keep their index, rank(i) follows
-    the embedding's rank map, and slot(k,i) moves to the same slot index in
-    the image gap."""
-    w = embedding_rank_map(source, target, phi)
-    if w is None:
-        return None
-    moved = [0] + _transport(w, source.m, target.m)  # bot stays
-    return dict(zip(katetov_chain(source).labels, map(katetov_chain(target).label_at, moved)))
 
 
 def katetov_map(

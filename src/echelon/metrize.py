@@ -164,25 +164,3 @@ def is_one_lipschitz(
     return all(
         t[h[i]][h[j]] <= s[i][j] for i in range(m) for j in range(i + 1, m)
     )
-
-
-def one_lipschitz_not_homomorphism_example() -> tuple[Metric, Metric, tuple[int, ...]]:
-    """Three-point witness that 1-Lipschitz maps need not preserve echelons.
-
-    Source distances (2, 4, 4), target distances (2, 1, 1), identity on
-    indices: distances never grow, but the closest source pair is sent to
-    the farthest target pair, so no monotone rank map exists.
-    """
-    two, four, one = Fraction(2), Fraction(4), Fraction(1)
-    zero = Fraction(0)
-    d_m: Metric = (
-        (zero, two, four),
-        (two, zero, four),
-        (four, four, zero),
-    )
-    d_n: Metric = (
-        (zero, two, one),
-        (two, zero, one),
-        (one, one, zero),
-    )
-    return d_m, d_n, (0, 1, 2)

@@ -17,13 +17,6 @@ B once per call, tests each candidate's bare rank table, and wraps only
 the witness it returns as an ordered space.  A C without B-copies cannot
 arrow, so neither consults the colouring budget for it: ``arrow_check``
 answers False and ``witness_search`` skips it.
-
-The translation to ordered edge-coloured simple graphs erases one chosen
-colour class to "non-edge" and keeps the rest; it is inverse to filling
-the non-edges back in, and it changes nothing about embeddings.
-``graph_embeddings`` is the same subset walk with colour equality in place
-of rank rise: graphs match colours exactly, while spaces accept any rising
-rank map, so the two share the walk and not the step test.
 """
 
 from __future__ import annotations
@@ -301,78 +294,3 @@ def witness_search(
             if _decide(copies_a, copies_b, k):
                 return OrderedEchelonedSpace(sp, tuple(points))
     return None
-
-
-# --- translation to ordered edge-coloured simple graphs ---
-
-
-@dataclass(frozen=True)
-class OrderedEdgeColouredGraph:
-    """Simple graph with ordered vertices and coloured edges.
-
-    ``edges`` maps pairs (i, j), i < j, to colours; absent pairs are
-    non-edges.  Complete instances double as ordered coloured graphs.
-    """
-
-    v: int
-    order: tuple[int, ...]
-    edges: tuple[tuple[tuple[int, int], object], ...]
-
-    def __post_init__(self):
-        if not all(map(_is_int, (self.v, *self.order))) or sorted(self.order) != list(range(self.v)):
-            raise ValidationError("ordered/shape", "order must list every vertex exactly once")
-        colours = {}
-        for (i, j), c in self.edges:
-            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.v):
-                raise ValidationError("graph/shape", f"bad edge ({i},{j})")
-            if (i, j) in colours:
-                raise ValidationError("graph/shape", f"edge ({i},{j}) listed twice")
-            colours[(i, j)] = c
-        object.__setattr__(self, "_colours", colours)
-
-    def colour(self, i: int, j: int):
-        return self._colours.get((i, j) if i < j else (j, i))
-
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.v * (self.v - 1) // 2
-
-
-def ordered_space_graph(s: OrderedEchelonedSpace) -> OrderedEdgeColouredGraph:
-    """The complete graph of a space, edges coloured by rank."""
-    edges = tuple(
-        (((i, j)), s.space.rank(i, j)) for i, j in itertools.combinations(range(s.m), 2)
-    )
-    return OrderedEdgeColouredGraph(s.m, s.order, edges)
-
-
-def phi_translate(g: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeColouredGraph:
-    """Erase one colour class to non-edges; requires a complete graph."""
-    if not g.is_complete():
-        raise ValidationError("graph/complete", "translation starts from a complete graph")
-    kept = tuple((pair, c) for pair, c in g.edges if c != colour)
-    return OrderedEdgeColouredGraph(g.v, g.order, kept)
-
-
-def phi_inverse(h: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeColouredGraph:
-    """Fill every non-edge with the erased colour."""
-    edges = tuple(
-        (pair, h._colours.get(pair, colour)) for pair in itertools.combinations(range(h.v), 2)
-    )
-    return OrderedEdgeColouredGraph(h.v, h.order, edges)
-
-
-def graph_embeddings(a: OrderedEdgeColouredGraph, c: OrderedEdgeColouredGraph) -> list[PointMap]:
-    """Order-preserving injections matching edge colours and non-edges, in
-    lexicographic order of the sets of c-positions they use.
-
-    The subset walk of ``ordered_embeddings`` with colour equality in place
-    of rank rise: a's position pairs are compiled once with their colours,
-    each position subset of c resolves them to point pairs, and a subset
-    passes when c gives every pair the same colour (None at a non-edge).
-    """
-    steps = [
-        (p, q, a.colour(a.order[p], a.order[q]))
-        for p, q in itertools.combinations(range(a.v), 2)
-    ]
-    subsets = _subsets((a.v, steps, _positions(a.order)), c.order)
-    return [h for pairs, h in subsets if all(c.colour(u, v) == colour for u, v, colour in pairs)]

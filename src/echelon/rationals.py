@@ -9,21 +9,20 @@ Three pieces of machinery, all exact:
   in a few characters); everything else reads as ``None``, and each
   caller raises its own error.  ``as_probability`` reads a colour rate
   through it.
-* ``nth_rational`` / ``rational_index``: the breadth-first walk of the
-  Calkin-Wilf tree, whose root is 1/1 and where a/b has the left child
-  a/(a+b) and the right child (a+b)/b: a bijection between positive
-  integers and positive rationals.  Index 1 is 1/1; the left child of
-  index i is 2i, the right child 2i+1.
-* ``rational_between``: the simplest rational strictly inside an open
-  interval, skipping a finite forbidden set.  Used wherever a fresh label
-  has to be invented deterministically.
+* ``nth_rational``: the breadth-first walk of the Calkin-Wilf tree, whose
+  root is 1/1 and where a/b has the left child a/(a+b) and the right child
+  (a+b)/b: a bijection between positive integers and positive rationals.
+  Index 1 is 1/1; the left child of index i is 2i, the right child 2i+1.
+* ``simplest_between``: the simplest positive rational strictly inside an
+  open interval.  Used wherever a fresh label has to be invented
+  deterministically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite
-from typing import Container, Optional
+from typing import Optional
 
 from .errors import ValidationError
 
@@ -74,25 +73,6 @@ def nth_rational(i: int) -> Fraction:
     return Fraction(num, den)
 
 
-def rational_index(q: Fraction) -> int:
-    """Inverse of :func:`nth_rational`."""
-    if q <= 0:
-        raise ValueError("only positive rationals are enumerated")
-    num, den = q.numerator, q.denominator
-    bits = []
-    while (num, den) != (1, 1):
-        if num > den:
-            bits.append("1")
-            num -= den
-        else:
-            bits.append("0")
-            den -= num
-    i = 1
-    for bit in reversed(bits):
-        i = 2 * i + (1 if bit == "1" else 0)
-    return i
-
-
 def simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
     """Simplest positive rational q with lo < q < hi (hi=None meaning no
     upper bound): the first mediant of the Stern-Brocot walk from 0/1 .. 1/0
@@ -118,21 +98,3 @@ def simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
             rn, rd = rn + k * ln, rd + k * ld
         else:
             return Fraction(mn, md)
-
-
-def rational_between(
-    lo: Fraction, hi: Optional[Fraction], forbidden: Container[Fraction] = ()
-) -> Fraction:
-    """A rational strictly inside (lo, hi) not in ``forbidden``.
-
-    Deterministic: repeatedly takes the simplest rational in the remaining
-    sub-interval above the last collision.  Terminates because the forbidden
-    collection is finite and every retry strictly raises the lower bound.
-    ``forbidden`` is only probed with ``in``, never copied.
-    """
-    cur_lo = lo
-    while True:
-        q = simplest_between(cur_lo, hi)
-        if q not in forbidden:
-            return q
-        cur_lo = q

@@ -198,7 +198,9 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
 
     Pairs with equal weights land in the same class; classes are ranked by
     increasing weight.  Only the relative order of the weights matters, so
-    any strictly monotone reweighting produces the same space.
+    any strictly monotone reweighting produces the same space.  A pair key
+    is two distinct points below m, each an int that is not a bool; any
+    other key is refused with ``weights/key``.
     """
     if not _is_int(m) or m < 1:
         raise ValidationError("space/shape", "point count must be a positive integer")
@@ -208,7 +210,7 @@ def from_weights(m: int, weights: Mapping[Pair, object]) -> EchelonedSpace:
             i, j = key
         except (TypeError, ValueError):
             raise ValidationError("weights/key", f"bad pair key {key!r}") from None
-        if i == j or not (0 <= i < m and 0 <= j < m):
+        if not (_is_int(i) and _is_int(j)) or i == j or not (0 <= i < m and 0 <= j < m):
             raise ValidationError("weights/key", f"bad pair key {key!r}")
         pair = (i, j) if i < j else (j, i)
         if pair in norm and norm[pair] != value:
@@ -309,20 +311,6 @@ def embedding_rank_map(source, target, h: Sequence[int]) -> Optional[RankMap]:
 
 def is_embedding(source, target, h: Sequence[int]) -> bool:
     return embedding_rank_map(source, target, h) is not None
-
-
-def enumerate_embeddings(
-    source: EchelonedSpace, target
-) -> list[tuple[PointMap, RankMap]]:
-    """All embeddings source -> target with their rank maps, in lexicographic
-    order of the point maps.  Exhaustive over injective maps; meant for desk
-    scale."""
-    out = []
-    for h in itertools.permutations(range(target.m), source.m):
-        w = embedding_rank_map(source, target, h)
-        if w is not None:
-            out.append((h, w))
-    return out
 
 
 def _refine(rows: Sequence[Sequence[int]], cells: Sequence[list[int]]) -> list[list[int]]:

@@ -1,4 +1,5 @@
-"""Seeded generators shared by the unit and acceptance suites.
+"""Seeded generators, reference implementations and fixtures shared by the
+unit and acceptance suites.
 
 Everything draws from SplitMix64Stream so a seed pins the whole case."""
 
@@ -7,8 +8,10 @@ import itertools
 import json
 import signal
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Container, Optional
 
 import numpy as np
 
@@ -40,10 +43,11 @@ from echelon.limit import (
     OpenInterval,
     _validate_demand,
 )
-from echelon.metrize import _as_fraction
+from echelon.metrize import Metric, _as_fraction
 from echelon.prng import SplitMix64Stream
-from echelon.rationals import nth_rational, rational_between
-from echelon.space import _colex_pairs, _compress
+from echelon.ramsey import _positions, _subsets
+from echelon.rationals import nth_rational, simplest_between
+from echelon.space import PointMap, RankMap, _colex_pairs, _compress, _is_int
 
 
 @contextlib.contextmanager
@@ -204,6 +208,43 @@ def reference_simplest_between(lo, hi):
             rn, rd = mn, md
         else:
             return mid
+
+
+def rational_index(q: Fraction) -> int:
+    """Inverse of :func:`nth_rational`."""
+    if q <= 0:
+        raise ValueError("only positive rationals are enumerated")
+    num, den = q.numerator, q.denominator
+    bits = []
+    while (num, den) != (1, 1):
+        if num > den:
+            bits.append("1")
+            num -= den
+        else:
+            bits.append("0")
+            den -= num
+    i = 1
+    for bit in reversed(bits):
+        i = 2 * i + (1 if bit == "1" else 0)
+    return i
+
+
+def rational_between(
+    lo: Fraction, hi: Optional[Fraction], forbidden: Container[Fraction] = ()
+) -> Fraction:
+    """A rational strictly inside (lo, hi) not in ``forbidden``.
+
+    Deterministic: repeatedly takes the simplest rational in the remaining
+    sub-interval above the last collision.  Terminates because the forbidden
+    collection is finite and every retry strictly raises the lower bound.
+    ``forbidden`` is only probed with ``in``, never copied.
+    """
+    cur_lo = lo
+    while True:
+        q = simplest_between(cur_lo, hi)
+        if q not in forbidden:
+            return q
+        cur_lo = q
 
 
 class ReferenceDeterministicLimitModel(LimitModel):
@@ -659,6 +700,28 @@ def reference_is_one_lipschitz(d_source, d_target, h):
     )
 
 
+def one_lipschitz_not_homomorphism_example() -> tuple[Metric, Metric, tuple[int, ...]]:
+    """Three-point witness that 1-Lipschitz maps need not preserve echelons.
+
+    Source distances (2, 4, 4), target distances (2, 1, 1), identity on
+    indices: distances never grow, but the closest source pair is sent to
+    the farthest target pair, so no monotone rank map exists.
+    """
+    two, four, one = Fraction(2), Fraction(4), Fraction(1)
+    zero = Fraction(0)
+    d_m: Metric = (
+        (zero, two, four),
+        (two, zero, four),
+        (four, four, zero),
+    )
+    d_n: Metric = (
+        (zero, two, one),
+        (two, zero, one),
+        (one, one, zero),
+    )
+    return d_m, d_n, (0, 1, 2)
+
+
 def reference_enumerate_spaces(m, up_to_iso=False):
     """Every rank string in k^k filtered for density, each table checked on
     construction: the enumeration that enumerate_spaces must reproduce,
@@ -768,6 +831,101 @@ def reference_witness_search(a, b, k, size_cap=4, seed=0, samples=200, budget=ra
             except BudgetExceeded:
                 continue
     return None
+
+
+# --- translation to ordered edge-coloured simple graphs ---
+# The translation erases one chosen colour class to "non-edge" and keeps
+# the rest; it is inverse to filling the non-edges back in, and it changes
+# nothing about embeddings.  ``graph_embeddings`` is the same subset walk
+# as ``ordered_embeddings`` with colour equality in place of rank rise:
+# graphs match colours exactly, while spaces accept any rising rank map, so
+# the two share the walk and not the step test.
+
+
+@dataclass(frozen=True)
+class OrderedEdgeColouredGraph:
+    """Simple graph with ordered vertices and coloured edges.
+
+    ``edges`` maps pairs (i, j), i < j, to colours; absent pairs are
+    non-edges.  Complete instances double as ordered coloured graphs.
+    """
+
+    v: int
+    order: tuple[int, ...]
+    edges: tuple[tuple[tuple[int, int], object], ...]
+
+    def __post_init__(self):
+        if not all(map(_is_int, (self.v, *self.order))) or sorted(self.order) != list(range(self.v)):
+            raise ValidationError("ordered/shape", "order must list every vertex exactly once")
+        colours = {}
+        for (i, j), c in self.edges:
+            if not (_is_int(i) and _is_int(j) and 0 <= i < j < self.v):
+                raise ValidationError("graph/shape", f"bad edge ({i},{j})")
+            if (i, j) in colours:
+                raise ValidationError("graph/shape", f"edge ({i},{j}) listed twice")
+            colours[(i, j)] = c
+        object.__setattr__(self, "_colours", colours)
+
+    def colour(self, i: int, j: int):
+        return self._colours.get((i, j) if i < j else (j, i))
+
+    def is_complete(self) -> bool:
+        return len(self.edges) == self.v * (self.v - 1) // 2
+
+
+def ordered_space_graph(s: OrderedEchelonedSpace) -> OrderedEdgeColouredGraph:
+    """The complete graph of a space, edges coloured by rank."""
+    edges = tuple(
+        (((i, j)), s.space.rank(i, j)) for i, j in itertools.combinations(range(s.m), 2)
+    )
+    return OrderedEdgeColouredGraph(s.m, s.order, edges)
+
+
+def phi_translate(g: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeColouredGraph:
+    """Erase one colour class to non-edges; requires a complete graph."""
+    if not g.is_complete():
+        raise ValidationError("graph/complete", "translation starts from a complete graph")
+    kept = tuple((pair, c) for pair, c in g.edges if c != colour)
+    return OrderedEdgeColouredGraph(g.v, g.order, kept)
+
+
+def phi_inverse(h: OrderedEdgeColouredGraph, colour: object) -> OrderedEdgeColouredGraph:
+    """Fill every non-edge with the erased colour."""
+    edges = tuple(
+        (pair, h._colours.get(pair, colour)) for pair in itertools.combinations(range(h.v), 2)
+    )
+    return OrderedEdgeColouredGraph(h.v, h.order, edges)
+
+
+def graph_embeddings(a: OrderedEdgeColouredGraph, c: OrderedEdgeColouredGraph) -> list[PointMap]:
+    """Order-preserving injections matching edge colours and non-edges, in
+    lexicographic order of the sets of c-positions they use.
+
+    The subset walk of ``ordered_embeddings`` with colour equality in place
+    of rank rise: a's position pairs are compiled once with their colours,
+    each position subset of c resolves them to point pairs, and a subset
+    passes when c gives every pair the same colour (None at a non-edge).
+    """
+    steps = [
+        (p, q, a.colour(a.order[p], a.order[q]))
+        for p, q in itertools.combinations(range(a.v), 2)
+    ]
+    subsets = _subsets((a.v, steps, _positions(a.order)), c.order)
+    return [h for pairs, h in subsets if all(c.colour(u, v) == colour for u, v, colour in pairs)]
+
+
+def enumerate_embeddings(
+    source: EchelonedSpace, target
+) -> list[tuple[PointMap, RankMap]]:
+    """All embeddings source -> target with their rank maps, in lexicographic
+    order of the point maps.  Exhaustive over injective maps; meant for desk
+    scale."""
+    out = []
+    for h in itertools.permutations(range(target.m), source.m):
+        w = embedding_rank_map(source, target, h)
+        if w is not None:
+            out.append((h, w))
+    return out
 
 
 def reference_chain_labels(m, n):

@@ -33,7 +33,6 @@ from echelon import (
     is_one_lipschitz,
     katetov_map,
     katetov_space,
-    one_lipschitz_not_homomorphism_example,
     random_coloured_graph,
     realize_extension,
     witness_failure_probability,
@@ -41,7 +40,11 @@ from echelon import (
 )
 from echelon.prng import SplitMix64Stream
 
-from helpers import random_amalgam_triple, random_embedding_chain
+from helpers import (
+    one_lipschitz_not_homomorphism_example,
+    random_amalgam_triple,
+    random_embedding_chain,
+)
 from echelon import amalgamate
 
 

@@ -209,7 +209,7 @@ def test_documents_at_and_past_each_cap_keep_the_exit_contract(clirun, tmp_path)
                 assert json.loads(err)["error"]["code"] == code, what
     # metric documents have no cap: a large dull one is accepted and round-trips
     space = random_space(stream, 200)
-    text = jsonio.dumps(jsonio.metric_to_json(metrize_dull(space)))
+    text = jsonio.dumps(jsonio._dump_metric(metrize_dull(space)))
     for argv, out in ((["validate", "-"], text), (["from-metric", "-"], _space_text(space))):
         assert check_contract(clirun, argv, text, f"{argv[0]} on 200 points") == 0
         assert clirun.invoke(main, argv, text) == (0, out, ""), argv[0]

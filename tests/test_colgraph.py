@@ -20,12 +20,9 @@ from echelon import (
     RandomLimitModel,
     as_probability,
     check_star,
-    from_coloured_graph,
     pair_index,
-    rado_slice,
     random_coloured_graph,
     star_demand,
-    to_coloured_graph,
     witness_failure_probability,
 )
 from echelon import jsonio, prng
@@ -409,22 +406,11 @@ def test_probability_parsing():
             assert err.value.message == "probability must lie strictly between 0 and 1"
 
 
-def test_rado_slice_keeps_one_colour():
-    g = ColouredGraph(4, [1, 2, 1, 1, 2, 3])
-    s = rado_slice(g, 2)
-    assert s.adjacent(0, 2) and s.adjacent(1, 3)
-    assert not s.adjacent(0, 1) and not s.adjacent(2, 3)
-    mono = ColouredGraph(3, [4, 4, 4])
-    assert len(rado_slice(mono, 4).edges) == 3
-    assert len(rado_slice(mono, 1).edges) == 0
-
-
 def test_rado_slice_satisfies_extension_demands():
     """Colour-1 slice of a big random colouring should behave Rado-like:
     any small (inside, outside) request has a witness."""
     n = 256
     g = random_coloured_graph(n, GeometricColouring(Fraction(1, 2), 21))
-    s = rado_slice(g, 1)
     rng = prng.SplitMix64Stream(5)
     failures = 0
     for _ in range(50):
@@ -437,8 +423,8 @@ def test_rado_slice_satisfies_extension_demands():
         for z in range(n):
             if z in picks:
                 continue
-            if all(s.adjacent(z, u) for u in inside) and not any(
-                s.adjacent(z, u) for u in outside
+            if all(g.colour(z, u) == 1 for u in inside) and not any(
+                g.colour(z, u) == 1 for u in outside
             ):
                 hit = z
                 break
@@ -447,15 +433,6 @@ def test_rado_slice_satisfies_extension_demands():
     # per-vertex success is 1/16 at p=1/2, so a miss across 252
     # candidates has probability (15/16)^252 < 1e-7 per demand
     assert failures == 0
-
-
-def test_space_graph_roundtrip():
-    from echelon import enumerate_spaces
-
-    for sp in enumerate_spaces(3):
-        g = to_coloured_graph(sp)
-        assert g.colours == tuple(range(1, sp.n + 1))
-        assert from_coloured_graph(g) == sp
 
 
 def test_coloured_graph_immutable_and_validated():

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "echelon"
+ROOT = PACKAGE.parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -165,35 +166,44 @@ def test_only_space_allocates_square_tables(path):
     assert not allocates_square_table(path.read_text(encoding="utf-8"))
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """The names a module reads: loaded as a Name, named as an attribute
+    or imported by name."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    """The names a module's own definitions and assignments bind at its top level."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return out
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level private names (``_x``, not dunders) that no module of
-    ``sources`` reads, as ``module: name``.  A name is read where it is
-    loaded as a Name, named as an attribute or imported by name."""
+    ``sources`` reads, as ``module: name``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read: set[str] = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-    out = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            for name in names:
-                if name.startswith("_") and not name.startswith("__") and name not in read:
-                    out.append(f"{module}: {name}")
-    return out
+    read = set().union(*map(names_read, trees.values()))
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
 
 
 def test_the_check_sees_an_unread_private_name():
@@ -209,6 +219,59 @@ def test_every_private_name_is_read():
     """A private helper that nothing in the package reads is dead code."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def unused_public_names(sources: dict[str, str], exported: set[str], outside: dict[str, str]) -> list[str]:
+    """Module-level public names of ``sources`` that no module of
+    ``sources`` reads, ``exported`` does not list and no module of
+    ``outside`` reads, as ``module: name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(names_read, trees.values()), *(names_read(ast.parse(s)) for s in outside.values()))
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if not name.startswith("_") and name not in read | exported
+    ]
+
+
+def public_names_bound(source: str) -> set[str]:
+    """The public names a module binds at its top level, imports included."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return {name for name in imported | set(module_level_names(tree)) if not name.startswith("_")}
+
+
+def test_the_check_sees_an_unused_public_name():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef gone():\n    pass\n\nLISTED = 1\nBENCHED: int = 2\n_private = used\n",
+        "b.py": "from . import a\n\nclass Unread:\n    pass\n\n__version__ = '1'\n",
+    }
+    outside = {"run.py": "from echelon.a import BENCHED\n"}
+    assert unused_public_names(sources, {"LISTED"}, outside) == ["a.py: gone", "b.py: Unread"]
+    assert unused_public_names(sources, {"LISTED", "gone", "Unread"}, outside) == []
+    source = "from .a import f, g as h\nimport os.path\nfrom . import b\n__version__ = '1'\n_x = 2\nY = 3\n"
+    assert public_names_bound(source) == {"f", "h", "os", "b", "Y"}
+
+
+def test_every_public_name_is_used_or_exported():
+    """A public name that neither the package nor the benchmarks read, and
+    that ``echelon`` does not export, serves only the tests: it belongs in
+    ``tests/helpers.py``, or nowhere.  ``__all__`` lists exactly the public
+    names ``echelon/__init__.py`` binds."""
+    import echelon  # here, so that running this file counts lines without the package on the path
+
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    outside = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "benchmarks").glob("*.py"))}
+    exported = set(echelon.__all__)
+    assert unused_public_names(sources, exported, outside) == []
+    assert len(echelon.__all__) == len(exported)
+    assert public_names_bound(sources["__init__.py"]) == exported
 
 
 NON_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
@@ -259,8 +322,6 @@ def test_the_count_sees_only_code_lines():
     assert code_lines(source) == 10
     assert code_lines("") == 0
 
-
-ROOT = PACKAGE.parent.parent
 
 
 def declared_modules(pyproject: str) -> set[str]:

@@ -23,12 +23,9 @@ from echelon.jsonio import (
     dumps,
     fraction_from_str,
     fraction_to_str,
-    graph_from_json,
     graph_to_json,
     load_document,
     map_from_json,
-    metric_from_json,
-    metric_to_json,
     ordered_space_from_json,
     space_from_json,
     space_list_to_json,
@@ -103,30 +100,24 @@ def test_declared_ranks_must_be_an_integer(declared):
 
 def test_metric_roundtrip():
     d = metrize_dull(FIX)
-    doc = metric_to_json(d)
+    doc = jsonio._dump_metric(d)
     # rows are the strict lower triangle: row i lists d(i, 0..i-1)
     assert doc["d"][0][0] == fraction_to_str(d[1][0])
-    assert metric_from_json(json.loads(dumps(doc))) == d
+    assert jsonio._load(json.loads(dumps(doc)), ("metric",))[1] == d
 
 
 def test_metric_rejects_axiom_violations():
-    doc = metric_to_json(metrize_dull(FIX))
+    doc = jsonio._dump_metric(metrize_dull(FIX))
     doc["d"][1][0] = "9/1"
     with pytest.raises(MetricError):
-        metric_from_json(doc)  # triangle inequality
-
-
-def test_metric_to_json_checks_the_metric():
-    with pytest.raises(MetricError) as err:
-        metric_to_json(((0, 1), (2, 0)))
-    assert err.value.code == "metric/symmetry"
+        jsonio._load(doc, ("metric",))  # triangle inequality
 
 
 def test_graph_roundtrip():
     g = ColouredGraph(3, (2, 1, 1))
     doc = graph_to_json(g)
     assert doc["kind"] == "graph"
-    assert graph_from_json(json.loads(dumps(doc))) == g
+    assert jsonio._load(json.loads(dumps(doc)), ("graph",))[1] == g
 
 
 def test_format_tag_strict_when_present_lenient_when_absent():
@@ -160,7 +151,7 @@ def test_schema_errors():
 
 def test_load_document_dispatch():
     assert load_document(space_to_json(FIX)) == FIX
-    assert load_document(metric_to_json(metrize_dull(FIX))) == metrize_dull(FIX)
+    assert load_document(jsonio._dump_metric(metrize_dull(FIX))) == metrize_dull(FIX)
     g = ColouredGraph(2, (3,))
     assert load_document(graph_to_json(g)) == g
     with pytest.raises(ValidationError):
@@ -187,7 +178,7 @@ def one_of_each_kind():
     return [
         space_to_json(FIX),
         ordered,
-        metric_to_json(metrize_dull(FIX)),
+        jsonio._dump_metric(metrize_dull(FIX)),
         graph_to_json(ColouredGraph(3, (2, 1, 1))),
         {"kind": "weights", "points": 3, "w": [["2"], ["4/2", "8/2"]]},
         {"kind": "space-list", "spaces": [ordered, {"kind": "report"}]},
@@ -221,15 +212,15 @@ def test_load_document_composites():
 
 
 def test_typed_loaders_check_the_kind():
-    metric = metric_to_json(metrize_dull(FIX))
-    for load in (space_from_json, ordered_space_from_json, graph_from_json):
+    metric = jsonio._dump_metric(metrize_dull(FIX))
+    for load in (space_from_json, ordered_space_from_json, lambda doc: jsonio._load(doc, ("graph",))):
         with pytest.raises(ValidationError) as e:
             load(metric)
         assert e.value.code == "json/schema"
     with pytest.raises(ValidationError):
-        metric_from_json(space_to_json(FIX))
+        jsonio._load(space_to_json(FIX), ("metric",))
     with pytest.raises(ValidationError):
-        metric_from_json("metric")
+        jsonio._load("metric", ("metric",))
 
 
 def test_weights_from_json_reads_weights_and_metrics():
@@ -237,7 +228,7 @@ def test_weights_from_json_reads_weights_and_metrics():
     m, w = weights_from_json(weights)
     assert m == 3 and w == {(0, 1): 2, (0, 2): 4, (1, 2): 4}
     assert from_weights(m, w) == FIX
-    m, w = weights_from_json(metric_to_json(metrize_dull(FIX)))
+    m, w = weights_from_json(jsonio._dump_metric(metrize_dull(FIX)))
     assert from_weights(m, w) == FIX
     assert weights_from_json({"kind": "weights", "points": 1, "w": []}) == (1, {})
     broken = {"kind": "metric", "points": 3, "d": [["1"], ["5", "1"]]}

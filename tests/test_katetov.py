@@ -4,10 +4,10 @@ Size identities are checked two ways: the closed formulas and a direct
 count of the chain built label by label.  Extension realization is pinned
 on a worked example, then swept exhaustively for small bases.  The
 position formulas are pinned against the label-list code kept in
-``helpers``: the chain, the label transport on every embedding between
-small spaces, the one-point extensions against the enumeration filter,
-the digit-table K(phi) against the per-point loop, and the realization's
-one rank map against the induced-subspace check."""
+``helpers``: the chain, the one-point extensions against the enumeration
+filter, the digit-table K(phi) against the per-point loop and its label
+transport, and the realization's one rank map against the induced-subspace
+check."""
 
 import hashlib
 import itertools
@@ -16,14 +16,11 @@ import pytest
 
 from echelon import (
     EchelonedSpace,
-    chain_label_map,
     embedding_rank_map,
-    enumerate_embeddings,
     enumerate_spaces,
     from_weights,
     induced_subspace,
     is_embedding,
-    katetov_chain,
     katetov_map,
     katetov_space,
     one_point_extensions,
@@ -35,8 +32,8 @@ from echelon.katetov import APART, BOT, KatetovChain, rank_label, slot
 from echelon.prng import SplitMix64Stream
 
 from helpers import (
+    enumerate_embeddings,
     random_embedding_chain,
-    reference_chain_label_map,
     reference_chain_labels,
     reference_katetov_map,
     reference_one_point_extensions,
@@ -93,7 +90,7 @@ def test_chain_positions_equal_the_label_list():
 
 def test_size_identities_small_bases():
     for sp in SMALL:
-        chain = katetov_chain(sp)
+        chain = KatetovChain.of(sp.m, sp.n)
         assert len(chain) == chain_size_formula(sp.m, sp.n)
         kx = katetov_space(sp)
         assert kx.m == katetov_size_formula(sp.m, sp.n)
@@ -257,30 +254,6 @@ def test_one_point_extensions_restrict_back():
         assert induced_subspace(ext, (0, 1)).space == base
 
 
-def test_chain_label_map_transport():
-    x = from_weights(2, {(0, 1): 1})
-    y = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
-    phi = (0, 2)  # X's pair lands on Y's rank-2 class
-    mapping = chain_label_map(x, y, phi)
-    assert mapping[BOT] == BOT
-    assert mapping[APART] == APART
-    assert mapping[slot(1, 0)] == slot(1, 0)
-    assert mapping[slot(2, 0)] == slot(2, 0)
-    assert mapping[rank_label(1)] == rank_label(2)
-    assert mapping[slot(1, 1)] == slot(1, 2)
-    assert chain_label_map(y, x, (0, 1, 1)) is None  # not an embedding
-
-
-def test_chain_label_map_equals_the_label_loop():
-    maps = 0
-    for x in SMALL:
-        for y in SMALL:
-            for phi, _ in enumerate_embeddings(x, y):
-                assert chain_label_map(x, y, phi) == reference_chain_label_map(x, y, phi), (x, y, phi)
-                maps += 1
-    assert maps == 200
-
-
 def test_one_point_extensions_equal_the_enumeration_filter():
     total = 0
     for base in SMALL:
@@ -372,9 +345,10 @@ def test_one_chain_per_shape():
     x = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 2})
     y = from_weights(3, {(0, 1): 2, (0, 2): 1, (1, 2): 2})
     assert x != y and (x.m, x.n) == (y.m, y.n)
-    assert katetov_chain(x) == katetov_chain(y)
+    assert KatetovChain.of(x.m, x.n) == KatetovChain.of(y.m, y.n)
     assert katetov_space(x).chain == katetov_space(y).chain
-    assert katetov_chain(x) != katetov_chain(from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
+    z = from_weights(3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    assert KatetovChain.of(x.m, x.n) != KatetovChain.of(z.m, z.n)
 
 
 def test_realizations_of_all_small_extensions_are_pinned():

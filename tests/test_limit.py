@@ -25,8 +25,6 @@ from echelon import (
     limit_new,
     metrize_dull,
     nth_rational,
-    rational_between,
-    rational_index,
     simplest_between,
 )
 from echelon import prng
@@ -38,6 +36,8 @@ from helpers import (
     ReferenceDeterministicLimitModel,
     ReferenceRandomLimitModel,
     deadline,
+    rational_between,
+    rational_index,
     reference_back_and_forth,
     reference_simplest_between,
     reference_tier_pattern_ok,

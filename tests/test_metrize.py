@@ -20,7 +20,6 @@ from echelon import (
     is_homomorphism,
     is_one_lipschitz,
     metrize_dull,
-    one_lipschitz_not_homomorphism_example,
     validate_metric,
 )
 from echelon import metrize
@@ -28,6 +27,7 @@ from echelon.errors import MetricError, MorphismError
 from echelon.prng import SplitMix64Stream
 
 from helpers import (
+    one_lipschitz_not_homomorphism_example,
     random_space,
     reference_checked,
     reference_from_metric,

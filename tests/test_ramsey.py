@@ -13,16 +13,11 @@ import pytest
 from echelon import (
     EchelonedSpace,
     OrderedEchelonedSpace,
-    OrderedEdgeColouredGraph,
     arrow_check,
     copy_set,
     enumerate_spaces,
     from_weights,
-    graph_embeddings,
     ordered_embeddings,
-    ordered_space_graph,
-    phi_inverse,
-    phi_translate,
     witness_search,
 )
 from echelon import ramsey
@@ -31,6 +26,11 @@ from echelon.prng import SplitMix64Stream
 from echelon.space import ENUMERATE_CAP
 
 from helpers import (
+    OrderedEdgeColouredGraph,
+    graph_embeddings,
+    ordered_space_graph,
+    phi_inverse,
+    phi_translate,
     random_space,
     reference_arrow_check,
     reference_decide,

@@ -1,9 +1,12 @@
-"""The README's library quick tour runs as written, and the values its
-comments state are the values it computes."""
+"""The README's library quick tour runs as written, the values its
+comments state are the values it computes, and its list of public names
+is ``echelon.__all__``."""
 
 import re
 from fractions import Fraction
 from pathlib import Path
+
+import echelon
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +33,18 @@ def test_the_quick_tour_states_what_it_computes():
     assert tour["det"].rank_label(tour["z"], 0) == Fraction(5, 3)
     cert = tour["cert"]
     assert cert.left_space == cert.right_space
+
+
+def public_names() -> list[str]:
+    """The names of the README's public-name list: each bullet of that
+    section, after its module, lists names in backticks."""
+    text = README.read_text(encoding="utf-8").split("## Public names", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `[\w.]+`: (.*?)(?=^- |\Z)", text, re.S | re.M)
+    return [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
+
+
+def test_the_public_name_list_is_all_of_echelon():
+    names = public_names()
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(echelon.__all__)
+    assert f"these {len(echelon.__all__)} names" in README.read_text(encoding="utf-8")

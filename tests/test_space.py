@@ -23,7 +23,6 @@ from echelon import (
     back_and_forth,
     canonical_form,
     embedding_rank_map,
-    enumerate_embeddings,
     enumerate_spaces,
     from_metric,
     from_rank_table,
@@ -41,6 +40,7 @@ from echelon.katetov import katetov_space
 from echelon.prng import SplitMix64Stream
 from echelon.ramsey import _random_space
 from helpers import (
+    enumerate_embeddings,
     random_amalgam_triple,
     random_space,
     reference_are_isomorphic,
@@ -314,6 +314,30 @@ def test_from_weights_refuses_a_bad_point_count(m):
     with pytest.raises(ValidationError) as err:
         from_weights(m, {(0, 1): 1})
     assert err.value.code == "space/shape"
+
+
+BAD_KEYS = [("a", "b"), (None, 1), (0.0, 1.0), (False, True), (0,), (1, 1), (0, 5)]
+
+
+@pytest.mark.parametrize(
+    "m, weights, code, message",
+    [(2, {key: 1}, "weights/key", f"bad pair key {key!r}") for key in BAD_KEYS]
+    + [
+        (2, {(0, 1): 1, (1, 0): 2}, "weights/conflict", "pair (0, 1) given two different weights"),
+        (2, {(0, 1): float("nan")}, "weights/incomparable", "weight for (0, 1) is not orderable"),
+        (3, {(0, 1): 1, (0, 2): "2", (1, 2): 3}, "weights/incomparable", "pair weights are not mutually comparable"),
+        (3, {(0, 1): 1, (1, 2): 2}, "weights/missing", "no weight for pair (0, 2)"),
+    ],
+    ids=["key-str", "key-none", "key-float", "key-bool", "key-short", "key-loop", "key-range"]
+    + ["conflict", "nan", "mixed-types", "missing"],
+)
+def test_from_weights_refuses_bad_weights_by_code(m, weights, code, message):
+    """A pair key is two distinct int points below m: a float or a bool is
+    not read as the int it equals, and a str or None is refused rather
+    than escaping as a TypeError."""
+    with pytest.raises(ValidationError) as err:
+        from_weights(m, weights)
+    assert (err.value.code, err.value.message) == (code, message)
 
 
 def test_homomorphism_matches_quantifier_oracle():
