@@ -14,7 +14,10 @@ and the pass-through ``amalgam``, ``katetov``, ``bnf`` and ``report``,
 which keep every key and normalize the documents embedded under
 ``space``, ``base``, ``left_space`` and ``right_space`` (not in a report).
 ``load_document`` is the one dispatcher on ``kind``, and ``validate`` is
-load-then-dump through the same table.  A ``katetov`` document must embed
+load-then-dump through the same table, save for a ``space-list`` of
+unordered spaces: it is screened by column and each member is written from
+its own rows, with the result and the errors of the member-by-member path,
+which takes any list the screen refuses.  A ``katetov`` document must embed
 its base, and every claim it makes about K(base) is re-derived from it; a
 false one is refused with ``katetov/claim``.  Every document, embedded ones
 included, passes one header check first: it must be a JSON object, and a
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Any, Callable, Optional, Sequence
 
 from .colgraph import ColouredGraph
@@ -191,9 +194,48 @@ def weights_to_json(w: Sequence[Sequence[Fraction]]) -> dict:
 
 
 def _space_list(doc: dict) -> list[dict]:
+    """A list of unordered spaces is screened by column and each member is
+    written from its own rows; any other list, or one with a member the
+    screen refuses, is validated member by member, which names its first
+    fault."""
     spaces = doc.get("spaces")
     _require(isinstance(spaces, list), "space-list needs a spaces array")
-    return [validate(member) for member in spaces]
+    return _screened(spaces) or [validate(member) for member in spaces]
+
+
+def _field(docs: list[dict], key: str, default: Any = None) -> list:
+    """The column of ``key`` over objects known to be exact dicts."""
+    return [*map(dict.get, docs, repeat(key), repeat(default))]
+
+
+def _screened(spaces: list) -> Optional[list[dict]]:
+    """Each member normalized from its own rows, when every member is an
+    exact dict of kind ``space``, with our format tag or none and no
+    ``order``, whose exact-int ``points`` m has exact-list rows of lengths
+    1..m-1 holding exact ints that are exactly the ranks 1..n, and whose
+    declared ``ranks`` is absent, null or n; otherwise None.  Each check is
+    one pass over a whole column, and types are checked before any value is
+    hashed, so no input makes the screen raise."""
+    if {*map(type, spaces)} != {dict} or any(map(dict.__contains__, spaces, repeat("order"))):
+        return None
+    kinds, formats = _field(spaces, "kind"), _field(spaces, "format", FORMAT)
+    if {*map(type, kinds + formats)} != {str} or {*zip(kinds, formats)} != {("space", FORMAT)}:
+        return None
+    points, etas = _field(spaces, "points"), _field(spaces, "eta")
+    if {*zip(map(type, points), map(type, etas))} != {(int, list)} or [*map(len, etas)] != [m - 1 for m in points]:
+        return None
+    rows = [*chain.from_iterable(etas)]  # every m is now at most the document's row count plus one
+    if {*map(type, rows)} - {list} or [*map(len, rows)] != [*chain.from_iterable(map(range, repeat(1), points))]:
+        return None
+    if {*map(type, chain.from_iterable(rows))} - {int}:
+        return None
+    ranks = [len(s) for s in map(set, map(chain.from_iterable, etas)) if s.issubset(range(1, len(s) + 1))]
+    declared = zip(_field(spaces, "ranks"), ranks)
+    if len(ranks) < len(spaces) or any(r is not None and (type(r) is not int or r != n) for r, n in declared):
+        return None
+    del kinds, formats, rows  # the screen's columns go before the output is built, which lowers the peak
+    return [{"format": FORMAT, "kind": "space", "points": m, "ranks": n, "eta": [row[:] for row in eta]}
+            for m, n, eta in zip(points, ranks, etas)]
 
 
 def space_list_to_json(members: list[dict]) -> dict:
@@ -367,11 +409,15 @@ def _column(col: Sequence, newline: str) -> list[str]:
     starting with ``newline``, all values of one type in one pass: strings
     through one encoding per distinct string, one text shared by its
     repeats; rows of ints through one ``repr`` each and rows of strings
-    through one ``join`` each; the items of other lists as one column one
-    level deeper, regrouped by length; objects that share their keys as one
-    column per sorted key, each object one ``%`` fill of a layout built
-    once.  A column of mixed types or of objects whose keys differ renders
-    item by item."""
+    through one ``join`` each; non-empty lists of non-empty lists of ints,
+    such as the ``eta`` column of a space list, through one ``repr`` of the
+    whole column, split at the member separator before each member's row
+    and int separators are replaced, so that the only text as long as the
+    column is the ``repr`` (whole-column replacements raised peak RSS by a
+    megabyte); the items of other lists as one column one level deeper,
+    regrouped by length; objects that share their keys as one column per
+    sorted key, each object one ``%`` fill of a layout built once.  A column
+    of mixed types or of objects whose keys differ renders item by item."""
     if len({*map(type, col)}) > 1 or isinstance(col[0], dict) and len({*map(frozenset, col)}) > 1:
         return [_render(x, newline) for x in col]
     sep = "," + (inner := newline + "  ")
@@ -381,7 +427,14 @@ def _column(col: Sequence, newline: str) -> list[str]:
             return [f"[{inner}{repr(list(x))[1:-1].replace(', ', sep)}{newline}]" if x else "[]" for x in col]
         if kinds == {str}:
             return [f"[{inner}{sep.join(map(_encode_str, x))}{newline}]" if x else "[]" for x in col]
-        texts = iter(_column([*chain.from_iterable(col)], inner) if kinds else ())
+        items = [*chain.from_iterable(col)]
+        if kinds == {list} == {type(col[0])} and all(col) and all(items) and {*map(type, chain(*items))} == {int}:
+            cell = inner + "  "
+            head, tail = "[" + inner + "[" + cell, inner + "]" + newline + "]"
+            rowsep, intsep = inner + "]," + inner + "[" + cell, "," + cell
+            members = repr(list(col))[3:-3].split("]], [[")  # ``col`` may be a tuple
+            return [head + m.replace("], [", rowsep).replace(", ", intsep) + tail for m in members]
+        texts = iter(_column(items, inner) if kinds else ())
         return [f"[{inner}{sep.join(islice(texts, len(x)))}{newline}]" if x else "[]" for x in col]
     if isinstance(col[0], dict):
         keys = sorted(col[0])  # an encoded key holds no line break, so ``sep`` is found only between keys

@@ -1050,6 +1050,14 @@ def reference_render(x, newline):
     return repr(x) if type(x) is int else json.dumps(x)  # bool, None, float, int subclasses
 
 
+def reference_space_list(doc):
+    """The members of a ``space-list`` document validated one by one, as
+    before the column screen; the first member refused names the fault."""
+    spaces = doc.get("spaces")
+    jsonio._require(isinstance(spaces, list), "space-list needs a spaces array")
+    return [jsonio.validate(member) for member in spaces]
+
+
 def reference_table(doc, size, key, cell, zero):
     """The table reader before ``jsonio._rows``: the symmetric table a
     document stores as a strict lower triangle, row i of ``doc[key]``

@@ -41,8 +41,10 @@ from helpers import (
     reference_graph_from_json,
     reference_render,
     reference_space_from_json,
+    reference_space_list,
     reference_table,
 )
+from test_cli_fuzz import ODD_VALUES, _paths
 
 FIX = from_weights(3, {(0, 1): 2, (0, 2): 4, (1, 2): 4})
 
@@ -303,6 +305,13 @@ def same_keyed(inner):
     )
 
 
+INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-1)
+# Columns of int tables, as a space list's ``eta`` column is: all of them
+# non-empty lists of non-empty lists of ints, or with an empty table or row,
+# a bool among the ints, or a tuple beside the lists.
+INT_TABLES = st.lists(st.lists(st.lists(INTS, min_size=1, max_size=4), min_size=1, max_size=4), min_size=1, max_size=5)
+INT_TABLES |= st.lists(rows(INTS | st.booleans()), max_size=5)
+
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner)
@@ -315,6 +324,7 @@ JSON_VALUES = st.recursive(
     | rows(st.text())
     | rows(st.integers() | st.booleans())
     | rows(inner)
+    | INT_TABLES
     | same_keyed(inner),
     max_leaves=40,
 )
@@ -329,6 +339,14 @@ JSON_VALUES = st.recursive(
 @example([[1, True], [False], [0]])
 @example([{}, {}, {}])
 @example([{"k": {}}, {"k": {"x": [[], ["y"]]}}])
+@example([[[1], [2, 3]], [[-4]], [[2**70, -(2**70)]]])
+@example([[[1]], [], [[2]]])
+@example([[[1], []], [[2]]])
+@example([[[1, True]], [[0]]])
+@example([[(1,), [2, 3]], [[4]]])
+@example([([1],), [[2]]])
+@example(([[0]],))
+@example({"spaces": [{"eta": [[1], [1, 1]], "kind": "space"}, {"eta": [[2], [1, 2]], "kind": "space"}]})
 @example([[Int(1), Int(2)], [Str("a"), Str("b")], {Str("k"): Int(3)}, [[Int(4)], (Str("c"),)]])
 def test_dumps_equals_the_stdlib_rendering(doc):
     """Every key is a string, so the column renderer writes these bytes
@@ -360,9 +378,9 @@ def test_the_renderer_makes_as_many_calls_for_4683_spaces_as_for_13(monkeypatch)
         doc = space_list_to_json([space_to_json(sp) for sp in enumerate_spaces(m)])
         calls.clear()
         assert dumps(doc) == reference_dumps(doc)
-        assert max(size for _, size in calls) == spaces * (m - 1)  # the rows of every eta, one column
+        assert max(size for _, size in calls) == spaces  # every eta, one column of int tables
         counts.append(len(calls))
-    assert counts[0] == counts[1] == 9
+    assert counts[0] == counts[1] == 8
 
 
 @pytest.mark.parametrize(
@@ -542,6 +560,116 @@ def test_validate_of_the_enumerated_spaces_runs_no_space_check(monkeypatch):
     monkeypatch.setattr(EchelonedSpace, "__post_init__", counting)
     EchelonedSpace(1, 0, ((0,),))
     assert len(calls) == 1
+    calls.clear()
+    assert len(validate(doc)["spaces"]) == 4683
+    assert calls == []
+
+
+def _enumerated(m):
+    """The ``enumerate --m m`` document as the CLI reads it back."""
+    return json.loads(dumps(space_list_to_json([space_to_json(sp) for sp in enumerate_spaces(m)])))
+
+
+def _same_as_the_reference(doc):
+    got = _outcome(jsonio._space_list, doc)
+    assert got == _outcome(reference_space_list, doc)
+    return got
+
+
+def _lists(spaces):
+    """Every list a space list holds: each member's ``eta`` and its rows."""
+    return [x for space in spaces for x in (space["eta"], *space["eta"])]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_screen_validates_the_enumerated_spaces_as_the_reference_does(m):
+    """The screen takes the list, and what it writes shares no member, eta or row with its input."""
+    doc = _enumerated(m)
+    assert jsonio._screened(doc["spaces"]) is not None
+    got = _same_as_the_reference(doc)
+    assert not {*map(id, got + _lists(got))} & {*map(id, doc["spaces"] + _lists(doc["spaces"]))}
+
+
+def test_every_single_field_mutation_of_a_space_list_matches_the_reference():
+    """Each value of the 13-space list set to each odd value, and each
+    deleted: the screen takes the list or hands it to the per-member path,
+    and either way the result, or the code and message, is the reference's."""
+    doc = _enumerated(3)
+    outcomes = set()
+    for *head, key in _paths(doc):
+        for value in (*ODD_VALUES, delete := object()):
+            mutated = json.loads(json.dumps(doc))
+            parent = mutated
+            for step in head:
+                parent = parent[step]
+            if value is delete:
+                del parent[key]
+            else:
+                parent[key] = json.loads(json.dumps(value))
+            got = _same_as_the_reference(mutated)
+            outcomes.add(got[0] if isinstance(got, tuple) else "ok")
+    assert outcomes >= {"ok", "json/schema", "json/format", "space/offdiag", "space/surjective"}
+
+
+def _space_doc(rows, **extra):
+    return {"kind": "space", "points": len(rows) + 1, "eta": rows, **extra}
+
+
+class Doc(dict):
+    """A dict subclass: a JSON object that the screen leaves to the per-member path."""
+
+
+SPACE_LISTS = {
+    "empty": [],
+    "m=1 only": [_space_doc([]), _space_doc([], ranks=0)],
+    "m=1 to 4 mixed": [_space_doc([]), _space_doc([[1]]), _space_doc([[1], [2, 1]]), _space_doc([[2], [1, 3], [3, 1, 2]])],
+    "null ranks": [_space_doc([[1]], ranks=None), _space_doc([[1], [1, 1]], format=FORMAT, ranks=1)],
+    "null tag": [_space_doc([[1]], format=None)],
+    "ordered member": [_space_doc([[1]]), _space_doc([[1], [2, 1]], order=[2, 0, 1])],
+    "order null": [_space_doc([[1]], order=None)],
+    "a metric among spaces": [_space_doc([[1]]), {"kind": "metric", "points": 2, "d": [["1/1"]]}],
+    "a dict subclass": [_space_doc([[1]]), Doc(_space_doc([[1], [1, 2]]))],
+    "a bad dict subclass": [Doc(_space_doc([[2]]))],
+    "an int subclass entry": [_space_doc([[Int(1)]])],
+    "an int subclass point count": [_space_doc([[1]], points=Int(2))],
+    "a tuple row": [_space_doc([(1,), [1, 1]])],
+    "a str subclass kind": [_space_doc([[1]], kind=Str("space"))],
+    "declared ranks true": [_space_doc([[1]], ranks=True)],
+    "declared ranks wrong": [_space_doc([[1]]), _space_doc([[1], [2, 2]], ranks=3)],
+    "rank 0 after a gap": [_space_doc([[2], [2, 2]]), _space_doc([[0]])],
+    "gap": [_space_doc([[1], [3, 3]])],
+    "three ranks, two below 1": [_space_doc([[-1], [0, 3]])],
+    "points 0": [_space_doc([], points=0)],
+    "huge points": [_space_doc([[1]], points=10**30)],
+    "a space list inside": [{"kind": "space-list", "spaces": []}],
+    "not a list": 7,
+}
+for key in ("kind", "format", "points", "ranks"):
+    for value in ([], {}, [[1]], {"a": []}):
+        SPACE_LISTS[f"unhashable {key} {value!r}"] = [_space_doc([[1]]), _space_doc([[1], [1, 1]], **{key: value})]
+
+
+SCREENED = {"m=1 only", "m=1 to 4 mixed", "null ranks"}
+
+
+@pytest.mark.parametrize("name", SPACE_LISTS)
+def test_the_screen_matches_the_reference_on_odd_space_lists(name):
+    spaces = SPACE_LISTS[name]
+    _same_as_the_reference({"kind": "space-list", "spaces": spaces})
+    if isinstance(spaces, list):
+        assert (jsonio._screened(spaces) is not None) == (name in SCREENED)
+
+
+def test_validate_of_the_enumerated_spaces_reads_no_table(monkeypatch):
+    """The screen writes each member from its rows: no square table is read
+    and no space is made, where the per-member path did both 4,683 times."""
+    doc = _enumerated(4)
+    calls = []
+    for name in ("_colex_reader", "_trusted"):
+        function = getattr(jsonio, name)
+        monkeypatch.setattr(jsonio, name, lambda *args, f=function, name=name: calls.append(name) or f(*args))
+    assert validate(doc)["spaces"] == reference_space_list(doc)
+    assert calls.count("_colex_reader") == calls.count("_trusted") == 4683  # the reference, member by member
     calls.clear()
     assert len(validate(doc)["spaces"]) == 4683
     assert calls == []
