@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import jsonio
 from .amalgam import AmalgamResult, amalgamate, jep
@@ -31,7 +31,7 @@ from .limit import back_and_forth, limit_new
 from .metrize import metrize_dull
 from .ramsey import ARROW_BUDGET, _arrow, witness_search
 from .rationals import exact_rational
-from .space import are_isomorphic, enumerate_spaces, from_weights
+from .space import EchelonedSpace, are_isomorphic, enumerate_spaces, from_weights
 
 
 @dataclass(frozen=True)
@@ -217,11 +217,15 @@ def _cmd_katetov(args) -> dict:
     return doc
 
 
+def _spaces_document(spaces: Iterable[EchelonedSpace], count: bool) -> dict:
+    """A report of how many spaces ``spaces`` yields, or their space list."""
+    if count:
+        return jsonio._document("report", count=sum(1 for _ in spaces))
+    return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in spaces])
+
+
 def _cmd_extend(args) -> dict:
-    extensions = list(one_point_extensions(_read_space(args.input)))
-    if args.count:
-        return jsonio._document("report", count=len(extensions))
-    return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in extensions])
+    return _spaces_document(one_point_extensions(_read_space(args.input)), args.count)
 
 
 def _cmd_limit_sample(args) -> dict:
@@ -282,10 +286,7 @@ def _cmd_ramsey_search(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    spaces = enumerate_spaces(args.m, up_to_iso=args.up_to_iso)
-    if args.count:
-        return jsonio._document("report", count=sum(1 for _ in spaces))
-    return jsonio.space_list_to_json([jsonio.space_to_json(sp) for sp in spaces])
+    return _spaces_document(enumerate_spaces(args.m, up_to_iso=args.up_to_iso), args.count)
 
 
 def _cmd_iso(args) -> dict:

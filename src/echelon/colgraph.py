@@ -122,10 +122,13 @@ class GeometricColouring:
     @cached_property
     def _law(self) -> tuple[tuple[int, ...], int]:
         """The thresholds and the seed's key, read once per colouring."""
-        return prng.geometric_thresholds(self.p), prng.seed_key(self.seed)
+        return prng._law(self.p.numerator, self.p.denominator).thresholds, prng.seed_key(self.seed)
 
     def edge_colour(self, u: int, v: int) -> int:
-        """``prng.edge_colour(p, seed, u, v)``, from the colouring's law."""
+        """The colour of the pair {u, v}: the scalar path that the colour
+        kernels of ``prng`` replay.  The pair's :func:`prng.keyed_bits`
+        under the seed's key, inverted by binary search over the law's
+        thresholds."""
         if u == v:
             raise ValidationError("graph/loop", "no colour on a loop")
         thresholds, key = self._law

@@ -96,7 +96,9 @@ class KatetovChain:
         raise KeyError(label)
 
     def label_at(self, pos: int) -> Label:
-        if not 0 <= pos < len(self):
+        """The label at a chain position; IndexError for anything but an
+        int position on the chain (a bool is not a position)."""
+        if not (_is_int(pos) and 0 <= pos < len(self)):
             raise IndexError(f"chain position {pos} out of range")
         if pos == 0:
             return BOT

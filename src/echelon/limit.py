@@ -199,7 +199,7 @@ class _Alphabet(NamedTuple):
 @lru_cache(maxsize=None)
 def _alphabet(p: Fraction) -> _Alphabet:
     """Every label the random model can give at colour rate p."""
-    colours = len(prng.geometric_thresholds(p)) + 1
+    colours = len(prng._law(p.numerator, p.denominator).thresholds) + 1
     labels = (Fraction(0),) + tuple(nth_rational(c) for c in range(1, colours + 1))
     ordered = sorted(labels)
     position = {q: r for r, q in enumerate(ordered)}

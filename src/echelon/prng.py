@@ -2,11 +2,14 @@
 
 The generator is SplitMix64 ("splitmix64/edge-v1" for the per-edge keying
 scheme below).  Everything is defined on plain Python integers first; the
-numpy kernel replays the identical arithmetic on uint64 arrays and is
-pinned to the scalar path by tests.
+numpy kernel replays the identical arithmetic on uint64 arrays.  The one
+scalar path is ``colgraph.GeometricColouring.edge_colour``: the bits of
+:func:`keyed_bits` under the seed's :func:`seed_key`, inverted by binary
+search over the law's thresholds.  Tests pin it and the kernel to an
+independent reference.
 
-The kernel takes arrays of pairs.  The first two finalizer rounds of
-``edge_bits`` absorb only the seed and the lesser endpoint, so together
+The kernel takes arrays of pairs.  The first two finalizer rounds of an
+edge's bits absorb only the seed and the lesser endpoint, so together
 they are a per-point key.  The kernel computes that key once per point and
 gathers it (``_colour_blocks``) or broadcasts it (``pair_colours``) to
 the pairs, and the greater endpoint's term likewise; only the last round
@@ -14,10 +17,10 @@ and the inversion run once per pair.  ``_colour_blocks`` is the one walk
 over the rows of the flat layout, in blocks of about ``BLOCK_PAIRS``
 pairs: ``all_edge_colours`` writes each block's colours into its slice of
 the output, so its peak memory is about the output plus one block, and
-the random limit model marks the colours it sees.  Both paths read the
-seed's round, the first, from one small cache (:func:`seed_key`); the
-scalar path runs the other two in :func:`keyed_bits`, so a caller that
-keeps the key and the thresholds pays for neither cache per pair.
+the random limit model marks the colours it sees.  Both paths compute the
+seed's round, the first, once (:func:`seed_key`): the kernel per call, and
+a colouring per object, which keeps the key and the thresholds and runs
+the other two rounds in :func:`keyed_bits` per pair.
 
 Every kernel colour array has the narrowest unsigned dtype that holds every
 colour of its law, ``np.min_scalar_type(len(thresholds) + 1)``: uint8 at
@@ -38,7 +41,6 @@ search, so both paths give the same colour for every draw.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -64,28 +66,22 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=256)
 def seed_key(seed: int) -> int:
-    """The first finalizer round of :func:`edge_bits`, which reads only the
-    seed."""
+    """The first finalizer round of an edge's bits, which reads only the
+    seed, taken mod 2^64."""
     return mix64((seed & MASK64) ^ GOLDEN)
 
 
-def edge_bits(seed: int, u: int, v: int) -> int:
-    """64 uniform bits for the unordered pair {u, v} under ``seed``.
+def keyed_bits(key: int, u: int, v: int) -> int:
+    """64 uniform bits for the unordered pair {u, v} under the seed whose
+    :func:`seed_key` is ``key``.
 
     Scheme "splitmix64/edge-v1": normalize u < v, then three chained
-    finalizer rounds absorbing seed and both endpoints.  Pure function, so
-    generation order and thread scheduling cannot change a graph.  The
-    first round is :func:`seed_key`, the other two :func:`keyed_bits`.
-    """
-    return keyed_bits(seed_key(seed), u, v)
-
-
-def keyed_bits(key: int, u: int, v: int) -> int:
-    """:func:`edge_bits` for the seed whose :func:`seed_key` is ``key``: the
-    two rounds that absorb the endpoints, :func:`mix64` written out.  A
-    caller that colours many pairs under one seed keeps its key."""
+    finalizer rounds absorbing seed and both endpoints; the first is the
+    key, and the two that absorb the endpoints are :func:`mix64` written
+    out here.  Pure function, so generation order and thread scheduling
+    cannot change a graph.  A caller that colours many pairs under one
+    seed keeps its key."""
     a, b = (u, v) if u < v else (v, u)
     z = key ^ (((a + 1) * GOLDEN) & MASK64)
     z = ((z ^ (z >> 30)) * MIX1) & MASK64
@@ -96,7 +92,6 @@ def keyed_bits(key: int, u: int, v: int) -> int:
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=None)
 def geometric_thresholds(p: Fraction) -> tuple[int, ...]:
     """Ascending CDF thresholds for the geometric law with parameter p.
 
@@ -136,9 +131,12 @@ class _Law(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _law(num: int, den: int) -> _Law:
-    """The inversion tables at p = num/den.  Keyed by two ints: hashing a
-    Fraction costs a modular inverse, too much for once per scalar colour.
-    The thresholds are built through the module's ``geometric_thresholds``.
+    """The inversion tables at p = num/den, the one cache of a rate's
+    thresholds: the kernel reads it once per call, a colouring once per
+    object and the random model's alphabet once per rate.  Keyed by two
+    ints, which a caller reads off its Fraction, because hashing a
+    Fraction costs a modular inverse and buys nothing here.  The
+    thresholds are built through the module's ``geometric_thresholds``.
 
     Guide table (Chen and Asau): bucket k holds the draws whose top b bits
     are k, b = clamp(bit_length(T) + 4, 8, 16) for T thresholds.  A bucket
@@ -157,15 +155,6 @@ def _law(num: int, den: int) -> _Law:
     array.setflags(write=False)
     guide.setflags(write=False)
     return _Law(ts, array, shift, guide)
-
-
-def geometric_colour(p: Fraction, r: int) -> int:
-    """Colour index >= 1 for 64 uniform bits ``r``."""
-    return bisect_right(_law(p.numerator, p.denominator).thresholds, r) + 1
-
-
-def edge_colour(p: Fraction, seed: int, u: int, v: int) -> int:
-    return geometric_colour(p, edge_bits(seed, u, v))
 
 
 # --- vectorized replay (uint64, wrapping arithmetic) ---
@@ -188,8 +177,8 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 
 
 def _point_keys(seed: int, points: np.ndarray) -> np.ndarray:
-    """The first two finalizer rounds of :func:`edge_bits` for each point
-    as the lesser endpoint; they read nothing else."""
+    """The first two finalizer rounds of an edge's bits for each point as
+    the lesser endpoint; they read nothing else."""
     with np.errstate(over="ignore"):
         return _mix64_vec(np.uint64(seed_key(seed)) ^ ((points.astype(np.uint64) + _ONE) * _G))
 
@@ -217,7 +206,7 @@ def _invert(p: Fraction, bits: np.ndarray) -> np.ndarray:
 def pair_colours(p: Fraction, seed: int, u, v) -> np.ndarray:
     """Colours of the pairs {u, v} over broadcast integer arrays of
     distinct points, in either order, in the law's colour dtype (see
-    :func:`_invert`).  Matches :func:`edge_colour` entry by entry.  Point
+    :func:`_invert`).  Matches the scalar colour entry by entry.  Point
     keys are computed on u and on v before they broadcast, so a block of
     candidates against a few fixed points costs one key per candidate and
     per fixed point."""
@@ -253,7 +242,7 @@ def all_edge_colours(p: Fraction, seed: int, n: int) -> np.ndarray:
 
     Flat layout: pair (i, j) at index j*(j-1)//2 + i, so row j is the
     slice from j*(j-1)//2 of the j pairs below j.  Matches the scalar
-    :func:`edge_colour` entry by entry.  The dtype is the law's colour
+    colour entry by entry.  The dtype is the law's colour
     dtype, ``np.min_scalar_type(len(thresholds) + 1)``: one byte a pair at
     p = 1/2, two at p = 1/256.  Each block of rows from ``_colour_blocks``
     is written into its slice of the output.

@@ -60,9 +60,13 @@ def as_probability(p: object) -> Fraction:
 
 
 def nth_rational(i: int) -> Fraction:
-    """Return the i-th positive rational (1-based) in Calkin-Wilf order."""
+    """Return the i-th positive rational (1-based) in Calkin-Wilf order.
+    Refused with ``rational/index``: anything but an int (a bool included)
+    and an index below 1."""
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise ValidationError("rational/index", "index must be an int")
     if i < 1:
-        raise ValueError("index must be >= 1")
+        raise ValidationError("rational/index", "index must be >= 1")
     num, den = 1, 1
     # Binary digits of i below the leading bit: 0 = left child, 1 = right.
     for bit in bin(i)[3:]:
@@ -77,13 +81,20 @@ def simplest_between(lo: Fraction, hi: Optional[Fraction]) -> Fraction:
     """Simplest positive rational q with lo < q < hi (hi=None meaning no
     upper bound): the first mediant of the Stern-Brocot walk from 0/1 .. 1/0
     that lands inside.  Each run of same-direction steps is taken at once by
-    floor division, so the walk costs one step per continued-fraction term."""
-    if hi is not None and (lo >= hi or hi <= 0):
-        raise ValueError("empty interval")
+    floor division, so the walk costs one step per continued-fraction term.
+
+    Each bound is read with :func:`exact_rational`; refused with
+    ``rational/interval``: a bound it cannot read, and an empty interval."""
+    low = exact_rational(lo)
+    high = None if hi is None else exact_rational(hi)
+    if low is None or (hi is not None and high is None):
+        raise ValidationError("rational/interval", "interval bounds must be exact rationals")
+    if high is not None and (low >= high or high <= 0):
+        raise ValidationError("rational/interval", "empty interval")
     # No upper bound walks like hi = 1/0.  Every mediant is positive, so a
     # negative lo never moves the walk right.
-    p, q = lo.numerator, lo.denominator
-    s, t = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    p, q = low.numerator, low.denominator
+    s, t = (1, 0) if high is None else (high.numerator, high.denominator)
     ln, ld = 0, 1
     rn, rd = 1, 0
     while True:

@@ -7,9 +7,11 @@ import contextlib
 import itertools
 import json
 import signal
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Container, Optional
 
@@ -351,8 +353,8 @@ def _entry_satisfied(entry, label):
 
 
 class ReferenceRandomLimitModel(LimitModel):
-    """The random model on scalar colours: one edge_colour and one
-    nth_rational per pair, prefixes compressed from the exact labels and a
+    """The random model on scalar colours: one reference_edge_colour and
+    one nth_rational per pair, prefixes compressed from the exact labels and a
     witness scan that tests one candidate at a time while the prefix grows
     in GROW_BLOCK steps.  Kept as the reference that RandomLimitModel's
     colour-index kernel must reproduce exactly."""
@@ -366,7 +368,7 @@ class ReferenceRandomLimitModel(LimitModel):
         self.cap = cap
 
     def _label(self, u, v):
-        return nth_rational(prng.edge_colour(self.p, self.seed, u, v))
+        return nth_rational(reference_edge_colour(self.p, self.seed, u, v))
 
     def _extend(self):
         self.size += 1
@@ -398,9 +400,11 @@ class ReferenceRandomLimitModel(LimitModel):
             self.size = min(self.size + GROW_BLOCK, self.cap)
 
 
+@lru_cache(maxsize=None)
 def reference_geometric_thresholds(p):
     """The CDF thresholds by the Fraction power loop (a gcd every step),
-    kept as the reference for the plain-integer loop."""
+    kept as the reference for the plain-integer loop.  Cached per rate:
+    the reference colour reads them once per pair."""
     scale = 1 << 64
     q = 1 - p
     acc = q  # q^i
@@ -417,14 +421,37 @@ def reference_geometric_thresholds(p):
     return tuple(out)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_mix64(z):
+    """The SplitMix64 finalizer, with its published constants."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def reference_edge_bits(seed, u, v):
-    """Scheme "splitmix64/edge-v1" as three chained ``mix64`` calls: the
-    scalar edge bits before their rounds were written out."""
+    """Scheme "splitmix64/edge-v1" as three chained finalizer rounds, one
+    per absorbed value (the seed mod 2^64, then the lesser and the greater
+    endpoint), on a finalizer of its own."""
     a, b = (u, v) if u < v else (v, u)
-    z = prng.mix64((seed & prng.MASK64) ^ prng.GOLDEN)
-    z = prng.mix64(z ^ (((a + 1) * prng.GOLDEN) & prng.MASK64))
-    z = prng.mix64(z ^ (((b + 1) * prng.MIX1) & prng.MASK64))
-    return z
+    z = _reference_mix64((seed & _MASK64) ^ 0x9E3779B97F4A7C15)
+    z = _reference_mix64(z ^ (((a + 1) * 0x9E3779B97F4A7C15) & _MASK64))
+    return _reference_mix64(z ^ (((b + 1) * 0xBF58476D1CE4E5B9) & _MASK64))
+
+
+def reference_colour(p, r):
+    """The colour of 64 uniform bits r: one binary search over the
+    reference thresholds."""
+    return bisect_right(reference_geometric_thresholds(p), r) + 1
+
+
+def reference_edge_colour(p, seed, u, v):
+    """The colour of the pair {u, v} under seed at rate p, from code that
+    the package does not run: the oracle that the scalar colour and the
+    colour kernels are pinned to."""
+    return reference_colour(p, reference_edge_bits(seed, u, v))
 
 
 def _reference_colours(p, keys, greater):
@@ -432,7 +459,7 @@ def _reference_colours(p, keys, greater):
     the thresholds per pair."""
     with np.errstate(over="ignore"):
         bits = prng._mix64_vec(keys ^ ((greater.astype(np.uint64) + np.uint64(1)) * np.uint64(prng.MIX1)))
-    thresholds = np.array(prng.geometric_thresholds(p), dtype=np.uint64)
+    thresholds = np.array(reference_geometric_thresholds(p), dtype=np.uint64)
     return np.searchsorted(thresholds, bits, side="right") + 1
 
 

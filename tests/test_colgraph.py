@@ -1,9 +1,11 @@
 """Seeded geometric colourings and star demands.
 
-The scalar per-edge draw is the authority; the vectorized bulk path is
-pinned to it exactly.  Marginals are checked against the geometric law
-with a chi-square test, and the exact threshold table is verified against
-the law's cumulative distribution by integer arithmetic."""
+The authority is ``helpers.reference_edge_colour``, built from code the
+package does not run; the scalar colour ``GeometricColouring.edge_colour``
+and the vectorized kernels are pinned to it exactly.  Marginals are
+checked against the geometric law with a chi-square test, and the exact
+threshold table is verified against the law's cumulative distribution by
+integer arithmetic."""
 
 import json
 import sys
@@ -25,7 +27,7 @@ from echelon import (
     star_demand,
     witness_failure_probability,
 )
-from echelon import jsonio, prng
+from echelon import jsonio, limit, prng
 from echelon.colgraph import WITNESS_BITS_CAP
 from echelon.errors import CapExceeded, DemandError, ValidationError
 from echelon.rationals import nth_rational
@@ -34,7 +36,9 @@ from echelon.space import _colex_pairs
 from helpers import (
     deadline,
     reference_all_edge_colours,
+    reference_colour,
     reference_edge_bits,
+    reference_edge_colour,
     reference_geometric_thresholds,
     reference_pair_colours,
 )
@@ -42,28 +46,40 @@ from helpers import (
 SCALE = 1 << 64
 
 
+def edge_bits(seed, u, v):
+    """The package's scalar edge bits: ``keyed_bits`` under the seed's key."""
+    return prng.keyed_bits(prng.seed_key(seed), u, v)
+
+
 def test_edge_bits_symmetric_and_deterministic():
-    assert prng.edge_bits(7, 3, 11) == prng.edge_bits(7, 11, 3)
-    assert prng.edge_bits(7, 3, 11) == prng.edge_bits(7, 3, 11)
-    assert prng.edge_bits(7, 3, 11) != prng.edge_bits(8, 3, 11)
-    assert prng.edge_bits(7, 3, 11) != prng.edge_bits(7, 3, 12)
+    for bits in (edge_bits, reference_edge_bits):
+        assert bits(7, 3, 11) == bits(7, 11, 3)
+        assert bits(7, 3, 11) == bits(7, 3, 11)
+        assert bits(7, 3, 11) != bits(8, 3, 11)
+        assert bits(7, 3, 11) != bits(7, 3, 12)
+        assert bits(2**64 + 5, 3, 9) == bits(5, 3, 9)  # seeds are read mod 2^64
 
 
 def test_edge_bits_match_the_three_round_chain():
-    """Bit for bit against three chained ``mix64`` calls: seeds at both
-    ends of 64 bits and past them (masked), pairs in either order, and
-    pairs with endpoint 0; the colour is the inversion of those bits."""
+    """Bit for bit against the reference's three chained finalizer rounds:
+    seeds at both ends of 64 bits and past them (masked), pairs in either
+    order, and pairs with endpoint 0.  The colour of those bits is the
+    reference's inversion, through the kernel and, off the diagonal,
+    through the scalar colour."""
     stream = prng.SplitMix64Stream(41)
     seeds = [0, 2**64 - 1, 2**64 + 5, 7] + [stream.next_u64() for _ in range(4)]
     pairs = [(0, 1), (1, 0), (0, 999), (999, 0), (5, 3), (3, 5), (2**20, 17)]
     pairs += [(stream.randrange(5000), stream.randrange(5000)) for _ in range(40)]
     for seed in seeds:
-        for u, v in pairs:
-            want = reference_edge_bits(seed, u, v)
-            assert prng.edge_bits(seed, u, v) == want, (seed, u, v)
-            for p in (Fraction(1, 2), Fraction(1, 256)):
-                assert prng.edge_colour(p, seed, u, v) == prng.geometric_colour(p, want)
-    assert prng.edge_bits(2**64 + 5, 3, 9) == prng.edge_bits(5, 3, 9)
+        draws = [reference_edge_bits(seed, u, v) for u, v in pairs]
+        assert [edge_bits(seed, u, v) for u, v in pairs] == draws, seed
+        for p in (Fraction(1, 2), Fraction(1, 256)):
+            want = [reference_colour(p, r) for r in draws]
+            assert prng._invert(p, np.array(draws, dtype=np.uint64)).tolist() == want
+            colouring = GeometricColouring(p, seed)
+            for (u, v), colour in zip(pairs, want):
+                if u != v:
+                    assert colouring.edge_colour(u, v) == colour == reference_edge_colour(p, seed, u, v)
 
 
 def test_thresholds_match_geometric_cdf():
@@ -85,11 +101,10 @@ def test_colour_one_has_exact_mass_half():
 
 def test_geometric_colour_inverts_thresholds():
     p = Fraction(1, 2)
-    ts = prng.geometric_thresholds(p)
-    assert prng.geometric_colour(p, 0) == 1
-    assert prng.geometric_colour(p, ts[0] - 1) == 1
-    assert prng.geometric_colour(p, ts[0]) == 2
-    assert prng.geometric_colour(p, ts[1]) == 3
+    ts = reference_geometric_thresholds(p)
+    draws = [0, ts[0] - 1, ts[0], ts[1]]
+    assert [reference_colour(p, r) for r in draws] == [1, 1, 2, 3]
+    assert prng._invert(p, np.array(draws, dtype=np.uint64)).tolist() == [1, 1, 2, 3]
 
 
 def test_vectorized_replay_equals_scalar():
@@ -100,27 +115,27 @@ def test_vectorized_replay_equals_scalar():
                 flat = []
                 for j in range(n):
                     for i in range(j):
-                        flat.append(prng.edge_colour(p, seed, i, j))
+                        flat.append(reference_edge_colour(p, seed, i, j))
                 assert bulk.tolist() == flat
 
 
 def test_pair_kernel_equals_scalar():
     """Pairs in either order, and a block of candidates broadcast against
-    fixed points, entry by entry against the scalar colour."""
+    fixed points, entry by entry against the reference colour."""
     stream = prng.SplitMix64Stream(5)
     u = [stream.randrange(70) for _ in range(300)]
     v = [(a + 1 + stream.randrange(69)) % 70 for a in u]
     for seed in (0, 1, 2**64 - 1):
         for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)):
             got = prng.pair_colours(p, seed, u, v)
-            assert got.tolist() == [prng.edge_colour(p, seed, a, b) for a, b in zip(u, v)]
+            assert got.tolist() == [reference_edge_colour(p, seed, a, b) for a, b in zip(u, v)]
             fixed = [3, 0, 69, 41]
             block = prng.pair_colours(p, seed, [[z] for z in range(70)], fixed)
             assert block.shape == (70, 4)
             for z in range(70):
                 for k, w in enumerate(fixed):
                     if z != w:
-                        assert block[z, k] == prng.edge_colour(p, seed, z, w)
+                        assert block[z, k] == reference_edge_colour(p, seed, z, w)
 
 
 def test_plain_integer_thresholds_equal_the_fraction_loop():
@@ -130,10 +145,11 @@ def test_plain_integer_thresholds_equal_the_fraction_loop():
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
 def test_guide_table_inversion_at_every_boundary(p):
-    """The vectorized inversion against the scalar one on the draws where
-    a guide table can go wrong: each threshold and its neighbours, the
-    first and last draw of every bucket, and both ends of the range."""
-    ts = prng.geometric_thresholds(p)
+    """The vectorized inversion against the reference's binary search on
+    the draws where a guide table can go wrong: each threshold and its
+    neighbours, the first and last draw of every bucket, and both ends of
+    the range."""
+    ts = reference_geometric_thresholds(p)
     law = prng._law(p.numerator, p.denominator)
     buckets = np.arange(law.guide.size, dtype=np.uint64) << law.shift
     assert 0 < law.guide.size <= 1 << 16 and law.guide.dtype == np.min_scalar_type(len(ts) + 1)
@@ -144,7 +160,7 @@ def test_guide_table_inversion_at_every_boundary(p):
         | {0, SCALE - 1}
     )
     draws += [0] * (len(draws) % 2)  # an even count, for the 2-D block
-    want = [prng.geometric_colour(p, r) for r in draws]
+    want = [reference_colour(p, r) for r in draws]
     bits = np.array(draws, dtype=np.uint64)
     flat = prng._invert(p, bits)
     assert flat.dtype == law.guide.dtype and flat.tolist() == want
@@ -158,7 +174,7 @@ def test_kernel_equals_the_binary_search_kernel():
     """Entry by entry against the int64 kernel that searched the thresholds
     for every pair, in the law's narrow colour dtype."""
     for p in (Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)):
-        narrow = np.min_scalar_type(len(prng.geometric_thresholds(p)) + 1)
+        narrow = np.min_scalar_type(len(reference_geometric_thresholds(p)) + 1)
         for seed in (0, 7, 2**64 - 1):
             for n in (0, 1, 2, 300):
                 got = prng.all_edge_colours(p, seed, n)
@@ -194,7 +210,7 @@ def test_bulk_kernel_peak_memory():
 
 
 def test_bulk_kernel_block_boundaries():
-    """The first and last pair of every block of rows against the scalar
+    """The first and last pair of every block of rows against the reference
     colour, at the CLI's cap."""
     p, n = Fraction(1, 3), 2048
     got = prng.all_edge_colours(p, 3, n)
@@ -205,8 +221,8 @@ def test_bulk_kernel_block_boundaries():
         while stop < n and stop * (stop + 1) // 2 - lo <= prng.BLOCK_PAIRS:
             stop += 1
         hi = stop * (stop - 1) // 2
-        assert got[lo] == prng.edge_colour(p, 3, 0, j)
-        assert got[hi - 1] == prng.edge_colour(p, 3, stop - 2, stop - 1)
+        assert got[lo] == reference_edge_colour(p, 3, 0, j)
+        assert got[hi - 1] == reference_edge_colour(p, 3, stop - 2, stop - 1)
         blocks += 1
         j = stop
     assert blocks > 1
@@ -229,9 +245,9 @@ def test_chi_holds_exact_ints(p):
     of ``dumps`` as the standard library renders it."""
     n = 70
     g = random_coloured_graph(n, GeometricColouring(p, 5))
-    assert prng.all_edge_colours(p, 5, n).dtype == np.min_scalar_type(len(prng.geometric_thresholds(p)) + 1)
+    assert prng.all_edge_colours(p, 5, n).dtype == np.min_scalar_type(len(reference_geometric_thresholds(p)) + 1)
     assert type(g.chi) is tuple and all(type(c) is int for c in g.chi)
-    assert list(g.chi) == [prng.edge_colour(p, 5, i, j) for i, j in _colex_pairs(n)]
+    assert list(g.chi) == [reference_edge_colour(p, 5, i, j) for i, j in _colex_pairs(n)]
     if p == Fraction(1, 256):
         assert max(g.chi) > 255  # colours past one byte
     t = (1, 2, 1)
@@ -243,8 +259,8 @@ def test_chi_holds_exact_ints(p):
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
 def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
     """``GeometricColouring.edge_colour``, ``RandomLimitModel.colour_index``
-    and its ``rank_label`` read the law once per object; each equals
-    ``prng.edge_colour`` in both endpoint orders."""
+    and its ``rank_label`` read the law once per object; each equals the
+    reference colour in both endpoint orders."""
     n = 24
     for seed in (0, 1, 12345, 2**64 - 1):
         colouring = GeometricColouring(p, seed)
@@ -252,7 +268,7 @@ def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
         model.limit_points(n)
         for j in range(1, n):
             for i in range(j):
-                want = prng.edge_colour(p, seed, i, j)
+                want = reference_edge_colour(p, seed, i, j)
                 for u, v in ((i, j), (j, i)):
                     assert colouring.edge_colour(u, v) == want
                     assert model.colour_index(u, v) == want
@@ -261,10 +277,22 @@ def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
         GeometricColouring(p, 0).edge_colour(4, 4)
     assert err.value.code == "graph/loop"
     # seeds are read mod 2^64, as before the law was cached
-    assert GeometricColouring(p, -1).edge_colour(2, 9) == prng.edge_colour(p, 2**64 - 1, 2, 9)
+    assert GeometricColouring(p, -1).edge_colour(2, 9) == reference_edge_colour(p, 2**64 - 1, 2, 9)
     negative = RandomLimitModel(-1, p)
     negative.limit_points(10)
-    assert negative.colour_index(2, 9) == prng.edge_colour(p, 2**64 - 1, 2, 9)
+    assert negative.colour_index(2, 9) == reference_edge_colour(p, 2**64 - 1, 2, 9)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
+def test_one_cache_holds_a_rates_thresholds(p):
+    """A colouring and the random model's alphabet read the thresholds of
+    ``prng._law``, the same tuple, and the alphabet holds one label per
+    colour and the diagonal's 0."""
+    thresholds = prng._law(p.numerator, p.denominator).thresholds
+    for seed in (0, 2**64 - 1):
+        assert GeometricColouring(p, seed)._law[0] is thresholds
+    assert thresholds == reference_geometric_thresholds(p)
+    assert len(limit._alphabet(p).labels) == len(thresholds) + 2
 
 
 def test_random_graph_peak_memory():

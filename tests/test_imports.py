@@ -221,18 +221,49 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def reads_through_modules(tree: ast.AST) -> set[tuple[str, str]]:
+    """The (module, name) pairs a module reads through the name's own
+    module: ``module.name`` where the expression before the dot ends in the
+    module's name or in an alias an import binds to it (``prng.x``,
+    ``E.cli.main``), and ``from .module import name`` or ``from
+    package.module import name``."""
+    aliases = {
+        alias.asname: alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    read: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            stem = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if stem is not None:
+                read.add((aliases.get(stem, stem), node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            read.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+    return read
+
+
 def unused_public_names(sources: dict[str, str], exported: set[str], outside: dict[str, str]) -> list[str]:
-    """Module-level public names of ``sources`` that no module of
-    ``sources`` reads, ``exported`` does not list and no module of
-    ``outside`` reads, as ``module: name``."""
+    """Module-level public names of ``sources`` that ``exported`` does not
+    list and that nothing reads through their own module: neither a module
+    of ``sources`` or of ``outside`` (see :func:`reads_through_modules`)
+    nor, by the bare name, the module itself.  A method or attribute of the
+    same name elsewhere is not a read.  As ``module: name``."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set().union(*map(names_read, trees.values()), *(names_read(ast.parse(s)) for s in outside.values()))
-    return [
-        f"{module}: {name}"
-        for module, tree in trees.items()
-        for name in module_level_names(tree)
-        if not name.startswith("_") and name not in read | exported
-    ]
+    read = set().union(*map(reads_through_modules, [*trees.values(), *map(ast.parse, outside.values())]))
+    out = []
+    for module, tree in trees.items():
+        stem = module.removesuffix(".py")
+        bare = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [
+            f"{module}: {name}"
+            for name in module_level_names(tree)
+            if not name.startswith("_") and name not in exported | bare and (stem, name) not in read
+        ]
+    return out
 
 
 def public_names_bound(source: str) -> set[str]:
@@ -257,6 +288,25 @@ def test_the_check_sees_an_unused_public_name():
     assert unused_public_names(sources, {"LISTED", "gone", "Unread"}, outside) == []
     source = "from .a import f, g as h\nimport os.path\nfrom . import b\n__version__ = '1'\n_x = 2\nY = 3\n"
     assert public_names_bound(source) == {"f", "h", "os", "b", "Y"}
+
+
+def test_the_check_reads_a_name_only_through_its_own_module():
+    """A method of the same name in another module, or an attribute of the
+    same name on another object, does not hide an unused function."""
+    sources = {
+        "a.py": "def colour():\n    pass\n\ndef key():\n    pass\n\ndef law():\n    pass\n\nSTEP = 1\n",
+        "b.py": "class Colouring:\n    def colour(self):\n        return self.law\n\nColouring().colour()\n",
+    }
+    assert unused_public_names(sources, set(), {}) == ["a.py: colour", "a.py: key", "a.py: law", "a.py: STEP"]
+    reads = {
+        "c.py": "from . import a as A\nfrom .a import law\nA.key()\n",
+        "run.py": "def run(E, a):\n    return E.a.colour, a.STEP\n",
+    }
+    assert unused_public_names(sources, set(), reads) == []
+    # a bare name is a read only inside its own module
+    shadows = {**sources, "b.py": "colour = key = law = STEP = None\nprint(colour, key, law, STEP)\n"}
+    assert unused_public_names(shadows, set(), {}) == ["a.py: colour", "a.py: key", "a.py: law", "a.py: STEP"]
+    assert unused_public_names({"a.py": "def colour():\n    pass\n\nSTEP = colour\n"}, set(), {}) == ["a.py: STEP"]
 
 
 def test_every_public_name_is_used_or_exported():

@@ -88,6 +88,14 @@ def test_chain_positions_equal_the_label_list():
                     chain.label_at(pos)
 
 
+def test_label_at_refuses_a_position_that_is_not_an_int():
+    chain = KatetovChain.of(1, 1)
+    assert chain.label_at(1) == APART
+    for pos in (1.5, True, "1"):
+        with pytest.raises(IndexError, match="out of range"):
+            chain.label_at(pos)
+
+
 def test_size_identities_small_bases():
     for sp in SMALL:
         chain = KatetovChain.of(sp.m, sp.n)

@@ -39,6 +39,7 @@ from helpers import (
     rational_between,
     rational_index,
     reference_back_and_forth,
+    reference_edge_colour,
     reference_simplest_between,
     reference_tier_pattern_ok,
 )
@@ -72,6 +73,24 @@ def test_rational_enumeration_is_bijective():
         assert rational_index(q) == i
         seen.add(q)
     assert len(seen) == 299
+
+
+@pytest.mark.parametrize(
+    "bad, neighbour, message",
+    [
+        (0, 1, "index must be >= 1"),
+        (-3, 3, "index must be >= 1"),
+        (2.5, 2, "index must be an int"),
+        (True, 1, "index must be an int"),
+        ("1", 1, "index must be an int"),
+    ],
+    ids=["zero", "negative", "float", "bool", "str"],
+)
+def test_nth_rational_refuses_what_is_not_an_index(bad, neighbour, message):
+    assert rational_index(nth_rational(neighbour)) == neighbour
+    with pytest.raises(ValidationError) as e:
+        nth_rational(bad)
+    assert (e.value.code, e.value.message) == ("rational/index", message)
 
 
 def test_exact_rational_reads_three_kinds():
@@ -129,6 +148,24 @@ def test_simplest_between_large_and_empty_intervals():
         for lo, hi in ((Fraction(-1), Fraction(0)), (Fraction(-3), Fraction(-1)), (Fraction(1), Fraction(1))):
             with pytest.raises(ValueError, match="empty interval"):
                 simplest_between(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "bad, neighbour, want, message",
+    [
+        ((1.5, None), (Fraction(3, 2), None), Fraction(2), "interval bounds must be exact rationals"),
+        ((None, Fraction(1)), (Fraction(0), Fraction(1)), Fraction(1, 2), "interval bounds must be exact rationals"),
+        ((Fraction(0), 0.5), (Fraction(0), Fraction(1, 2)), Fraction(1, 3), "interval bounds must be exact rationals"),
+        ((Fraction(1, 3), "a/b"), ("1/3", "1/2"), Fraction(2, 5), "interval bounds must be exact rationals"),
+        ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(2)), Fraction(3, 2), "empty interval"),
+    ],
+    ids=["float-lo", "none-lo", "float-hi", "str-hi", "empty"],
+)
+def test_simplest_between_refuses_what_is_not_an_interval(bad, neighbour, want, message):
+    assert simplest_between(*neighbour) == want
+    with pytest.raises(ValidationError) as e:
+        simplest_between(*bad)
+    assert (e.value.code, e.value.message) == ("rational/interval", message)
 
 
 def test_rational_between_avoids_forbidden():
@@ -429,7 +466,7 @@ def test_random_labels_replay_the_colouring():
     model.limit_points(12)
     for u in range(12):
         for v in range(u + 1, 12):
-            idx = prng.edge_colour(Fraction(1, 2), seed, u, v)
+            idx = reference_edge_colour(Fraction(1, 2), seed, u, v)
             assert model.colour_index(u, v) == idx
             assert model.rank_label(u, v) == nth_rational(idx)
 
@@ -530,7 +567,7 @@ def test_random_demands_match_the_reference():
         new.limit_points(n)
         ref.limit_points(n)
         # bounds and exact labels come from the first 12 points' labels
-        labels = sorted({nth_rational(prng.edge_colour(p, seed, u, v)) for v in range(12) for u in range(v)})
+        labels = sorted({nth_rational(reference_edge_colour(p, seed, u, v)) for v in range(12) for u in range(v)})
         for _ in range(6):
             if stream.randrange(4) == 0:
                 n = new.size + stream.randrange(GROW_BLOCK) + 1
