@@ -235,8 +235,9 @@ def _cmd_limit_sample(args) -> dict:
     doc["mode"] = args.mode
     doc["seed"] = args.seed
     doc["p"] = fraction_to_str(args.p)
-    # a fresh model's existing labels are exactly the prefix's levels, rank by rank
-    names = [fraction_to_str(q) for q in model.existing_labels()]
+    # a fresh model's levels are exactly the prefix's, rank by rank; they are
+    # named as the model holds them, ints included, with no Fraction per label
+    names = [fraction_to_str(q) for q in model._levels()]
     doc["labels"] = [[names[r - 1] for r in space.table[i][:i]] for i in range(1, args.n)]
     return doc
 

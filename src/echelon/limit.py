@@ -142,6 +142,8 @@ class LimitModel:
         return tuple(range(n))
 
     def rank_label(self, u: int, v: int) -> Fraction:
+        """The label of the pair {u, v}, 0 when u == v; always a Fraction,
+        whatever type the model holds it as."""
         if not (0 <= u < self.size and 0 <= v < self.size):
             raise ValidationError("limit/unmaterialized", "both points must be materialized")
         if u == v:
@@ -161,11 +163,17 @@ class LimitModel:
         return [self._label(u, v) for u, v in _colex_pairs(n)]
 
     def existing_labels(self) -> list[Fraction]:
-        """Sorted distinct labels among materialized pairs."""
-        out = {
-            self._label(u, v) for u in range(self.size) for v in range(u + 1, self.size)
-        }
-        return sorted(out)
+        """Sorted distinct labels among materialized pairs, each a Fraction:
+        ``_levels()`` with any int it holds converted."""
+        return [Fraction(q) if type(q) is int else q for q in self._levels()]
+
+    def _levels(self) -> Sequence:
+        """The sorted distinct labels among materialized pairs, as the model
+        holds them: exact rationals, each a Fraction or an int.  A fresh
+        model's n-point prefix has exactly these as its levels, rank by rank."""
+        return sorted(
+            {self._label(u, v) for u in range(self.size) for v in range(u + 1, self.size)}
+        )
 
     def ensure_witness(self, demand: Demand) -> int:
         raise NotImplementedError
@@ -254,7 +262,7 @@ class RandomLimitModel(LimitModel):
     def _extend(self) -> None:
         self.size += 1
 
-    def existing_labels(self) -> list[Fraction]:
+    def _levels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs.
 
         ``prng._colour_blocks``, the row walk behind ``all_edge_colours``,
@@ -317,9 +325,11 @@ class RandomLimitModel(LimitModel):
         )
 
 
-def _insert(ordered: list[Fraction], label: Fraction) -> bool:
+def _insert(ordered: list, label: Fraction) -> bool:
     """Insert label into the ascending distinct list unless it is there
-    already, with one bisection; report whether it was inserted."""
+    already, with one bisection; report whether it was inserted.  The list
+    may mix ints and Fractions: an int and a Fraction of equal value compare
+    equal, so a Fraction equal to an int there is not inserted."""
     i = bisect_left(ordered, label)
     if absent := i == len(ordered) or ordered[i] != label:
         ordered.insert(i, label)
@@ -339,25 +349,37 @@ class DeterministicLimitModel(LimitModel):
     also tells whether it is there already.  Nothing is rebuilt per point,
     so growth to n points costs O(n^2) label writes.  The pair labels are
     one flat list in ``_colex_pairs`` order: each new point appends its
-    row, and a prefix's labels are a slice."""
+    row, and a prefix's labels are a slice.
+
+    Fresh labels count up from the top label plus 1, an integral top read
+    as an int, so they are held as exact ints and cost no Fraction
+    arithmetic; only an exact demand that puts a non-integral value on top
+    keeps them Fractions (7/2 on top, then 9/2, 11/2, ...).  In-gap and
+    exact labels are Fractions.  Both lists hold the mix, which compares and
+    hashes as the same values do as Fractions, so the index and the
+    prefixes' ranks do not depend on it.  ``rank_label`` and
+    ``existing_labels`` convert an int to a Fraction; ``_prefix_values`` and
+    ``_levels`` hand the mix on as it is."""
 
     mode = "deterministic"
 
     def __init__(self, seed: int = 0):
         super().__init__()
         self.seed = seed  # recorded; the construction is canonical
-        self._labels: list[Fraction] = []
-        self._sorted: list[Fraction] = []
+        self._labels: list[Union[int, Fraction]] = []
+        self._sorted: list[Union[int, Fraction]] = []
         self._schedule_step = 0
 
     def _label(self, u: int, v: int) -> Fraction:
         u, v = (u, v) if u < v else (v, u)
-        return self._labels[v * (v - 1) // 2 + u]
+        label = self._labels[v * (v - 1) // 2 + u]
+        return Fraction(label) if type(label) is int else label
 
-    def _prefix_values(self, n: int) -> list[Fraction]:
+    def _prefix_values(self, n: int) -> list[Union[int, Fraction]]:
         return self._labels[: n * (n - 1) // 2]
 
-    def existing_labels(self) -> list[Fraction]:
+    def _levels(self) -> list[Union[int, Fraction]]:
+        """A copy of the sorted label index, its ints and Fractions as held."""
         return list(self._sorted)
 
     def _extend(self) -> None:
@@ -394,7 +416,8 @@ class DeterministicLimitModel(LimitModel):
                 chosen[point] = interval_labels[(entry.lo, entry.hi, entry.tier)]
         z = self.size
         self.size += 1
-        next_fresh = (self._sorted[-1] if self._sorted else Fraction(0)) + 1
+        top = self._sorted[-1] if self._sorted else 0
+        next_fresh = (top.numerator if top.denominator == 1 else top) + 1
         for v in range(z):
             if v in chosen:
                 self._labels.append(chosen[v])
