@@ -8,6 +8,7 @@ different modules and are never unified.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,14 +141,15 @@ def random_coloured_graph(n: int, colouring: GeometricColouring) -> ColouredGrap
 
     Bulk path is the vectorized replay of the scalar per-edge function;
     the two are pinned equal by tests.  ``chi`` is read straight from the
-    kernel's narrow colour array: ``tuple(memoryview(flat))`` gives exact
-    ints with no list in between, and ``ColouredGraph`` keeps that tuple
-    without a copy.
+    kernel's narrow colour array: one ``struct.unpack`` of its buffer, in
+    the array's native item format, gives the tuple of exact ints with no
+    copy of the array and no list in between, for every colour dtype, and
+    ``ColouredGraph`` keeps that tuple without a copy.
     """
     if not _is_int(n) or n < 1:
         raise ValidationError("graph/shape", "vertex count must be positive")
-    flat = prng.all_edge_colours(colouring.p, colouring.seed, n)
-    return ColouredGraph(n, tuple(memoryview(flat)))
+    view = memoryview(prng.all_edge_colours(colouring.p, colouring.seed, n))
+    return ColouredGraph(n, struct.unpack(f"{len(view)}{view.format}", view))
 
 
 class WitnessFailure(NamedTuple):

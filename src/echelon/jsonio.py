@@ -408,8 +408,10 @@ def _column(col: Sequence, newline: str) -> list[str]:
     """The JSON texts of the values in ``col``, their lines after the first
     starting with ``newline``, all values of one type in one pass: strings
     through one encoding per distinct string, one text shared by its
-    repeats; rows of ints through one ``repr`` each and rows of strings
-    through one ``join`` each; non-empty lists of non-empty lists of ints,
+    repeats; rows of ints, such as a graph's ``chi``, through one ``repr``
+    of the whole column, split at the row separator before each row's int
+    separators are replaced; rows of strings through one ``join`` each;
+    non-empty lists of non-empty lists of ints,
     such as the ``eta`` column of a space list, through one ``repr`` of the
     whole column, split at the member separator before each member's row
     and int separators are replaced, so that the only text as long as the
@@ -424,7 +426,9 @@ def _column(col: Sequence, newline: str) -> list[str]:
     if isinstance(col[0], (list, tuple)):
         kinds = {*map(type, chain.from_iterable(col))}
         if kinds == {int}:  # a bool is not an int here
-            return [f"[{inner}{repr(list(x))[1:-1].replace(', ', sep)}{newline}]" if x else "[]" for x in col]
+            table = col if type(col) is list is type(col[0]) else [*map(list, col)]  # a tuple's repr differs
+            rows = repr(table)[2:-2].split("], [")
+            return [f"[{inner}{row.replace(', ', sep)}{newline}]" if row else "[]" for row in rows]
         if kinds == {str}:
             return [f"[{inner}{sep.join(map(_encode_str, x))}{newline}]" if x else "[]" for x in col]
         items = [*chain.from_iterable(col)]

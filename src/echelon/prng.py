@@ -25,7 +25,14 @@ the other two rounds in :func:`keyed_bits` per pair.
 Every kernel colour array has the narrowest unsigned dtype that holds every
 colour of its law, ``np.min_scalar_type(len(thresholds) + 1)``: uint8 at
 p = 1/2, uint16 at p = 1/256.  Its items read back as exact ints through
-``tolist()`` or ``memoryview``.
+``tolist()``, or as a tuple in one ``struct.unpack`` of the array's own
+buffer in its native item format (``memoryview(a).format``), as
+``colgraph.random_coloured_graph`` builds ``chi``.
+
+The kernel indexes with intp arrays only.  numpy casts any other index
+array to intp item by item first, which doubled the guide-table gather
+when it indexed with the uint64 bucket numbers; a bucket number is below
+2^16, so its uint64 array is read as intp by ``view`` without a copy.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability
@@ -197,7 +204,7 @@ def _invert(p: Fraction, bits: np.ndarray) -> np.ndarray:
     ``np.min_scalar_type(len(thresholds) + 1)``."""
     law = _law(p.numerator, p.denominator)
     flat = bits.ravel()
-    colours = law.guide[flat >> law.shift]
+    colours = law.guide[(flat >> law.shift).view(np.intp)]  # exact: a bucket is below 2^16
     miss = np.flatnonzero(colours == 0)
     colours[miss] = np.searchsorted(law.array, flat[miss], side="right") + 1
     return colours.reshape(bits.shape)

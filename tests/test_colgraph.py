@@ -256,6 +256,19 @@ def test_chi_holds_exact_ints(p):
     assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("n", [1, 2, 2048])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 256)], ids=["uint8", "uint16"])
+def test_chi_is_the_kernel_array_unpacked(p, n):
+    """``chi`` at one vertex (no pairs), two and the CLI's cap is a tuple
+    of exact ints equal item by item to the kernel's colour array."""
+    g = random_coloured_graph(n, GeometricColouring(p, 3))
+    assert type(g.chi) is tuple and all(type(c) is int for c in g.chi)
+    assert g.chi == tuple(prng.all_edge_colours(p, 3, n).tolist())
+    assert len(g.chi) == n * (n - 1) // 2
+    if n == 1:
+        assert g.chi == ()
+
+
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
 def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
     """``GeometricColouring.edge_colour``, ``RandomLimitModel.colour_index``
@@ -296,10 +309,14 @@ def test_one_cache_holds_a_rates_thresholds(p):
 
 
 def test_random_graph_peak_memory():
-    """``random_coloured_graph(1024, ...)`` at a traced peak below the
-    ``chi`` tuple, the kernel's output and three int64 blocks of rows: no
-    room for a list of all the colours (8 bytes a pair).  At p = 1/256 the
-    colours past CPython's cached small ints are objects of ``chi`` too."""
+    """``random_coloured_graph(1024, ...)`` at a traced peak within 64 KiB
+    of the ``chi`` tuple and the kernel's output: the kernel's blocks of
+    rows are freed before the tuple is built, and there is no room for a
+    second colour buffer (half a megabyte at p = 1/2, one at p = 1/256),
+    let alone a list of all the colours.  At p = 1/256 the colours past
+    CPython's cached small ints are objects of ``chi`` too, each counted
+    at its size rounded up to pymalloc's 16-byte alignment, which is what
+    it holds however it was allocated."""
     for p in (Fraction(1, 2), Fraction(1, 256)):
         colouring = GeometricColouring(p, 11)
         g = random_coloured_graph(1024, colouring)
@@ -310,8 +327,8 @@ def test_random_graph_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        objects = sum(sys.getsizeof(c) for c in g.chi if c > 256)
-        assert peak < sys.getsizeof(g.chi) + objects + out.nbytes + 3 * 8 * prng.BLOCK_PAIRS, (p, peak)
+        objects = sum(-(-sys.getsizeof(c) // 16) * 16 for c in g.chi if c > 256)
+        assert peak < sys.getsizeof(g.chi) + objects + out.nbytes + (1 << 16), (p, peak)
 
 
 def test_marginals_chi_square():

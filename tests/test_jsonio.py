@@ -337,6 +337,14 @@ JSON_VALUES = st.recursive(
 @example([[], [1, 2], (3,), [-(2**70)]])
 @example([["a"], [], ("b", "c")])
 @example([[1, True], [False], [0]])
+@example([[1, 2], [], [3]])
+@example([[], [4], []])
+@example([(1, 2), (3,)])
+@example(([5], [6, 7]))
+@example(([8],))
+@example([[0, 1], [2, True]])
+@example([[-1, -(2**63)], [-(2**64) - 1, 0]])
+@example([[2**64, 2**64 - 1], [2**70 + 1, -(2**200)]])
 @example([{}, {}, {}])
 @example([{"k": {}}, {"k": {"x": [[], ["y"]]}}])
 @example([[[1], [2, 3]], [[-4]], [[2**70, -(2**70)]]])
