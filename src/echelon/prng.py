@@ -30,9 +30,9 @@ buffer in its native item format (``memoryview(a).format``), as
 ``colgraph.random_coloured_graph`` builds ``chi``.
 
 The kernel indexes with intp arrays only.  numpy casts any other index
-array to intp item by item first, which doubled the guide-table gather
-when it indexed with the uint64 bucket numbers; a bucket number is below
-2^16, so its uint64 array is read as intp by ``view`` without a copy.
+array to intp item by item first, which costs about as much again as the
+gather itself; the guide table's bucket numbers are below 2^16, so their
+uint64 array is read as intp by ``view``, without a copy.
 
 Geometric sampling is done by inversion of the CDF at 64-bit resolution
 with exact integer thresholds: colour i has probability

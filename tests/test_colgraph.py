@@ -264,7 +264,6 @@ def test_chi_is_the_kernel_array_unpacked(p, n):
     g = random_coloured_graph(n, GeometricColouring(p, 3))
     assert type(g.chi) is tuple and all(type(c) is int for c in g.chi)
     assert g.chi == tuple(prng.all_edge_colours(p, 3, n).tolist())
-    assert len(g.chi) == n * (n - 1) // 2
     if n == 1:
         assert g.chi == ()
 
