@@ -445,9 +445,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         _diagnostic("io/read", str(exc))
         return 2
-    text = jsonio.dumps(doc)
     try:
-        _write(text, args.out)
+        _write(doc, args.out)
     except OSError as exc:
         if not args.out:  # the bytes left in stdout's buffer go nowhere, so the interpreter's last flush cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -456,26 +455,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    """Print ``text``, or write it to ``out``.  A regular file, or a path
-    that names nothing yet, is written through a temporary file beside it
-    and then renamed over it, so a failed write leaves no partial document,
-    and a file it replaces keeps its permission bits; any other target,
-    such as a device or a pipe, is written in place."""
+def _write(doc: dict, out: Optional[str]) -> None:
+    """Write ``doc`` through ``jsonio.dump``, one row of a top-level table
+    per write, to stdout, or to ``out``.  Every chunk is built before the
+    first write, so stdout receives the document row by row, and a stdout
+    that fails partway has received a prefix of it.  A regular file, or a
+    path that names nothing yet, is written through a temporary file beside
+    it and then renamed over it, so a failed write leaves no partial
+    document, and a file it replaces keeps its permission bits; any other
+    target, such as a device or a pipe, is written in place."""
     if not out:
-        sys.stdout.write(text)
+        jsonio.dump(doc, sys.stdout.write)
         sys.stdout.flush()
         return
     if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w") as f:
-            f.write(text)
+            jsonio.dump(doc, f.write)
         return
     target = os.path.realpath(out)  # a symlink is written through, not replaced
     temporary = f"{target}.{os.getpid()}.tmp"
     f = open(temporary, "x")
     try:
         with f:
-            f.write(text)
+            jsonio.dump(doc, f.write)
         if os.path.exists(target):
             shutil.copymode(target, temporary)
         os.replace(temporary, target)

@@ -23,11 +23,14 @@ false one is refused with ``katetov/claim``.  Every document, embedded ones
 included, passes one header check first: it must be a JSON object, and a
 format tag other than ``echelon/1`` is rejected for every kind (a missing
 one is accepted).  Loaders ignore unknown keys.  ``map`` documents have a
-loader but no registry entry, so ``validate`` rejects them.  ``dumps`` is
-the one renderer of documents and diagnostics: it writes the standard
-library's ``sort_keys=True, indent=2`` layout, an object key by key and
-the items of a list as one column, rendered by ``_column`` a whole column
-of values of one type per call.
+loader but no registry entry, so ``validate`` rejects them.  ``dump`` and
+``dumps`` are the one renderer of documents and diagnostics: they write
+the standard library's ``sort_keys=True, indent=2`` layout, an object key
+by key and the items of a list as one column, rendered by ``_column`` a
+whole column of values of one type per call.  Both take one list of
+chunks, one per row of a top-level table: ``dump`` passes them to a
+writer one at a time, so the whole text is never joined, and ``dumps``
+joins them.
 """
 
 from __future__ import annotations
@@ -381,25 +384,75 @@ _SCALARS: dict[type, Callable[[Any], str]] = {str: _encode_str, int: int.__repr_
 def dumps(doc: Any) -> str:
     """Deterministic rendering: sorted keys, two-space indent, one trailing
     newline; the bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and
-    a newline.  A document ``_render`` cannot take, one with a key that is
-    not a string, nested deeper than the recursion limit or holding a value
-    JSON has no form for, goes to that call, which renders it or raises."""
+    a newline, as the join of ``dump``'s chunks."""
+    return "".join(_chunks(doc))
+
+
+def dump(doc: Any, write: Callable[[str], Any]) -> None:
+    """Pass the text of ``dumps(doc)`` to ``write`` in chunks, one row of a
+    top-level table each: every item of a list that an object document
+    holds at its top level, such as a row of ``eta``, ``chi`` or ``labels``
+    or a space list's member, with the keys, scalars and brackets before it.
+    A document with no list at its top level is one chunk.  No text as long
+    as the document is joined, and every chunk is built before the first
+    is written, so nothing is written before a render that raises."""
+    for chunk in _chunks(doc):
+        write(chunk)
+
+
+def _chunks(doc: Any) -> list[str]:
+    """The chunks of ``dump`` and ``dumps``.  A document ``_render`` cannot
+    take, one with a key that is not a string, nested deeper than the
+    recursion limit or holding a value JSON has no form for, goes to the
+    stdlib call in one chunk, which renders it or raises."""
     try:
-        return _render(doc, "\n") + "\n"
+        chunks = _object(doc, "\n") if isinstance(doc, dict) else [_render(doc, "\n")]
     except (TypeError, RecursionError):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
+    chunks[-1] += "\n"
+    return chunks
+
+
+def _object(x: dict, newline: str) -> list[str]:
+    """The JSON text of an object, key by key, in chunks: each item of a
+    list it holds is one chunk, rendered with the list's other items by
+    ``_column``, and the text between two items goes into the chunk after
+    it, or into the last chunk after the last item."""
+    if not x:
+        return ["{}"]
+    inner = newline + "  "
+    cell = inner + "  "
+    chunks: list[str] = []
+    text, lead = "", "{"
+    for k, v in sorted(x.items()):
+        text += lead + inner + _encode_str(k) + ": "
+        lead = ","
+        if e := _SCALARS.get(type(v)):
+            text += e(v)
+        elif isinstance(v, (list, tuple)) and v:
+            rows = _column(v, cell)
+            rows[0] = text + "[" + cell + rows[0]
+            for i in range(1, len(rows)):  # in place: one row is copied at a time
+                rows[i] = "," + cell + rows[i]
+            chunks += rows
+            text = inner + "]"
+        else:
+            text += _render(v, inner)
+    text += newline + "}"
+    if not chunks:
+        return [text]
+    chunks[-1] += text
+    return chunks
 
 
 def _render(x: Any, newline: str) -> str:
     """The JSON text of ``x``, its lines after the first starting with
-    ``newline``: an object key by key, a list's items as one column."""
-    inner = newline + "  "
+    ``newline``: an object as the join of its chunks, a list's items as
+    one column."""
     if isinstance(x, dict):
-        items = []
-        for k, v in sorted(x.items()):
-            items.append(_encode_str(k) + ": " + (e(v) if (e := _SCALARS.get(type(v))) else _render(v, inner)))
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+        return "".join(_object(x, newline))
     if isinstance(x, (list, tuple)):
+        inner = newline + "  "
         return "[" + inner + ("," + inner).join(_column(x, inner)) + newline + "]" if x else "[]"
     return _SCALARS.get(type(x), json.dumps)(x)  # bool, None, float, str and int subclasses through the stdlib
 

@@ -4,6 +4,7 @@ main() is driven in-process; stdout/stderr go through capsys and stdin is
 monkeypatched for the "-" path."""
 
 import argparse
+import errno
 import hashlib
 import io
 import itertools
@@ -25,7 +26,7 @@ from echelon import (
     katetov_space,
     one_point_extensions,
 )
-from echelon import cli
+from echelon import cli, jsonio
 from echelon import metrize, prng, ramsey
 from echelon.cli import BOUNDS, main
 from echelon.jsonio import FORMAT, dumps, fraction_to_str, space_from_json, space_to_json
@@ -640,13 +641,110 @@ def test_a_closed_stdout_exits_2_with_one_diagnostic_and_no_traceback(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_full_stdout_exits_2_with_one_diagnostic_and_no_traceback():
+@pytest.mark.parametrize("argv", [["enumerate", "--m", "2"], ["graph", "--n", "512"]], ids=["small", "large"])
+def test_a_full_stdout_exits_2_with_one_diagnostic_and_no_traceback(argv):
     """A write error other than a closed pipe takes the same path: the
-    bytes left in stdout's buffer must not fail again at exit."""
+    bytes left in stdout's buffer must not fail again at exit.  The large
+    document overflows stdout's buffer, so its write fails mid-stream."""
     with open("/dev/full", "w") as full:
-        proc = run_cli(["enumerate", "--m", "2"], full)
+        proc = run_cli(argv, full)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stderr) == {"error": {"code": "io/write", "message": "stdout: No space left on device"}}
+
+
+class Stdout:
+    """A stdout that keeps what each write passes it, except that its
+    ``fail``-th write raises ENOSPC; ``fileno`` is a descriptor the test
+    owns, which the CLI points at the null device after a failed write."""
+
+    def __init__(self, fd=-1, fail=0):
+        self.writes, self.fd, self.fail = [], fd, fail
+
+    def write(self, text):
+        if len(self.writes) + 1 == self.fail:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, writes",
+    [(["enumerate", "--m", "4"], (4683, 4685)), (["enumerate", "--m", "4", "--count"], (1, 1))],
+    ids=["space-list", "report"],
+)
+def test_stdout_receives_one_write_per_top_level_row(invoke, monkeypatch, argv, writes):
+    """A space list reaches stdout one member per write, with at most two
+    more writes for the text around them; a report, which holds no list,
+    is one write.  The writes join to the document's bytes."""
+    expected = invoke(argv)[1]
+    stdout = Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert writes[0] <= len(stdout.writes) <= writes[1]
+    assert "".join(stdout.writes) == expected
+
+
+GRAPH_64 = ["graph", "--n", "64"]
+
+
+def _failing_write(invoke, at):
+    """The chunks ``jsonio.dump`` writes for a 64-vertex graph, and the
+    number of the write that is to fail: the first, a middle one or the
+    last."""
+    chunks = []
+    jsonio.dump(json.loads(invoke(GRAPH_64)[1]), chunks.append)
+    return chunks, {"first": 1, "middle": len(chunks) // 2, "last": len(chunks)}[at]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_a_stdout_that_fails_partway_exits_2_with_one_diagnostic(invoke, monkeypatch, tmp_path, at):
+    """The write of one row of a graph fails with ENOSPC: stdout has
+    received exactly the rows before it, stderr holds one diagnostic, and
+    ``main`` returns 2 without raising."""
+    chunks, fail = _failing_write(invoke, at)
+    with open(tmp_path / "stdout", "w") as f:
+        stdout = Stdout(f.fileno(), fail)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, _, err = invoke(GRAPH_64)
+    assert code == 2
+    assert json.loads(err) == {"error": {"code": "io/write", "message": "stdout: No space left on device"}}
+    assert stdout.writes == chunks[: fail - 1]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_out_that_fails_partway_keeps_the_file_it_would_replace(invoke, monkeypatch, tmp_path, at):
+    """The write of one row into ``--out``'s temporary file fails with
+    ENOSPC: the file it would replace keeps its content and mode, the
+    temporary file is gone, and stderr holds one diagnostic."""
+    fail = _failing_write(invoke, at)[1]
+    target = tmp_path / "graph.json"
+    target.write_text("old")
+    target.chmod(0o640)
+
+    def opener(path, mode="r"):
+        f = open(path, mode)
+        write, count = f.write, itertools.count(1)
+
+        def full(text):
+            if next(count) == fail:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        f.write = full
+        return f
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    code, out, err = invoke([*GRAPH_64, "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": "io/write", "message": f"{target}: No space left on device"}}
+    assert target.read_text() == "old" and stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]
 
 
 def test_out_onto_a_fifo_is_written_in_place(invoke, tmp_path):
@@ -1049,7 +1147,8 @@ def test_benchmark_selfcheck_pins_the_cli_bytes():
 def test_every_golden_output_is_the_stdlib_rendering(invoke, monkeypatch, tmp_path):
     """On the benchmark's fixed corpus, every stdout and every ``validate``
     of one is its pinned bytes, and ``dumps`` of the parsed document equals
-    the standard library's rendering byte for byte."""
+    the standard library's rendering byte for byte, as do ``dump``'s chunks
+    joined."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
     import clirun
     import golden
@@ -1069,6 +1168,9 @@ def test_every_golden_output_is_the_stdlib_rendering(invoke, monkeypatch, tmp_pa
         assert hashlib.sha256(text.encode()).hexdigest() == golden.CLI[key], key
         doc = json.loads(text)
         assert dumps(doc) == reference_dumps(doc) == reference_render(doc, "\n") + "\n" == text, key
+        chunks = []
+        jsonio.dump(doc, chunks.append)
+        assert "".join(chunks) == text, key
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it, every private
 module-level name is read somewhere in the package, only ``rationals``
-parses raw rationals, only ``jsonio`` renders JSON, and only ``space``
+parses raw rationals, only ``jsonio`` renders JSON, ``cli`` renders a
+whole text only for a diagnostic, and only ``space``
 decides how a rank string becomes a table and allocates square tables.
 Every module the tests import is declared in ``pyproject.toml`` unless it
 is the standard library's or this repository's own.  ``code_lines`` is
@@ -88,6 +89,48 @@ def test_the_check_sees_a_json_dumps_call():
 def test_only_jsonio_renders_json(path):
     """``jsonio.dumps`` is the one renderer of documents and diagnostics."""
     assert not calls_json_dumps(path.read_text(encoding="utf-8"))
+
+
+def dumps_outside_diagnostic(source: str) -> list[str]:
+    """The functions of ``source``, other than ``_diagnostic``, that read
+    ``jsonio.dumps`` as an attribute of ``jsonio`` or of an alias of it,
+    and "<module>" for each import of ``dumps`` from ``jsonio`` by name."""
+    tree = ast.parse(source)
+    aliases = {"jsonio"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname and alias.name.split(".")[-1] == "jsonio"
+    }
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "dumps":
+                if isinstance(child.value, ast.Name) and child.value.id in aliases and scope != "_diagnostic":
+                    found.append(scope)
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[-1] == "jsonio":
+                found.extend("<module>" for alias in child.names if alias.name == "dumps")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_check_sees_a_document_rendered_whole():
+    assert dumps_outside_diagnostic("from . import jsonio\n\ndef main():\n    print(jsonio.dumps({}))\n") == ["main"]
+    assert dumps_outside_diagnostic("from . import jsonio as J\n\ntext = J.dumps({})\n") == ["<module>"]
+    assert dumps_outside_diagnostic("from .jsonio import FORMAT, dumps\n") == ["<module>"]
+    allowed = "from . import jsonio\n\ndef _diagnostic():\n    jsonio.dumps({})\n\ndef main():\n    jsonio.dump({}, print)\n"
+    assert dumps_outside_diagnostic(allowed) == []
+
+
+def test_only_diagnostics_render_a_whole_text_in_the_cli():
+    """``cli`` writes every document through ``jsonio.dump``, one row per
+    write; ``jsonio.dumps``, which joins the whole text, is for
+    ``_diagnostic`` alone."""
+    assert dumps_outside_diagnostic((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def names_table_reader(source: str) -> bool:
