@@ -31,7 +31,7 @@ from .limit import back_and_forth, limit_new
 from .metrize import metrize_dull
 from .ramsey import ARROW_BUDGET, _arrow, witness_search
 from .rationals import exact_rational
-from .space import EchelonedSpace, are_isomorphic, enumerate_spaces, from_weights
+from .space import EchelonedSpace, are_isomorphic, enumerate_spaces
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_echelon(args) -> dict:
-    m, weights = jsonio.weights_from_json(_read_doc(args.input))
-    return jsonio.space_to_json(from_weights(m, weights))
+    return jsonio.space_to_json(jsonio.space_from_weights_json(_read_doc(args.input)))
 
 
 def _cmd_metrize(args) -> dict:
@@ -178,7 +177,7 @@ def _cmd_metrize(args) -> dict:
 
 
 def _cmd_from_metric(args) -> dict:
-    return jsonio.space_to_json(jsonio.space_from_metric_json(_read_doc(args.input)))
+    return jsonio.space_to_json(jsonio.space_from_weights_json(_read_doc(args.input), ("metric",)))
 
 
 def _cmd_amalgamate(args) -> dict:
@@ -420,7 +419,7 @@ def _reads_p(args) -> bool:
 
 
 def _diagnostic(code: str, message: str) -> None:
-    sys.stderr.write(jsonio.dumps({"error": {"code": code, "message": message}}))
+    jsonio.dump({"error": {"code": code, "message": message}}, sys.stderr.write)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -449,7 +448,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write(doc, args.out)
     except OSError as exc:
         if not args.out:  # the bytes left in stdout's buffer go nowhere, so the interpreter's last flush cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as devnull:  # closed once duplicated, so no descriptor is left open
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         _diagnostic("io/write", f"{args.out or 'stdout'}: {exc.strerror or exc}")
         return 2
     return 0

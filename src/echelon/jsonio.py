@@ -25,12 +25,12 @@ format tag other than ``echelon/1`` is rejected for every kind (a missing
 one is accepted).  Loaders ignore unknown keys.  ``map`` documents have a
 loader but no registry entry, so ``validate`` rejects them.  ``dump`` and
 ``dumps`` are the one renderer of documents and diagnostics: they write
-the standard library's ``sort_keys=True, indent=2`` layout, an object key
-by key and the items of a list as one column, rendered by ``_column`` a
-whole column of values of one type per call.  Both take one list of
-chunks, one per row of a top-level table: ``dump`` passes them to a
-writer one at a time, so the whole text is never joined, and ``dumps``
-joins them.
+the standard library's ``sort_keys=True, indent=2`` layout.  ``_object``
+lays out a top-level object key by key, and ``_column`` renders every
+value below it, and a document that is not an object, a whole column of
+values of one type per call.  Both take one list of chunks, one per row
+of a top-level table: ``dump`` passes them to a writer one at a time, so
+the whole text is never joined, and ``dumps`` joins them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .katetov import KatetovChain, KatetovSpace, katetov_map, katetov_space
 from .metrize import Metric, from_metric, validate_metric
 from .ramsey import OrderedEchelonedSpace
 from .rationals import exact_rational
-from .space import EchelonedSpace, PointMap, _colex_reader, _is_int, _trusted, from_rank_table
+from .space import EchelonedSpace, PointMap, _colex_reader, _compress, _is_int, _trusted, from_rank_table
 
 FORMAT = "echelon/1"
 
@@ -352,17 +352,14 @@ def ordered_space_from_json(doc: Any) -> OrderedEchelonedSpace:
     return _ordered_space(doc)
 
 
-def space_from_metric_json(doc: Any) -> EchelonedSpace:
-    """The echelon of a ``metric`` document; ``from_metric`` validates the
-    distances, so they are checked once."""
-    _header(doc, ("metric",))
-    return from_metric(_weights(doc, "d"))
-
-
-def weights_from_json(doc: Any) -> tuple[int, dict]:
-    """Pair weights of a ``weights`` document, or the distances of a valid ``metric`` document."""
-    w = _load(doc, ("weights", "metric"))[1]
-    return len(w), {(j, i): w[i][j] for i in range(1, len(w)) for j in range(i)}
+def space_from_weights_json(doc: Any, kinds=("weights", "metric")) -> EchelonedSpace:
+    """The echelon of a document of a kind in ``kinds``: the pair weights
+    of a ``weights`` document, compressed as ``_rows`` reads them, or the
+    distances of a ``metric`` document, which ``from_metric`` validates, so
+    they are checked once."""
+    if _header(doc, kinds) == "metric":
+        return from_metric(_weights(doc, "d"))
+    return _compress(*_rows(doc, "points", "w", _fraction_row))[0]
 
 
 def map_from_json(doc: Any) -> tuple[Optional[EchelonedSpace], PointMap]:
@@ -401,27 +398,30 @@ def dump(doc: Any, write: Callable[[str], Any]) -> None:
 
 
 def _chunks(doc: Any) -> list[str]:
-    """The chunks of ``dump`` and ``dumps``.  A document ``_render`` cannot
-    take, one with a key that is not a string, nested deeper than the
-    recursion limit or holding a value JSON has no form for, goes to the
-    stdlib call in one chunk, which renders it or raises."""
+    """The chunks of ``dump`` and ``dumps``: an object document's from
+    ``_object``, any other document's as ``_column``'s one-item column.  A
+    document they cannot take, one with a key that is not a string, nested
+    deeper than the recursion limit or holding a value JSON has no form
+    for, goes to the stdlib call in one chunk, which renders it or raises."""
     try:
-        chunks = _object(doc, "\n") if isinstance(doc, dict) else [_render(doc, "\n")]
+        chunks = _object(doc) if isinstance(doc, dict) else _column([doc], "\n")
     except (TypeError, RecursionError):
         return [json.dumps(doc, sort_keys=True, indent=2) + "\n"]
     chunks[-1] += "\n"
     return chunks
 
 
-def _object(x: dict, newline: str) -> list[str]:
-    """The JSON text of an object, key by key, in chunks: each item of a
-    list it holds is one chunk, rendered with the list's other items by
-    ``_column``, and the text between two items goes into the chunk after
-    it, or into the last chunk after the last item."""
+def _object(x: dict) -> list[str]:
+    """The JSON text of the top-level object, key by key, in chunks: each
+    item of a list it holds is one chunk, rendered with the list's other
+    items by ``_column``, and the text between two items goes into the
+    chunk after it, or into the last chunk after the last item.  A str or
+    int value is encoded here, and ``_column`` renders every other value:
+    a non-empty list's items as one column, anything else as a one-item
+    column."""
     if not x:
         return ["{}"]
-    inner = newline + "  "
-    cell = inner + "  "
+    inner, cell = "\n  ", "\n    "
     chunks: list[str] = []
     text, lead = "", "{"
     for k, v in sorted(x.items()):
@@ -437,44 +437,31 @@ def _object(x: dict, newline: str) -> list[str]:
             chunks += rows
             text = inner + "]"
         else:
-            text += _render(v, inner)
-    text += newline + "}"
+            text += _column([v], inner)[0]
+    text += "\n}"
     if not chunks:
         return [text]
     chunks[-1] += text
     return chunks
 
 
-def _render(x: Any, newline: str) -> str:
-    """The JSON text of ``x``, its lines after the first starting with
-    ``newline``: an object as the join of its chunks, a list's items as
-    one column."""
-    if isinstance(x, dict):
-        return "".join(_object(x, newline))
-    if isinstance(x, (list, tuple)):
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_column(x, inner)) + newline + "]" if x else "[]"
-    return _SCALARS.get(type(x), json.dumps)(x)  # bool, None, float, str and int subclasses through the stdlib
-
-
 def _column(col: Sequence, newline: str) -> list[str]:
     """The JSON texts of the values in ``col``, their lines after the first
-    starting with ``newline``, all values of one type in one pass: strings
-    through one encoding per distinct string, one text shared by its
-    repeats; rows of ints, such as a graph's ``chi``, through one ``repr``
-    of the whole column, split at the row separator before each row's int
-    separators are replaced; rows of strings through one ``join`` each;
-    non-empty lists of non-empty lists of ints,
-    such as the ``eta`` column of a space list, through one ``repr`` of the
-    whole column, split at the member separator before each member's row
-    and int separators are replaced, so that the only text as long as the
-    column is the ``repr`` (whole-column replacements raised peak RSS by a
-    megabyte); the items of other lists as one column one level deeper,
-    regrouped by length; objects that share their keys as one column per
-    sorted key, each object one ``%`` fill of a layout built once.  A column
-    of mixed types or of objects whose keys differ renders item by item."""
+    starting with ``newline``: every value below a top-level object, and a
+    document that is not an object, a whole column of values of one type
+    per pass.  Strings go through one encoding per distinct string, one
+    text shared by its repeats; rows of ints, such as a graph's ``chi``,
+    through one ``repr`` of the whole column, split at the row separator
+    before each row's int separators are replaced; rows of strings through
+    one ``join`` each; the items of other lists, such as the rows of every
+    ``eta`` in a space list, as one column one level deeper, regrouped by
+    length; objects that share their keys as one column per sorted key,
+    each object one ``%`` fill of a layout built once.  A column of mixed
+    types or of objects whose keys differ renders item by item, each as a
+    one-item column; other scalars (bool, None, float, subclasses of str
+    and int) go to the stdlib."""
     if len({*map(type, col)}) > 1 or isinstance(col[0], dict) and len({*map(frozenset, col)}) > 1:
-        return [_render(x, newline) for x in col]
+        return [_column([x], newline)[0] for x in col]
     sep = "," + (inner := newline + "  ")
     if isinstance(col[0], (list, tuple)):
         kinds = {*map(type, chain.from_iterable(col))}
@@ -485,12 +472,6 @@ def _column(col: Sequence, newline: str) -> list[str]:
         if kinds == {str}:
             return [f"[{inner}{sep.join(map(_encode_str, x))}{newline}]" if x else "[]" for x in col]
         items = [*chain.from_iterable(col)]
-        if kinds == {list} == {type(col[0])} and all(col) and all(items) and {*map(type, chain(*items))} == {int}:
-            cell = inner + "  "
-            head, tail = "[" + inner + "[" + cell, inner + "]" + newline + "]"
-            rowsep, intsep = inner + "]," + inner + "[" + cell, "," + cell
-            members = repr(list(col))[3:-3].split("]], [[")  # ``col`` may be a tuple
-            return [head + m.replace("], [", rowsep).replace(", ", intsep) + tail for m in members]
         texts = iter(_column(items, inner) if kinds else ())
         return [f"[{inner}{sep.join(islice(texts, len(x)))}{newline}]" if x else "[]" for x in col]
     if isinstance(col[0], dict):

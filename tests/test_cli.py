@@ -652,6 +652,22 @@ def test_a_full_stdout_exits_2_with_one_diagnostic_and_no_traceback(argv):
     assert json.loads(proc.stderr) == {"error": {"code": "io/write", "message": "stdout: No space left on device"}}
 
 
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")), reason="needs /dev/full and /proc/self/fd"
+)
+def test_a_failed_stdout_write_leaves_no_descriptor_open(invoke, monkeypatch):
+    """Each failed write points stdout at the null device through a
+    descriptor of its own, which ``main`` closes: five in-process calls
+    onto a full stdout leave as many descriptors open as before them."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            code, _, err = invoke(["enumerate", "--m", "3"])
+        assert code == 2 and json.loads(err)["error"]["code"] == "io/write"
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 class Stdout:
     """A stdout that keeps what each write passes it, except that its
     ``fail``-th write raises ENOSPC; ``fileno`` is a descriptor the test

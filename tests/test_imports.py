@@ -1,8 +1,8 @@
 """Every name a package module imports is used in it, every private
 module-level name is read somewhere in the package, only ``rationals``
-parses raw rationals, only ``jsonio`` renders JSON, ``cli`` renders a
-whole text only for a diagnostic, and only ``space``
-decides how a rank string becomes a table and allocates square tables.
+parses raw rationals, only ``jsonio`` renders JSON, ``cli`` renders no
+whole text, and only ``space`` decides how a rank string becomes a table
+and allocates square tables.
 Every module the tests import is declared in ``pyproject.toml`` unless it
 is the standard library's or this repository's own.  ``code_lines`` is
 the one count of code lines that CHANGES.md cites.
@@ -91,10 +91,10 @@ def test_only_jsonio_renders_json(path):
     assert not calls_json_dumps(path.read_text(encoding="utf-8"))
 
 
-def dumps_outside_diagnostic(source: str) -> list[str]:
-    """The functions of ``source``, other than ``_diagnostic``, that read
-    ``jsonio.dumps`` as an attribute of ``jsonio`` or of an alias of it,
-    and "<module>" for each import of ``dumps`` from ``jsonio`` by name."""
+def dumps_readers(source: str) -> list[str]:
+    """The functions of ``source`` that read ``jsonio.dumps`` as an
+    attribute of ``jsonio`` or of an alias of it, and "<module>" for each
+    import of ``dumps`` from ``jsonio`` by name."""
     tree = ast.parse(source)
     aliases = {"jsonio"} | {
         alias.asname
@@ -108,7 +108,7 @@ def dumps_outside_diagnostic(source: str) -> list[str]:
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and child.attr == "dumps":
-                if isinstance(child.value, ast.Name) and child.value.id in aliases and scope != "_diagnostic":
+                if isinstance(child.value, ast.Name) and child.value.id in aliases:
                     found.append(scope)
             elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[-1] == "jsonio":
                 found.extend("<module>" for alias in child.names if alias.name == "dumps")
@@ -119,18 +119,18 @@ def dumps_outside_diagnostic(source: str) -> list[str]:
 
 
 def test_the_check_sees_a_document_rendered_whole():
-    assert dumps_outside_diagnostic("from . import jsonio\n\ndef main():\n    print(jsonio.dumps({}))\n") == ["main"]
-    assert dumps_outside_diagnostic("from . import jsonio as J\n\ntext = J.dumps({})\n") == ["<module>"]
-    assert dumps_outside_diagnostic("from .jsonio import FORMAT, dumps\n") == ["<module>"]
-    allowed = "from . import jsonio\n\ndef _diagnostic():\n    jsonio.dumps({})\n\ndef main():\n    jsonio.dump({}, print)\n"
-    assert dumps_outside_diagnostic(allowed) == []
+    assert dumps_readers("from . import jsonio\n\ndef main():\n    print(jsonio.dumps({}))\n") == ["main"]
+    assert dumps_readers("from . import jsonio as J\n\ntext = J.dumps({})\n") == ["<module>"]
+    assert dumps_readers("from .jsonio import FORMAT, dumps\n") == ["<module>"]
+    diagnostic = "from . import jsonio\n\ndef _diagnostic():\n    jsonio.dumps({})\n\ndef main():\n    jsonio.dump({}, print)\n"
+    assert dumps_readers(diagnostic) == ["_diagnostic"]
 
 
-def test_only_diagnostics_render_a_whole_text_in_the_cli():
-    """``cli`` writes every document through ``jsonio.dump``, one row per
-    write; ``jsonio.dumps``, which joins the whole text, is for
-    ``_diagnostic`` alone."""
-    assert dumps_outside_diagnostic((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+def test_the_cli_renders_no_whole_text():
+    """``cli`` writes every document and every diagnostic through
+    ``jsonio.dump``, one row per write; it never reads ``jsonio.dumps``,
+    which joins the whole text."""
+    assert dumps_readers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def names_table_reader(source: str) -> bool:

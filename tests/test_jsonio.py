@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,10 @@ from echelon.jsonio import (
     map_from_json,
     ordered_space_from_json,
     space_from_json,
+    space_from_weights_json,
     space_list_to_json,
     space_to_json,
     validate,
-    weights_from_json,
 )
 from echelon.prng import SplitMix64Stream
 
@@ -228,20 +229,20 @@ def test_typed_loaders_check_the_kind():
         jsonio._load("metric", ("metric",))
 
 
-def test_weights_from_json_reads_weights_and_metrics():
+def test_space_from_weights_json_reads_weights_and_metrics():
     weights = {"kind": "weights", "points": 3, "w": [["2"], ["4", "4/1"]]}
-    m, w = weights_from_json(weights)
-    assert m == 3 and w == {(0, 1): 2, (0, 2): 4, (1, 2): 4}
-    assert from_weights(m, w) == FIX
-    m, w = weights_from_json(jsonio._dump_metric(metrize_dull(FIX)))
-    assert from_weights(m, w) == FIX
-    assert weights_from_json({"kind": "weights", "points": 1, "w": []}) == (1, {})
+    assert space_from_weights_json(weights) == FIX
+    metric = jsonio._dump_metric(metrize_dull(FIX))
+    assert space_from_weights_json(metric) == space_from_weights_json(metric, ("metric",)) == FIX
+    assert space_from_weights_json({"kind": "weights", "points": 1, "w": []}) == from_weights(1, {})
     broken = {"kind": "metric", "points": 3, "d": [["1"], ["5", "1"]]}
     with pytest.raises(MetricError) as e:
-        weights_from_json(broken)
+        space_from_weights_json(broken)
     assert e.value.code == "metric/triangle"
     with pytest.raises(ValidationError):
-        weights_from_json(space_to_json(FIX))
+        space_from_weights_json(space_to_json(FIX))
+    with pytest.raises(ValidationError, match="expected kind metric, got 'weights'"):
+        space_from_weights_json(weights, ("metric",))
 
 
 def test_map_from_json():
@@ -407,29 +408,30 @@ def test_dump_holds_one_copy_of_the_text_and_dumps_two():
 def test_the_renderer_makes_as_many_calls_for_4683_spaces_as_for_13(monkeypatch):
     """``_column`` takes a whole column per call, so the calls of both
     renderers for a space list depend on its shape, not on how many spaces
-    it holds: one for the ``spaces`` column, which ``_object`` renders
-    without ``_render``, and one per member key."""
+    it holds: ``_object`` once for the document, and ``_column`` once for
+    the ``spaces`` column, once per member key and once for the rows of
+    every member's ``eta``."""
     calls = []
 
     def counted(name):
         function = getattr(jsonio, name)
 
-        def call(x, newline):
+        def call(x, *newline):
             calls.append((name, len(x) if name == "_column" else 1))
-            return function(x, newline)
+            return function(x, *newline)
 
         monkeypatch.setattr(jsonio, name, call)
 
-    counted("_render")
+    counted("_object")
     counted("_column")
     counts = []
     for m, spaces in ((3, 13), (4, 4683)):
         doc = space_list_to_json([space_to_json(sp) for sp in enumerate_spaces(m)])
         calls.clear()
         assert dumps(doc) == reference_dumps(doc)
-        assert max(size for _, size in calls) == spaces  # every eta, one column of int tables
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 6
+        assert max(size for _, size in calls) == spaces * (m - 1)  # every member's rows, one column of int rows
+        counts.append(sorted(Counter(name for name, _ in calls).items()))
+    assert counts[0] == counts[1] == [("_column", 7), ("_object", 1)]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """The README's library quick tour runs as written, the values its
-comments state are the values it computes, and its list of public names
-is ``echelon.__all__``."""
+comments state are the values it computes, its list of public names
+is ``echelon.__all__``, and its caps table states every row of
+``cli.BOUNDS``."""
 
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import echelon
+from echelon.cli import BOUNDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,3 +50,20 @@ def test_the_public_name_list_is_all_of_echelon():
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(echelon.__all__)
     assert f"these {len(echelon.__all__)} names" in README.read_text(encoding="utf-8")
+
+
+def caps_table() -> list[list[str]]:
+    """The cells of each body row of the README's caps table, the one
+    whose header names a row of ``cli.BOUNDS``."""
+    text = README.read_text(encoding="utf-8").split("| option | row of `cli.BOUNDS` |", 1)[1]
+    rows = re.findall(r"^\|(.*)\|$", text.split("\n\n", 1)[0], re.M)[1:]  # the first is the separator row
+    return [[cell.strip() for cell in row.split(" | ")] for row in rows]
+
+
+def test_the_caps_table_states_every_bounds_row():
+    rows = caps_table()
+    for key, bound in BOUNDS.items():
+        named = [cells for cells in rows if cells[1] == f"`{key}`"]
+        assert len(named) == 1, key
+        _, _, limit, code, _ = named[0]
+        assert code == f"`{bound.code}`" and re.search(rf"(?<![\d/]){re.escape(str(bound))}(?![\d/])", limit), key
