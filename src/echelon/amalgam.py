@@ -102,8 +102,9 @@ def amalgamate(
 
     Returns the amalgam with embeddings g1, g2 satisfying g1 o f1 = g2 o f2
     whose images overlap exactly on the shared part (strong amalgamation),
-    plus the amalgamated rank chain.  Raises if either map fails to be an
-    embedding.
+    plus the amalgamated rank chain.  The amalgam's points are the left
+    space's points, then the right space's points outside the shared
+    image, in order.  Raises if either map fails to be an embedding.
     """
     w1 = embedding_rank_map(shared, left, f1)
     if w1 is None:

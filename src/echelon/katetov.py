@@ -84,17 +84,6 @@ class KatetovChain:
     def __len__(self) -> int:
         return (self.n + 1) * (self.m + 1) + 1
 
-    def position(self, label: Label) -> int:
-        """The chain position of a label; KeyError for a label not on the chain."""
-        nums = label[1:]  # (j,) for rank(j), (k, j) for slot(k, j)
-        if all(type(v) is int for v in nums):
-            j = nums[-1] if nums else 0
-            k = nums[0] if len(nums) > 1 else 0
-            pos = 0 if label == BOT else 1 + j * (self.m + 1) + k
-            if 0 <= pos < len(self) and self.label_at(pos) == label:
-                return pos
-        raise KeyError(label)
-
     def label_at(self, pos: int) -> Label:
         """The label at a chain position; IndexError for anything but an
         int position on the chain (a bool is not a position)."""
@@ -132,19 +121,11 @@ class KatetovSpace:
     def chain(self) -> KatetovChain:
         return KatetovChain.of(self.base.m, self.base.n)
 
-    def function_count(self) -> int:
-        return self.width**self.base.m
-
     def _code(self, point: int) -> int:
         code = point - self.base.m
-        if not (0 <= code < self.function_count()):
+        if not (0 <= code < self.width**self.base.m):
             raise MorphismError("katetov/point", f"{point} is not an extension point")
         return code
-
-    def function_values(self, point: int) -> tuple[int, ...]:
-        """Chain positions (1..width) of an extension point's values."""
-        code = self._code(point)
-        return tuple(code // place % self.width + 1 for place in self._place)
 
     def function_point(self, values: Sequence[int]) -> int:
         """Point id of the extension function with the given value tuple."""

@@ -59,7 +59,7 @@ from . import prng
 from .colgraph import GeometricColouring
 from .errors import CapExceeded, DemandError, EchelonError, ValidationError
 from .rationals import as_probability, exact_rational, nth_rational, simplest_between
-from .space import EchelonedSpace, _colex_pairs, _compress, _is_int
+from .space import EchelonedSpace, _compress, _is_int
 
 WITNESS_CAP = 1 << 20
 GROW_BLOCK = 64
@@ -97,9 +97,13 @@ def _as_label(value: object, code: str) -> Fraction:
 def _validate_demand(demand: Demand, size: int) -> list[tuple[int, Entry]]:
     if not isinstance(demand, Demand):
         raise DemandError("demand/shape", "a Demand instance is required")
+    try:  # every entry's shape before any entry's content
+        entries = [(point, entry) for point, entry in demand.entries]
+    except (TypeError, ValueError):
+        raise DemandError("demand/shape", "entries must be (point, requirement) pairs") from None
     seen: set[int] = set()
     out = []
-    for point, entry in demand.entries:
+    for point, entry in entries:
         if not _is_int(point) or not (0 <= point < size):
             raise DemandError("demand/point", f"point {point!r} is not materialized")
         if point in seen:
@@ -125,10 +129,17 @@ def _validate_demand(demand: Demand, size: int) -> list[tuple[int, Entry]]:
 
 
 class LimitModel:
-    """Common prefix bookkeeping; concrete labelling left to the modes."""
+    """Common prefix bookkeeping; each mode gives the rest:
+
+    * ``ensure_witness(demand)``, the id of a point that meets the demand;
+    * ``_extend()``, which materializes at least one more point;
+    * ``_label(u, v)``, the label of a materialized pair u != v;
+    * ``_prefix_values(n)``, one value per pair of the first n points in
+      ``_colex_pairs(n)`` order, ordered as their labels;
+    * ``_levels()``, the sorted distinct labels among materialized pairs,
+      each an int or a Fraction."""
 
     mode: str
-    seed: int
 
     def __init__(self):
         self.size = 0
@@ -157,32 +168,10 @@ class LimitModel:
         self.limit_points(n)
         return _compress(n, self._prefix_values(n))[0]
 
-    def _prefix_values(self, n: int) -> Sequence:
-        """Values ordered as the labels of the first n points' pairs, one
-        per pair in ``_colex_pairs(n)`` order."""
-        return [self._label(u, v) for u, v in _colex_pairs(n)]
-
     def existing_labels(self) -> list[Fraction]:
         """Sorted distinct labels among materialized pairs, each a Fraction:
         ``_levels()`` with any int it holds converted."""
         return [Fraction(q) if type(q) is int else q for q in self._levels()]
-
-    def _levels(self) -> Sequence:
-        """The sorted distinct labels among materialized pairs, as the model
-        holds them: exact rationals, each a Fraction or an int.  A fresh
-        model's n-point prefix has exactly these as its levels, rank by rank."""
-        return sorted(
-            {self._label(u, v) for u in range(self.size) for v in range(u + 1, self.size)}
-        )
-
-    def ensure_witness(self, demand: Demand) -> int:
-        raise NotImplementedError
-
-    def _label(self, u: int, v: int) -> Fraction:
-        raise NotImplementedError
-
-    def _extend(self) -> None:
-        raise NotImplementedError
 
 
 def _tier_pattern_ok(entries: Sequence[tuple[int, Entry]], label_of) -> bool:
@@ -230,13 +219,10 @@ class RandomLimitModel(LimitModel):
 
     mode = "random"
 
-    def __init__(self, seed: int, p: object = Fraction(1, 2), cap: int = WITNESS_CAP):
+    def __init__(self, seed: int, p: object = Fraction(1, 2)):
         super().__init__()
-        if not _is_int(cap) or cap < 1:
-            raise ValidationError("limit/count", "the witness cap must be an int of at least 1")
         self.seed = seed
         self.p = as_probability(p)
-        self.cap = cap
 
     @cached_property
     def alphabet(self) -> tuple[Fraction, ...]:
@@ -275,15 +261,10 @@ class RandomLimitModel(LimitModel):
             seen[colours] = True
         return sorted(alphabet.labels[c] for c in np.flatnonzero(seen).tolist())
 
-    def colour_index(self, u: int, v: int) -> int:
-        """The geometric colour behind a pair's label."""
-        if not (0 <= u < self.size and 0 <= v < self.size) or u == v:
-            raise ValidationError("limit/unmaterialized", "need two distinct materialized points")
-        return self._colouring.edge_colour(u, v)
-
     def ensure_witness(self, demand: Demand) -> int:
         """The least point outside the demand's base that meets it, among
-        the materialized points and, past them, up to the hard cap.
+        the materialized points and, past them, up to ``WITNESS_CAP``,
+        read when the scan starts.
 
         Candidates are coloured in blocks by the pair kernel and tested
         against a table of the colour indices each entry admits; the tier
@@ -300,7 +281,7 @@ class RandomLimitModel(LimitModel):
         rows = np.arange(len(entries))
         widest = max(GROW_BLOCK, prng.BLOCK_PAIRS // max(len(entries), 1))
         width = min(max(self.size, GROW_BLOCK), widest)
-        start, end = 0, max(self.size, self.cap)
+        start, end = 0, max(self.size, WITNESS_CAP)
         while start < end:
             stop = min(start + width, end)
             candidates = np.arange(start, stop, dtype=np.int64)
@@ -314,14 +295,14 @@ class RandomLimitModel(LimitModel):
                     z = start + i
                     if z >= self.size:
                         blocks = -(-(z + 1 - self.size) // GROW_BLOCK)
-                        self.size = min(self.size + blocks * GROW_BLOCK, self.cap)
+                        self.size = min(self.size + blocks * GROW_BLOCK, WITNESS_CAP)
                     return z
             start = stop
             width = min(2 * width, widest)
         self.size = end
         raise CapExceeded(
             "limit/witness-cap",
-            f"no witness among the first {self.size} points (cap {self.cap})",
+            f"no witness among the first {self.size} points (cap {WITNESS_CAP})",
         )
 
 
@@ -363,9 +344,8 @@ class DeterministicLimitModel(LimitModel):
 
     mode = "deterministic"
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         super().__init__()
-        self.seed = seed  # recorded; the construction is canonical
         self._labels: list[Union[int, Fraction]] = []
         self._sorted: list[Union[int, Fraction]] = []
         self._schedule_step = 0
@@ -429,11 +409,12 @@ class DeterministicLimitModel(LimitModel):
 
 
 def limit_new(mode: str, seed: int, p: object = Fraction(1, 2)) -> LimitModel:
-    """A fresh model with an empty prefix."""
+    """A fresh model with an empty prefix; the deterministic construction is
+    canonical, so only the random mode reads ``seed`` and ``p``."""
     if mode == "random":
         return RandomLimitModel(seed, p)
     if mode == "deterministic":
-        return DeterministicLimitModel(seed)
+        return DeterministicLimitModel()
     raise ValidationError("limit/mode", f"unknown mode {mode!r}")
 
 

@@ -134,7 +134,8 @@ def metrize_dull(space: EchelonedSpace) -> Metric:
     Rank r becomes the distance 1 + r/(n+1): nonzero values sit strictly
     inside (1, 2), which makes every triangle inequality automatic and the
     result dull, and distinct ranks get distinct distances so the echelon
-    round-trips exactly.
+    round-trips exactly.  Such a metric needs no check, so building it
+    takes quadratic time.
     """
     n = space.n
     levels = (Fraction(0),) + tuple(Fraction(n + 1 + r, n + 1) for r in range(1, n + 1))

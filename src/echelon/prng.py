@@ -149,7 +149,9 @@ def _law(num: int, den: int) -> _Law:
     are k, b = clamp(bit_length(T) + 4, 8, 16) for T thresholds.  A bucket
     [first, last] with no threshold in (first, last] has one colour, which
     it stores; the others store 0 and send their draws to the binary
-    search.  The table's dtype is the law's colour dtype, the narrowest
+    search.  At p = 1/2 every threshold below the top bucket falls on a
+    bucket boundary, so only the top bucket, under 0.1% of the draws, is
+    searched.  The table's dtype is the law's colour dtype, the narrowest
     unsigned one that holds the greatest colour, len(thresholds) + 1."""
     ts = geometric_thresholds(Fraction(num, den))
     array = np.array(ts, dtype=np.uint64)

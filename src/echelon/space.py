@@ -100,17 +100,6 @@ class EchelonedSpace:
         each of its pairs."""
         return self.table[x][y]
 
-    def pairs(self) -> Iterator[Pair]:
-        """Unordered point pairs (i, j), i < j, in lexicographic order."""
-        return itertools.combinations(range(self.m), 2)
-
-    def rank_classes(self) -> dict[int, tuple[Pair, ...]]:
-        """Pairs grouped by rank, ranks 1..n each mapped to its class."""
-        out: dict[int, list[Pair]] = {r: [] for r in range(1, self.n + 1)}
-        for i, j in self.pairs():
-            out[self.table[i][j]].append((i, j))
-        return {r: tuple(ps) for r, ps in out.items()}
-
 
 def _trusted(m: int, n: int, table: tuple[tuple[int, ...], ...]) -> EchelonedSpace:
     """A space whose table its builder made valid by construction, skipping

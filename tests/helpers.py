@@ -31,13 +31,12 @@ from echelon import (
     induced_subspace,
     is_embedding,
 )
-from echelon import jsonio, prng, ramsey
+from echelon import jsonio, limit, prng, ramsey
 from echelon.colgraph import ColouredGraph, as_probability
 from echelon.errors import BudgetExceeded, CapExceeded, EchelonError, MetricError, MorphismError, ValidationError
 from echelon.katetov import APART, BOT, Realization, katetov_space, rank_label, slot
 from echelon.limit import (
     GROW_BLOCK,
-    WITNESS_CAP,
     BackAndForthCertificate,
     Demand,
     ExactLabel,
@@ -249,16 +248,28 @@ def rational_between(
         cur_lo = q
 
 
-class ReferenceDeterministicLimitModel(LimitModel):
+class PairwiseLimitModel(LimitModel):
+    """A limit model whose prefix values and levels are read one
+    ``_label`` per pair: the base of the reference models."""
+
+    def _prefix_values(self, n):
+        """The labels of the first n points' pairs in ``_colex_pairs(n)`` order."""
+        return [self._label(u, v) for u, v in _colex_pairs(n)]
+
+    def _levels(self):
+        """The sorted distinct labels among materialized pairs."""
+        return sorted({self._label(u, v) for u in range(self.size) for v in range(u + 1, self.size)})
+
+
+class ReferenceDeterministicLimitModel(PairwiseLimitModel):
     """The deterministic model with its labels rebuilt from every pair
     on each step, kept as the reference that DeterministicLimitModel's
     incremental label index must reproduce exactly."""
 
     mode = "deterministic"
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         super().__init__()
-        self.seed = seed
         self._labels = {}
         self.pending = deque()
         self._schedule_step = 0
@@ -352,20 +363,20 @@ def _entry_satisfied(entry, label):
     return entry.hi is None or label < entry.hi
 
 
-class ReferenceRandomLimitModel(LimitModel):
+class ReferenceRandomLimitModel(PairwiseLimitModel):
     """The random model on scalar colours: one reference_edge_colour and
     one nth_rational per pair, prefixes compressed from the exact labels and a
     witness scan that tests one candidate at a time while the prefix grows
-    in GROW_BLOCK steps.  Kept as the reference that RandomLimitModel's
-    colour-index kernel must reproduce exactly."""
+    in GROW_BLOCK steps, up to ``limit.WITNESS_CAP`` as it reads it then.
+    Kept as the reference that RandomLimitModel's colour-index kernel must
+    reproduce exactly."""
 
     mode = "random"
 
-    def __init__(self, seed, p=Fraction(1, 2), cap=WITNESS_CAP):
+    def __init__(self, seed, p=Fraction(1, 2)):
         super().__init__()
         self.seed = seed
         self.p = as_probability(p)
-        self.cap = cap
 
     def _label(self, u, v):
         return nth_rational(reference_edge_colour(self.p, self.seed, u, v))
@@ -392,12 +403,13 @@ class ReferenceRandomLimitModel(LimitModel):
                     for point, entry in entries
                 ) and reference_tier_pattern_ok(entries, lambda point: self._label(z, point)):
                     return z
-            if self.size >= self.cap:
+            cap = limit.WITNESS_CAP
+            if self.size >= cap:
                 raise CapExceeded(
                     "limit/witness-cap",
-                    f"no witness among the first {self.size} points (cap {self.cap})",
+                    f"no witness among the first {self.size} points (cap {cap})",
                 )
-            self.size = min(self.size + GROW_BLOCK, self.cap)
+            self.size = min(self.size + GROW_BLOCK, cap)
 
 
 @lru_cache(maxsize=None)
@@ -992,9 +1004,25 @@ def reference_one_point_extensions(space):
             yield cand
 
 
+def reference_function_values(kx, point):
+    """The chain positions (1..width) of an extension point's values, its
+    code written out digit by digit in base ``kx.width``, the first base
+    point's digit most significant: the decoder that ``KatetovSpace.rank``
+    reads one digit of.  A point that is not an extension point is
+    refused as ``KatetovSpace.rank`` refuses it."""
+    code = point - kx.base.m
+    if not (0 <= code < kx.width**kx.base.m):
+        raise MorphismError("katetov/point", f"{point} is not an extension point")
+    digits = []
+    for _ in range(kx.base.m):
+        code, digit = divmod(code, kx.width)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
+
+
 def reference_katetov_map(kx, ky, phi):
     """K(phi) one extension point at a time, through the checked
-    ``function_values`` and ``function_point``, with the label transport
+    ``reference_function_values`` and ``function_point``, with the label transport
     and the chain positions of the label-list references above."""
     x, y = kx.base, ky.base
     label_map = reference_chain_label_map(x, y, phi)
@@ -1007,7 +1035,7 @@ def reference_katetov_map(kx, ky, phi):
     apart_pos = there[APART]
     out = list(phi)
     for f in range(x.m, kx.m):
-        values = kx.function_values(f)
+        values = reference_function_values(kx, f)
         image_values = [apart_pos] * y.m
         for px in range(x.m):
             image_values[phi[px]] = pos_map[values[px]]

@@ -271,7 +271,7 @@ def test_limit_sample_label_rows_are_the_pair_labels(invoke, mode, n, seed):
     holds as ints are checked against names built another way."""
     code, out, _ = invoke(["limit", "sample", "--mode", mode, "--seed", str(seed), "--n", str(n)])
     assert code == 0
-    model = ReferenceDeterministicLimitModel(seed) if mode == "deterministic" else limit_new(mode, seed)
+    model = ReferenceDeterministicLimitModel() if mode == "deterministic" else limit_new(mode, seed)
     model.limit_points(n)
     want = [[fraction_to_str(model.rank_label(i, j)) for j in range(i)] for i in range(1, n)]
     assert json.loads(out)["labels"] == want

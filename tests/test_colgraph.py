@@ -270,9 +270,9 @@ def test_chi_is_the_kernel_array_unpacked(p, n):
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])
 def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
-    """``GeometricColouring.edge_colour``, ``RandomLimitModel.colour_index``
-    and its ``rank_label`` read the law once per object; each equals the
-    reference colour in both endpoint orders."""
+    """``GeometricColouring.edge_colour`` and ``RandomLimitModel.rank_label``
+    read the law once per object; each equals the reference colour, or
+    its label, in both endpoint orders."""
     n = 24
     for seed in (0, 1, 12345, 2**64 - 1):
         colouring = GeometricColouring(p, seed)
@@ -283,7 +283,6 @@ def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
                 want = reference_edge_colour(p, seed, i, j)
                 for u, v in ((i, j), (j, i)):
                     assert colouring.edge_colour(u, v) == want
-                    assert model.colour_index(u, v) == want
                     assert model.rank_label(u, v) == nth_rational(want)
     with pytest.raises(ValidationError) as err:
         GeometricColouring(p, 0).edge_colour(4, 4)
@@ -292,7 +291,7 @@ def test_scalar_colours_from_the_cached_law_equal_the_reference(p):
     assert GeometricColouring(p, -1).edge_colour(2, 9) == reference_edge_colour(p, 2**64 - 1, 2, 9)
     negative = RandomLimitModel(-1, p)
     negative.limit_points(10)
-    assert negative.colour_index(2, 9) == reference_edge_colour(p, 2**64 - 1, 2, 9)
+    assert negative.rank_label(2, 9) == nth_rational(reference_edge_colour(p, 2**64 - 1, 2, 9))
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(1, 256)])

@@ -111,12 +111,6 @@ CASES = {
         "limit/unmaterialized",
         "both points must be materialized",
     ),
-    "colour of an unmaterialized pair": (
-        lambda: limit_new("random", 0).colour_index(0, 1),
-        ValidationError,
-        "limit/unmaterialized",
-        "need two distinct materialized points",
-    ),
 }
 
 

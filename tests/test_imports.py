@@ -2,7 +2,8 @@
 module-level name is read somewhere in the package, only ``rationals``
 parses raw rationals, only ``jsonio`` renders JSON, ``cli`` renders no
 whole text, and only ``space`` decides how a rank string becomes a table
-and allocates square tables.
+and allocates square tables.  Every method and property of a package
+class is read by the package or the benchmarks.
 Every module the tests import is declared in ``pyproject.toml`` unless it
 is the standard library's or this repository's own.  ``code_lines`` is
 the one count of code lines that CHANGES.md cites.
@@ -12,6 +13,8 @@ with the standard library's ast: a name an import binds must be read
 somewhere in the module, or be listed in its ``__all__``."""
 
 import ast
+import builtins
+import importlib
 import io
 import re
 import sys
@@ -367,6 +370,94 @@ def test_every_public_name_is_used_or_exported():
     assert public_names_bound(sources["__init__.py"]) == exported
 
 
+def outside_base(base: ast.expr, imports: dict[str, tuple[str, str]]) -> object:
+    """The object a base class expression names when it comes from outside
+    the package: a builtin (``ValueError``), a name imported absolutely
+    (``NamedTuple``) or an attribute of an absolutely imported module
+    (``argparse.ArgumentParser``); None for anything else.  ``imports``
+    maps each name a module's absolute imports bind to the module and the
+    attribute it names ("" for the module itself)."""
+    dotted = ast.unparse(base).split(".")
+    head = dotted[0]
+    if head in imports:
+        module, attr = imports[head]
+        obj = importlib.import_module(module)
+        obj = getattr(obj, attr) if attr else obj
+    else:
+        obj = getattr(builtins, head, None)
+    for part in dotted[1:]:
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def unread_members(sources: dict[str, str], outside: dict[str, str]) -> list[str]:
+    """Methods and properties of the classes of ``sources`` that no module
+    of ``sources`` or ``outside`` reads as an attribute, as ``module:
+    Class.name``.  Dunders are exempt, and so is a member that a base from
+    outside the package defines, such as ``argparse.ArgumentParser.error``:
+    the base's own code calls the override."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, outside.values())]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    out = []
+    for module, tree in trees.items():
+        imports = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imports.update({alias.asname or alias.name: (alias.name, "") for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.update({alias.asname or alias.name: (node.module, alias.name) for alias in node.names})
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = [outside_base(base, imports) for base in cls.bases]
+            out += [
+                f"{module}: {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in read
+                and not any(hasattr(base, node.name) for base in bases)
+            ]
+    return out
+
+
+def test_the_check_sees_a_member_only_tests_read():
+    sources = {
+        "a.py": (
+            "import argparse\n\n"
+            "class Space:\n    def __len__(self):\n        return 0\n\n"
+            "    def rank(self):\n        return self.table\n\n"
+            "    def only_tested(self):\n        pass\n\n"
+            "    @property\n    def chain(self):\n        pass\n\n"
+            "class Parser(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n\n"
+            "    def extra(self):\n        pass\n"
+        ),
+        "b.py": "from .a import Space\n\nclass Model(Space):\n    def rank(self):\n        return 1\n",
+    }
+    outside = {"run.py": "def run(space):\n    return space.rank(), space.chain\n"}
+    assert unread_members(sources, outside) == ["a.py: Space.only_tested", "a.py: Parser.extra"]
+    outside["bench.py"] = "def bench(space, parser):\n    space.only_tested()\n    parser.extra()\n"
+    assert unread_members(sources, outside) == []
+    # a base from inside the package exempts nothing
+    inside = {
+        "a.py": "class Base:\n    def error(self):\n        pass\n",
+        "b.py": "from .a import Base\n\nclass Model(Base):\n    def error(self):\n        pass\n",
+    }
+    assert unread_members(inside, {}) == ["a.py: Base.error", "b.py: Model.error"]
+
+
+def test_every_class_member_is_read():
+    """A method or property that neither the package nor the benchmarks
+    read serves only the tests: it belongs in ``tests/helpers.py``, or
+    nowhere."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    outside = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "benchmarks").glob("*.py"))}
+    assert unread_members(sources, outside) == []
+
+
 NON_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -466,8 +557,10 @@ def test_every_test_import_is_declared():
     assert undeclared_imports(sources, declared, local) == []
 
 
-if __name__ == "__main__":  # python tests/test_imports.py: the count of each module and of the package
+if __name__ == "__main__":  # python tests/test_imports.py: the count of each module, of the package and of tests/
     counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     for name, count in counts.items():
         print(f"{name:16}{count:6}")
     print(f"{'src/echelon':16}{sum(counts.values()):6}")
+    tests = sum(code_lines(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "tests").glob("*.py")))
+    print(f"{'tests':16}{tests:6}")
